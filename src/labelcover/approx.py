@@ -17,10 +17,14 @@ from time import perf_counter
 
 from .core import (
     Assignment,
+    IndexOutOfRange,
     InstanceStats,
     LabelCoverError,
     ProjectionGame,
     SolveReport,
+    _best_a_symbol,
+    _consistent_masks,
+    _propagate,
     compute_stats,
     value,
 )
@@ -71,9 +75,7 @@ def compute_sigma_star(
     """
     stats = stats if stats is not None else compute_stats(game)
     pre = game.preimage_masks
-    proj = game.projections
     eidx = game.edge_index
-    full = (1 << game.sigma_a) - 1
     threshold = 2 * stats.p_bar_max
 
     sigma_star: list[tuple[int, ...]] = []
@@ -84,20 +86,13 @@ def compute_sigma_star(
 
     for a in range(game.a_count):
         nbrs = game.a_neighbors[a]
-        nbr_set = set(nbrs)
         n2 = stats.n2[a]
         n2_set = set(n2)
         cand_bs = sorted({b for ap in n2 for b in game.a_neighbors[ap]})
         admissible = []
         for sa in range(game.sigma_a):
-            propagated = {b: proj[eidx[(a, b)]][sa] for b in nbrs}
-            s_mask = {}
-            for ap in n2:
-                mask = full
-                for b2 in game.a_neighbors[ap]:
-                    if b2 in nbr_set:
-                        mask &= pre[eidx[(ap, b2)]][propagated[b2]]
-                s_mask[ap] = mask
+            propagated = _propagate(game, a, sa)
+            s_mask = dict(zip(n2, _consistent_masks(game, propagated, n2)))
             ok = True
             for b in cand_bs:
                 members = [ap for ap in game.b_neighbors[b] if ap in n2_set]
@@ -156,6 +151,19 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _check_anchor(game: ProjectionGame, a0: int) -> None:
+    if not 0 <= a0 < game.a_count:
+        raise IndexOutOfRange(
+            f"anchor a{a0} out of range for {game.a_count} A vertices"
+        )
+
+
+def _kyn_anchor(stats: InstanceStats) -> int:
+    """The A vertex whose neighborhood touches the most edges, smallest
+    index on ties (0 when there are no A vertices)."""
+    return max(range(len(stats.e_n)), key=lambda a: (stats.e_n[a], -a), default=0)
+
+
 def satisfy_one_neighbor(game: ProjectionGame) -> SolveReport:
     """Give every A vertex the zero symbol; let each B vertex match one edge.
 
@@ -198,18 +206,8 @@ def greedy_assignment(
     t0 = perf_counter()
     stats = stats if stats is not None else compute_stats(game)
     b_labels = stats.sigma_b_max
-    a_labels = []
-    for a in range(game.a_count):
-        best_s, best_cnt = 0, -1
-        for sa in range(game.sigma_a):
-            cnt = 0
-            for e in game.a_edges[a]:
-                if game.projections[e][sa] == b_labels[game.edges[e][1]]:
-                    cnt += 1
-            if cnt > best_cnt:
-                best_s, best_cnt = sa, cnt
-        a_labels.append(best_s)
-    phi = Assignment(tuple(a_labels), b_labels)
+    a_labels = tuple(_best_a_symbol(game, a, b_labels) for a in range(game.a_count))
+    phi = Assignment(a_labels, b_labels)
     guarantee = Fraction(sum(stats.p_max_e), game.sigma_a)
     return SolveReport(
         assignment=phi,
@@ -232,31 +230,22 @@ def know_your_neighbors(
     Propagating the anchor fixes every neighbor of a0; admissibility
     guarantees every two-hop vertex keeps a consistent symbol, so every
     edge touching the neighborhood of a0 is satisfied: at least
-    e_n(a0) edges.
+    e_n(a0) edges.  Raises IndexOutOfRange unless 0 <= a0 < a_count.
     """
     t0 = perf_counter()
+    _check_anchor(game, a0)
     stats = stats if stats is not None else compute_stats(game)
     cache = cache if cache is not None else compute_sigma_star(game, stats)
     if sigma_a0 not in cache.sigma_star[a0]:
         raise NotInSigmaStar(f"symbol {sigma_a0} is not admissible for a{a0}")
 
-    pre = game.preimage_masks
-    proj = game.projections
-    eidx = game.edge_index
-    full = (1 << game.sigma_a) - 1
-    nbr_set = set(game.a_neighbors[a0])
-
-    b_labels = [0] * game.b_count
-    for b in game.a_neighbors[a0]:
-        b_labels[b] = proj[eidx[(a0, b)]][sigma_a0]
+    propagated = _propagate(game, a0, sigma_a0)
+    n2 = stats.n2[a0]
     a_labels = [0] * game.a_count
-    for ap in stats.n2[a0]:
-        mask = full
-        for b in game.a_neighbors[ap]:
-            if b in nbr_set:
-                mask &= pre[eidx[(ap, b)]][b_labels[b]]
+    for ap, mask in zip(n2, _consistent_masks(game, propagated, n2)):
         a_labels[ap] = _lowest_bit(mask) if mask else 0
-    phi = Assignment(tuple(a_labels), tuple(b_labels))
+    b_labels = tuple(0 if sb is None else sb for sb in propagated)
+    phi = Assignment(tuple(a_labels), b_labels)
     return SolveReport(
         assignment=phi,
         satisfied=value(game, phi),
@@ -274,18 +263,12 @@ def _kynn_single(game, stats, a0, s0, scope, pinned_empty_skips):
     and ``pinned_empty_skips`` asks to skip this anchor.
     """
     pre = game.preimage_masks
-    proj = game.projections
     eidx = game.edge_index
     full = (1 << game.sigma_a) - 1
-    nbr_set = set(game.a_neighbors[a0])
 
-    propagated = {b: proj[eidx[(a0, b)]][s0] for b in game.a_neighbors[a0]}
+    n2 = stats.n2[a0]
     s_mask = [full] * game.a_count
-    for ap in stats.n2[a0]:
-        mask = full
-        for b in game.a_neighbors[ap]:
-            if b in nbr_set:
-                mask &= pre[eidx[(ap, b)]][propagated[b]]
+    for ap, mask in zip(n2, _consistent_masks(game, _propagate(game, a0, s0), n2)):
         if mask == 0 and pinned_empty_skips:
             return None
         s_mask[ap] = mask
@@ -303,23 +286,11 @@ def _kynn_single(game, stats, a0, s0, scope, pinned_empty_skips):
                 best_s, best_score = sb, score
         b_labels.append(best_s)
 
-    a_labels = []
-    for a in range(game.a_count):
-        mask = s_mask[a] if s_mask[a] else full
-        best_s, best_cnt = None, -1
-        mm = mask
-        while mm:
-            low = mm & -mm
-            sa = low.bit_length() - 1
-            mm ^= low
-            cnt = 0
-            for e in game.a_edges[a]:
-                if proj[e][sa] == b_labels[game.edges[e][1]]:
-                    cnt += 1
-            if cnt > best_cnt:
-                best_s, best_cnt = sa, cnt
-        a_labels.append(best_s if best_s is not None else 0)
-    return tuple(a_labels), tuple(b_labels)
+    a_labels = tuple(
+        _best_a_symbol(game, a, b_labels, s_mask[a] or full)
+        for a in range(game.a_count)
+    )
+    return a_labels, tuple(b_labels)
 
 
 def know_neighbors_neighbors(
@@ -336,9 +307,11 @@ def know_neighbors_neighbors(
     pass satisfies at least h_star(a0, s) / (2 * p_bar_max) edges for
     every anchor s it tried.  The uniform variant requires evenly
     splitting tables, ranges over the whole alphabet, skips anchors that
-    empty some candidate set, and certifies h(a0) / uniform_p.
+    empty some candidate set, and certifies h(a0) / uniform_p.  Raises
+    IndexOutOfRange unless 0 <= a0 < a_count.
     """
     t0 = perf_counter()
+    _check_anchor(game, a0)
     stats = stats if stats is not None else compute_stats(game)
 
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
@@ -419,11 +392,6 @@ def divide_and_conquer(
     if m == 0 or n_a == 0 or n_b == 0:
         return finish(Fraction(0))
 
-    pre = game.preimage_masks
-    proj = game.projections
-    eidx = game.edge_index
-    full = (1 << game.sigma_a) - 1
-
     if uniform:
         keys: list[tuple[int, int | None]] = [(a, None) for a in range(n_a)]
         regions = {}
@@ -483,46 +451,33 @@ def divide_and_conquer(
         if uniform:
             p_b = [b for b in game.a_neighbors[a] if not in_vp[n_a + b]]
             p_a = [ap for ap in stats.n2[a] if not in_vp[ap]]
+            others = [ap for ap in p_a if ap != a]
             # try anchors until the whole region propagates; an
             # unsatisfiable region just keeps its default labels
             for try_sa in range(game.sigma_a):
-                blab = {b: proj[eidx[(a, b)]][try_sa] for b in p_b}
-                alab = {}
-                ok = True
-                for ap in p_a:
-                    if ap == a:
-                        continue
-                    mask = full
-                    for b in game.a_neighbors[ap]:
-                        if b in blab:
-                            mask &= pre[eidx[(ap, b)]][blab[b]]
-                    if mask == 0:
-                        ok = False
-                        break
-                    alab[ap] = _lowest_bit(mask)
-                if ok:
-                    for b, s in blab.items():
-                        b_labels[b] = s
-                    for ap, s in alab.items():
-                        a_labels[ap] = s
+                blab = _propagate(game, a, try_sa)
+                for b in game.a_neighbors[a]:
+                    if in_vp[n_a + b]:
+                        blab[b] = None
+                masks = _consistent_masks(game, blab, others)
+                if all(masks):
+                    for b in p_b:
+                        b_labels[b] = blab[b]
+                    for ap, mask in zip(others, masks):
+                        a_labels[ap] = _lowest_bit(mask)
                     if not in_vp[a]:
                         a_labels[a] = try_sa
                     break
         else:
-            nbr_set = set(game.a_neighbors[a])
             p_b = [b for b in cache.n_star[(a, sa)] if not in_vp[n_a + b]]
             p_a = [ap for ap in cache.n2_star[(a, sa)] if not in_vp[ap]]
+            propagated = _propagate(game, a, sa)
             for b in p_b:
-                b_labels[b] = proj[eidx[(a, b)]][sa]
+                b_labels[b] = propagated[b]
             if not in_vp[a]:
                 a_labels[a] = sa
-            for ap in p_a:
-                if ap == a:
-                    continue
-                mask = full
-                for b in game.a_neighbors[ap]:
-                    if b in nbr_set:
-                        mask &= pre[eidx[(ap, b)]][proj[eidx[(a, b)]][sa]]
+            others = [ap for ap in p_a if ap != a]
+            for ap, mask in zip(others, _consistent_masks(game, propagated, others)):
                 if mask:
                     a_labels[ap] = _lowest_bit(mask)
 
@@ -537,6 +492,8 @@ def best_of(
     cache: SigmaStarCache | None = None,
 ) -> SolveReport:
     """Run all five algorithms and return the best report.
+
+    The report keeps every sub-report in ``parts``, in breakdown order.
 
     On a satisfiable instance the combined value is at least
     |E| / (4 * (a_count * sigma_a)^(1/4)).  Derivation: write nB for the
@@ -557,7 +514,7 @@ def best_of(
 
     reports = [satisfy_one_neighbor(game), greedy_assignment(game, stats)]
     if game.a_count and game.edge_count:
-        a0 = max(range(game.a_count), key=lambda a: (stats.e_n[a], -a))
+        a0 = _kyn_anchor(stats)
         if cache.sigma_star[a0]:
             reports.append(
                 know_your_neighbors(game, a0, cache.sigma_star[a0][0], stats, cache)
@@ -579,4 +536,5 @@ def best_of(
         guarantee=max(rep.guarantee for rep in reports),
         elapsed=perf_counter() - t0,
         breakdown=tuple((rep.algorithm, rep.satisfied) for rep in reports),
+        parts=tuple(reports),
     )

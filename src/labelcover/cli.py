@@ -324,12 +324,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _pick_anchor(game, st, cache, requested):
-    if requested is not None:
-        return requested
-    return max(range(game.a_count), key=lambda a: (st.e_n[a], -a))
-
-
 def _cmd_approx(args) -> int:
     game = _load_game(args.instance)
     st = compute_stats(game)
@@ -339,7 +333,8 @@ def _cmd_approx(args) -> int:
         rep = approx.greedy_assignment(game, st)
     elif args.algorithm == "kyn":
         cache = approx.compute_sigma_star(game, st)
-        a0 = _pick_anchor(game, st, cache, args.a0)
+        a0 = approx._kyn_anchor(st) if args.a0 is None else args.a0
+        approx._check_anchor(game, a0)
         sigma = args.sigma
         if sigma is None:
             if not cache.sigma_star[a0]:
@@ -350,7 +345,7 @@ def _cmd_approx(args) -> int:
         if args.uniform:
             a0 = args.a0
             if a0 is None:
-                a0 = max(range(game.a_count), key=lambda a: (st.h[a], -a))
+                a0 = max(range(game.a_count), key=lambda a: (st.h[a], -a), default=0)
             rep = approx.know_neighbors_neighbors(game, a0, st, uniform=True)
         else:
             cache = approx.compute_sigma_star(game, st)
@@ -501,24 +496,12 @@ def _cmd_bench(args) -> int:
     try:
         for path in paths:
             game = formats.parse_labelcover(path.read_text())
+            digest = _digest(game)
             st = compute_stats(game)
-            cache = approx.compute_sigma_star(game, st)
-            reports = {
-                "one-neighbor": approx.satisfy_one_neighbor(game),
-                "greedy": approx.greedy_assignment(game, st),
-            }
-            if game.a_count and game.edge_count:
-                a0 = max(range(game.a_count), key=lambda a: (st.e_n[a], -a))
-                if cache.sigma_star[a0]:
-                    reports["kyn"] = approx.know_your_neighbors(
-                        game, a0, cache.sigma_star[a0][0], st, cache
-                    )
-            if cache.h_star_argmax is not None:
-                reports["kynn"] = approx.know_neighbors_neighbors(
-                    game, cache.h_star_argmax[0], st, cache
-                )
-            reports["dnc"] = approx.divide_and_conquer(game, st, cache)
-            reports["best"] = approx.best_of(game, st, cache)
+            # passing stats and sigma* in keeps them out of every elapsed
+            best = approx.best_of(game, st, approx.compute_sigma_star(game, st))
+            reports = {rep.algorithm: rep for rep in best.parts}
+            reports["best"] = best
             for name in BENCH_ALGOS:
                 rep = reports.get(name)
                 if rep is None:
@@ -537,7 +520,7 @@ def _cmd_bench(args) -> int:
                 record = {
                     "record": "run",
                     "instance": str(path),
-                    "instance_digest": _digest(game),
+                    "instance_digest": digest,
                     "algorithm": name,
                     "satisfied": rep.satisfied,
                     "edges": game.edge_count,

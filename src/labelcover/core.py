@@ -7,7 +7,9 @@ the edge when the table maps a's label to b's label.  The goal is to
 satisfy as many edges as possible.
 
 Everything here is immutable after construction and safe to share between
-threads; all operations are pure functions.
+threads; all operations are pure functions.  The label-selection kernels
+every solver shares live here too: ``_propagate``, ``_consistent_masks``,
+``_best_a_symbol`` and ``_majority_b_symbol``.
 """
 
 from __future__ import annotations
@@ -199,6 +201,60 @@ def value(game: ProjectionGame, phi: Assignment) -> int:
     return sat
 
 
+def _propagate(game: ProjectionGame, a: int, sa: int) -> list[int | None]:
+    """The B labels that anchoring a at sa forces; None off a's neighbors."""
+    labels: list[int | None] = [None] * game.b_count
+    for e in game.a_edges[a]:
+        labels[game.edges[e][1]] = game.projections[e][sa]
+    return labels
+
+
+def _consistent_masks(game: ProjectionGame, b_labels, aps) -> list[int]:
+    """For each listed A vertex, the bitmask of its symbols consistent with
+    every labeled neighbor: the AND of its preimage masks over the edges
+    whose B label is not None."""
+    pre = game.preimage_masks
+    edges = game.edges
+    full = (1 << game.sigma_a) - 1
+    out = []
+    for ap in aps:
+        mask = full
+        for e in game.a_edges[ap]:
+            sb = b_labels[edges[e][1]]
+            if sb is not None:
+                mask &= pre[e][sb]
+        out.append(mask)
+    return out
+
+
+def _best_a_symbol(game: ProjectionGame, a: int, b_labels, mask: int | None = None) -> int:
+    """The symbol of a (restricted to the bits of mask, when given) that
+    satisfies the most of a's edges under b_labels, smallest index on ties.
+    A None B label matches nothing."""
+    rows = [(game.projections[e], b_labels[game.edges[e][1]]) for e in game.a_edges[a]]
+    best_s, best_cnt = 0, -1
+    for s in range(game.sigma_a):
+        if mask is None or mask >> s & 1:
+            cnt = 0
+            for table, sb in rows:
+                if table[s] == sb:
+                    cnt += 1
+            if cnt > best_cnt:
+                best_s, best_cnt = s, cnt
+    return best_s
+
+
+def _majority_b_symbol(game: ProjectionGame, b: int, a_labels) -> int:
+    """The symbol most of b's edges map to under a_labels, smallest index on
+    ties.  A None A label casts no vote."""
+    scores = [0] * game.sigma_b
+    for e in game.b_edges[b]:
+        sa = a_labels[game.edges[e][0]]
+        if sa is not None:
+            scores[game.projections[e][sa]] += 1
+    return scores.index(max(scores))
+
+
 @dataclass(frozen=True)
 class InstanceStats:
     """Every derived quantity the solvers consume.
@@ -384,7 +440,8 @@ class SolveReport:
     preconditions held (for the approximation algorithms: instance
     satisfiability).  ``guarantee_ratio_of_opt`` is set by solvers whose
     promise is relative to the unknown optimum (the planar scheme).
-    ``breakdown`` carries per-subalgorithm values for combined solvers.
+    ``breakdown`` carries per-subalgorithm values for combined solvers,
+    and ``parts`` the sub-reports themselves.
     """
 
     assignment: Assignment
@@ -395,3 +452,4 @@ class SolveReport:
     seed: int | None = None
     guarantee_ratio_of_opt: Fraction | None = None
     breakdown: tuple[tuple[str, int], ...] | None = None
+    parts: tuple[SolveReport, ...] = ()

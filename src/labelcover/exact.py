@@ -10,12 +10,14 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (
     Assignment,
     BudgetExceeded,
     LabelCoverError,
     ProjectionGame,
+    _majority_b_symbol,
 )
 
 
@@ -373,13 +375,10 @@ def brute_force_opt(
         best_val = 0
         best_labels = tuple(labels)
 
-    b_labels = []
-    for b in range(game.b_count):
-        scores = [0] * kb
-        for e in game.b_edges[b]:
-            scores[proj[e][best_labels[edges[e][0]]]] += 1
-        b_labels.append(max(range(kb), key=lambda s: (scores[s], -s)))
-    phi = Assignment(best_labels, tuple(b_labels))
+    b_labels = tuple(
+        _majority_b_symbol(game, b, best_labels) for b in range(game.b_count)
+    )
+    phi = Assignment(best_labels, b_labels)
     return phi, best_val
 
 
@@ -523,24 +522,7 @@ def tree_dp_solve(
         table: dict[tuple[int, ...], int] = {}
         pos_of = {v: idx for idx, v in enumerate(verts)}
 
-        def states_iter():
-            if not verts:
-                yield ()
-                return
-            cur = [0] * len(verts)
-            while True:
-                yield tuple(cur)
-                j = len(verts) - 1
-                while j >= 0:
-                    cur[j] += 1
-                    if cur[j] < radix[j]:
-                        break
-                    cur[j] = 0
-                    j -= 1
-                if j < 0:
-                    return
-
-        for state in states_iter():
+        for state in product(*(range(k) for k in radix)):
             val = sat_inside(verts, state, bag_edges[i])
             ok = True
             for w in children:

@@ -29,9 +29,8 @@ from .core import (
 from .exact import (
     EXACT_DECOMPOSITION_LIMIT,
     TreeDecomposition,
-    _decomposition_from_order,
-    _exact_order,
-    _min_fill_order,
+    exact_decomposition,
+    heuristic_decomposition,
     tree_dp_solve,
     validate_decomposition,
 )
@@ -39,6 +38,10 @@ from .exact import (
 
 class PlanarityCheckFailed(LabelCoverError):
     """The instance graph fails the edge-count planarity sanity bound."""
+
+
+class InvalidSchemeParameter(LabelCoverError, ValueError):
+    """epsilon is outside (0, 1] or the class count h is below 1."""
 
 
 def euler_planarity_ok(game: ProjectionGame) -> bool:
@@ -111,7 +114,7 @@ def baker_partition(game: ProjectionGame, h: int) -> BakerPartition:
     decomposition is validated before being returned.
     """
     if h < 1:
-        raise ValueError("h must be at least 1")
+        raise InvalidSchemeParameter(f"h must be at least 1, got {h}")
     levels = _bfs_levels(game)
     classes: list[set[int]] = [set() for _ in range(h)]
     for i, (a, b) in enumerate(game.edges):
@@ -119,18 +122,12 @@ def baker_partition(game: ProjectionGame, h: int) -> BakerPartition:
         classes[low % h].add(i)
 
     decomps = []
-    n = game.vertex_count
     for cls in classes:
         res = residual_game(game, frozenset(cls))
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for a, b in res.edges:
-            adj[a].add(game.a_count + b)
-            adj[game.a_count + b].add(a)
-        if n <= EXACT_DECOMPOSITION_LIMIT:
-            order = _exact_order(n, adj)
+        if game.vertex_count <= EXACT_DECOMPOSITION_LIMIT:
+            td = exact_decomposition(res)
         else:
-            order = _min_fill_order(n, adj)
-        td = _decomposition_from_order(n, adj, order)
+            td = heuristic_decomposition(res)
         bad = validate_decomposition(res, td)
         if bad:
             raise LabelCoverError(f"internal: residual decomposition invalid: {bad}")
@@ -159,17 +156,20 @@ def ptas(
 
     The output assignment is correct for any graph; planarity only keeps
     the decomposition widths (hence the running time) small, so the Euler
-    sanity check can be overridden.
+    sanity check can be overridden.  Raises InvalidSchemeParameter when
+    epsilon (without h_override) is outside (0, 1] or h is below 1.
     """
     t0 = perf_counter()
     if h_override is None and not 0 < epsilon <= 1:
-        raise ValueError("epsilon must be in (0, 1]")
+        raise InvalidSchemeParameter(f"epsilon must be in (0, 1], got {epsilon}")
     if not force_nonplanar and not euler_planarity_ok(game):
         raise PlanarityCheckFailed(
             f"{game.edge_count} edges on {game.vertex_count} vertices breaks the "
             f"planar edge bound; pass force_nonplanar to run anyway"
         )
     h = h_override if h_override is not None else math.ceil(1 + 1 / epsilon)
+    if h < 1:
+        raise InvalidSchemeParameter(f"h must be at least 1, got {h}")
 
     comps = connected_components(game)
     winners = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from time import perf_counter
 
 from .core import (
@@ -20,6 +21,9 @@ from .core import (
     BudgetExceeded,
     ProjectionGame,
     SolveReport,
+    _best_a_symbol,
+    _consistent_masks,
+    _majority_b_symbol,
     value,
 )
 
@@ -75,49 +79,6 @@ def default_mu(game: ProjectionGame, report: SmoothnessReport | None = None) -> 
     return max(report.mu, floor)
 
 
-def _pin_or_greedy(game, a, bstar_labels):
-    """Symbol for a given labels on part of B: the unique symbol consistent
-    with every labeled edge if there is exactly one, else the symbol
-    satisfying the most labeled edges (smallest index on ties).
-
-    Returns (symbol, pinned_flag).
-    """
-    eids = [
-        e for e in game.a_edges[a] if bstar_labels[game.edges[e][1]] is not None
-    ]
-    if eids:
-        mask = (1 << game.sigma_a) - 1
-        for e in eids:
-            mask &= game.preimage_masks[e][bstar_labels[game.edges[e][1]]]
-        if mask.bit_count() == 1:
-            return mask.bit_length() - 1, True
-    best_s, best_cnt = 0, -1
-    for s in range(game.sigma_a):
-        cnt = 0
-        for e in eids:
-            if game.projections[e][s] == bstar_labels[game.edges[e][1]]:
-                cnt += 1
-        if cnt > best_cnt:
-            best_s, best_cnt = s, cnt
-    return best_s, False
-
-
-def _enumerate_labels(k: int, slots: int):
-    """Mixed-radix counting from all zeros over ``slots`` base-k digits."""
-    cur = [0] * slots
-    while True:
-        yield tuple(cur)
-        i = slots - 1
-        while i >= 0:
-            cur[i] += 1
-            if cur[i] < k:
-                break
-            cur[i] = 0
-            i -= 1
-        if i < 0:
-            return
-
-
 def smooth_exact(
     game: ProjectionGame,
     mu: Fraction | None = None,
@@ -151,23 +112,22 @@ def smooth_exact(
         )
 
     m = game.edge_count
-    for labels in _enumerate_labels(game.sigma_b, len(bstar)):
+    all_a = range(game.a_count)
+    for labels in product(range(game.sigma_b), repeat=len(bstar)):
         bstar_labels: list[int | None] = [None] * game.b_count
         for b, s in zip(bstar, labels):
             bstar_labels[b] = s
         a_labels = tuple(
-            _pin_or_greedy(game, a, bstar_labels)[0] for a in range(game.a_count)
+            mask.bit_length() - 1
+            if mask.bit_count() == 1
+            else _best_a_symbol(game, a, bstar_labels)
+            for a, mask in enumerate(_consistent_masks(game, bstar_labels, all_a))
         )
-        b_labels = []
-        for b in range(game.b_count):
-            if bstar_labels[b] is not None:
-                b_labels.append(bstar_labels[b])
-                continue
-            scores = [0] * game.sigma_b
-            for e in game.b_edges[b]:
-                scores[game.projections[e][a_labels[game.edges[e][0]]]] += 1
-            b_labels.append(max(range(game.sigma_b), key=lambda s: (scores[s], -s)))
-        phi = Assignment(a_labels, tuple(b_labels))
+        b_labels = tuple(
+            _majority_b_symbol(game, b, a_labels) if s is None else s
+            for b, s in enumerate(bstar_labels)
+        )
+        phi = Assignment(a_labels, b_labels)
         if value(game, phi) == m:
             return phi
     return None
@@ -219,19 +179,9 @@ def smooth_approx(
                 f"{game.sigma_b}^{game.b_count} B assignments exceed cap {enum_cap}"
             )
         best_phi, best_val = None, -1
-        for b_labels in _enumerate_labels(game.sigma_b, game.b_count):
-            a_labels = []
-            for a in range(n_a):
-                best_s, best_cnt = 0, -1
-                for s in range(game.sigma_a):
-                    cnt = 0
-                    for e in game.a_edges[a]:
-                        if game.projections[e][s] == b_labels[game.edges[e][1]]:
-                            cnt += 1
-                    if cnt > best_cnt:
-                        best_s, best_cnt = s, cnt
-                a_labels.append(best_s)
-            phi = Assignment(tuple(a_labels), b_labels)
+        for b_labels in product(range(game.sigma_b), repeat=game.b_count):
+            a_labels = tuple(_best_a_symbol(game, a, b_labels) for a in range(n_a))
+            phi = Assignment(a_labels, b_labels)
             val = value(game, phi)
             if val > best_val:
                 best_phi, best_val = phi, val
@@ -290,34 +240,20 @@ def smooth_approx(
         )
 
     sat_list = [a for a in range(n_a) if saturated[a]]
-    full = (1 << game.sigma_a) - 1
     best_phi, best_val = None, -1
-    for labels in _enumerate_labels(game.sigma_b, len(bstar)):
-        lab = dict(zip(bstar, labels))
-        pinned = {}
-        ok = True
-        for a in sat_list:
-            mask = full
-            for e in game.a_edges[a]:
-                b = game.edges[e][1]
-                if b in lab:
-                    mask &= game.preimage_masks[e][lab[b]]
-            if mask.bit_count() != 1:
-                ok = False
-                break
-            pinned[a] = mask.bit_length() - 1
-        if not ok:
+    for labels in product(range(game.sigma_b), repeat=len(bstar)):
+        lab: list[int | None] = [None] * game.b_count
+        for b, s in zip(bstar, labels):
+            lab[b] = s
+        masks = _consistent_masks(game, lab, sat_list)
+        if any(mask.bit_count() != 1 for mask in masks):
             continue
-        b_labels = []
-        for b in range(game.b_count):
-            scores = [0] * game.sigma_b
-            for e in game.b_edges[b]:
-                a = game.edges[e][0]
-                if a in pinned:
-                    scores[game.projections[e][pinned[a]]] += 1
-            b_labels.append(max(range(game.sigma_b), key=lambda s: (scores[s], -s)))
-        a_labels = tuple(pinned.get(a, 0) for a in range(n_a))
-        phi = Assignment(a_labels, tuple(b_labels))
+        pinned: list[int | None] = [None] * n_a
+        for a, mask in zip(sat_list, masks):
+            pinned[a] = mask.bit_length() - 1
+        b_labels = tuple(_majority_b_symbol(game, b, pinned) for b in range(game.b_count))
+        a_labels = tuple(0 if s is None else s for s in pinned)
+        phi = Assignment(a_labels, b_labels)
         val = value(game, phi)
         if val > best_val:
             best_phi, best_val = phi, val

@@ -190,6 +190,59 @@ def test_bench_corpus(capsys, tmp_path):
     assert summary[0]["worst_quartic_ratio"]["best"] >= 0.25
     for rec in runs:
         assert rec["satisfied"] <= rec["edges"]
+        game = formats.parse_labelcover(Path(rec["instance"]).read_text())
+        direct = _direct_run(game, rec["algorithm"])
+        assert rec["satisfied"] == direct.satisfied, rec
+        assert rec["guarantee"] == str(direct.guarantee), rec
+
+
+def _direct_run(game, name):
+    """What one bench record reports, from a direct call of its algorithm."""
+    st = lc.compute_stats(game)
+    cache = lc.compute_sigma_star(game, st)
+    if name == "kyn":
+        a0 = max(range(game.a_count), key=lambda a: (st.e_n[a], -a))
+        return lc.know_your_neighbors(game, a0, cache.sigma_star[a0][0], st, cache)
+    if name == "kynn":
+        return lc.know_neighbors_neighbors(game, cache.h_star_argmax[0], st, cache)
+    return {
+        "one-neighbor": lambda: lc.satisfy_one_neighbor(game),
+        "greedy": lambda: lc.greedy_assignment(game, st),
+        "dnc": lambda: lc.divide_and_conquer(game, st, cache),
+        "best": lambda: lc.best_of(game, st, cache),
+    }[name]()
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_approx_anchor_out_of_range_exits_one_line(capsys, tmp_path):
+    empty = tmp_path / "empty.lc"
+    empty.write_text(formats.emit_labelcover(lc.build_game(0, 2, 2, 2, [], [])))
+    a_count = formats.parse_labelcover(Path(TINY1).read_text()).a_count
+    for algo in ("kyn", "kynn"):
+        for a0 in (-1, a_count):
+            code, out, err = run(capsys, "approx", algo, TINY1, "--a0", str(a0))
+            _assert_one_line_error(code, out, err)
+            assert f"a{a0} out of range" in err
+        code, out, err = run(capsys, "approx", algo, str(empty))
+        _assert_one_line_error(code, out, err)
+
+
+def test_ptas_bad_parameters_exit_one_line(capsys, tmp_path):
+    grid, _ = lc.gen_planar_grid(2, 3, 2, 2, seed=3)
+    edgeless = lc.build_game(2, 2, 2, 2, [], [])
+    for name, game in (("grid", grid), ("edgeless", edgeless)):
+        path = tmp_path / f"{name}.lc"
+        path.write_text(formats.emit_labelcover(game))
+        for extra in (("--eps", "0"), ("--eps", "-1"),
+                      ("--eps", "1/2", "--h-override", "0")):
+            code, out, err = run(capsys, "ptas", str(path), *extra)
+            _assert_one_line_error(code, out, err)
 
 
 def test_solve_dp_with_td_file(capsys, tmp_path):
