@@ -422,10 +422,7 @@ def divide_and_conquer(
     live = [len(regions[key]) for key in keys]
     edge_alive = [True] * m
     in_vp = [False] * (n_a + n_b)
-    incident: list[list[int]] = [[] for _ in range(n_a + n_b)]
-    for e, (a, b) in enumerate(game.edges):
-        incident[a].append(e)
-        incident[n_a + b].append(e)
+    incident = game.a_edges + game.b_edges  # by global vertex
 
     def retire(vertices_global):
         for v in vertices_global:

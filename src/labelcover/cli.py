@@ -2,8 +2,8 @@
 
 Every command is deterministic byte for byte (per seed where seeded);
 wall-clock timings are only emitted under --timings so default output
-stays reproducible.  Exit codes: 0 success, 2 parse error, 3 budget
-exceeded.
+stays reproducible.  Exit codes: 0 success, 2 parse error or unreadable
+input, 3 budget exceeded, 1 other errors (an unwritable output included).
 """
 
 from __future__ import annotations
@@ -40,8 +40,19 @@ def _digest(game: ProjectionGame) -> str:
     return hashlib.sha256(formats.emit_labelcover(game).encode()).hexdigest()
 
 
+class _UnreadableInput(Exception):
+    """An input file or corpus could not be read (exit code 2)."""
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UnreadableInput(exc) from exc
+
+
 def _load_game(path: str) -> ProjectionGame:
-    return formats.parse_labelcover(Path(path).read_text())
+    return formats.parse_labelcover(_read_text(path))
 
 
 def _write_or_print(text: str, out: str | None):
@@ -307,7 +318,7 @@ def _cmd_solve(args) -> int:
         name = "brute-force"
     else:
         td = (
-            formats.parse_td(Path(args.td).read_text())
+            formats.parse_td(_read_text(args.td))
             if args.td
             else exact.heuristic_decomposition(game)
         )
@@ -424,10 +435,10 @@ def _cmd_ptas(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.kind == "3col":
-        graph = formats.parse_coloring_graph(Path(args.input).read_text())
+        graph = formats.parse_coloring_graph(_read_text(args.input))
         game, _ = reductions.from_planar_3col(graph)
         if args.extract:
-            phi = formats.parse_assignment(Path(args.extract).read_text())
+            phi = formats.parse_assignment(_read_text(args.extract))
             ext = reductions.extract_coloring(graph, game, phi)
             if args.json:
                 print(json.dumps({
@@ -442,10 +453,10 @@ def _cmd_reduce(args) -> int:
                     print("violated edges:", " ".join(map(str, ext.violated_edges)))
             return 0
     else:
-        tiling = formats.parse_matrix_tiling(Path(args.input).read_text())
+        tiling = formats.parse_matrix_tiling(_read_text(args.input))
         game, _ = reductions.from_matrix_tiling(tiling)
         if args.extract:
-            phi = formats.parse_assignment(Path(args.extract).read_text())
+            phi = formats.parse_assignment(_read_text(args.extract))
             sol = reductions.extract_tiling(tiling, game, phi)
             bad = reductions.validate_tiling_solution(tiling, sol)
             if args.json:
@@ -465,7 +476,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     game = _load_game(args.instance)
-    phi = formats.parse_assignment(Path(args.assignment).read_text())
+    phi = formats.parse_assignment(_read_text(args.assignment))
     sat = value(game, phi)
     if args.json:
         print(
@@ -488,14 +499,17 @@ BENCH_ALGOS = ("one-neighbor", "greedy", "kyn", "kynn", "dnc", "best")
 
 
 def _cmd_bench(args) -> int:
-    paths = sorted(Path(args.corpus).glob("*.lc"))
+    corpus = Path(args.corpus)
+    if not corpus.is_dir():
+        raise _UnreadableInput(f"corpus {args.corpus} is not a directory")
+    paths = sorted(corpus.glob("*.lc"))
     sink = open(args.out, "w") if args.out else sys.stdout
     close = args.out is not None
     worst: dict[str, Fraction | None] = {name: None for name in BENCH_ALGOS}
     worst_norm: dict[str, float | None] = {name: None for name in BENCH_ALGOS}
     try:
         for path in paths:
-            game = formats.parse_labelcover(path.read_text())
+            game = formats.parse_labelcover(_read_text(path))
             digest = _digest(game)
             st = compute_stats(game)
             # passing stats and sigma* in keeps them out of every elapsed
@@ -569,9 +583,12 @@ def main(argv=None) -> int:
     except formats.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except _UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

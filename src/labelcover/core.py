@@ -9,7 +9,8 @@ satisfy as many edges as possible.
 Everything here is immutable after construction and safe to share between
 threads; all operations are pure functions.  The label-selection kernels
 every solver shares live here too: ``_propagate``, ``_consistent_masks``,
-``_best_a_symbol`` and ``_majority_b_symbol``.
+``_best_a_symbol`` and ``_majority_b_symbol``, and ``_adjacency`` gives
+the global-numbering neighbor lists that decompositions and BFS read.
 """
 
 from __future__ import annotations
@@ -255,6 +256,15 @@ def _majority_b_symbol(game: ProjectionGame, b: int, a_labels) -> int:
     return scores.index(max(scores))
 
 
+def _adjacency(game: ProjectionGame) -> list[list[int]]:
+    """Neighbors of every vertex in the global numbering, in edge order."""
+    adj: list[list[int]] = [[] for _ in range(game.vertex_count)]
+    for a, b in game.edges:
+        adj[a].append(game.a_count + b)
+        adj[game.a_count + b].append(a)
+    return adj
+
+
 @dataclass(frozen=True)
 class InstanceStats:
     """Every derived quantity the solvers consume.
@@ -374,10 +384,7 @@ def connected_components(game: ProjectionGame) -> list[Component]:
     """
     n = game.vertex_count
     comp_of = [-1] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in game.edges:
-        adj[a].append(game.a_count + b)
-        adj[game.a_count + b].append(a)
+    adj = _adjacency(game)
     comps = 0
     for start in range(n):
         if comp_of[start] != -1:

@@ -4,19 +4,25 @@
 against at desk scale.  ``tree_dp_solve`` solves a game exactly given any
 valid tree decomposition of its constraint graph; decompositions come from
 a min-fill heuristic or, on very small graphs, an exact elimination-order
-search.
+search.  Both run through one elimination routine, ``_eliminate``, which
+emits each vertex's bag as it eliminates it; only the rule that picks the
+next vertex differs.  ``validate_decomposition`` and ``tree_dp_solve``
+read the same vertex-to-bags index (``_bag_index``) and the same rooted
+walk of the bag tree (``_rooted_walk``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .core import (
     Assignment,
     BudgetExceeded,
     LabelCoverError,
     ProjectionGame,
+    _adjacency,
     _majority_b_symbol,
 )
 
@@ -30,9 +36,10 @@ class TreeDecomposition:
     """Bags over the global vertex numbering plus a tree on them.
 
     Global numbering: A vertex a is a, B vertex b is a_count + b.  The
-    tree is rooted at bag 0 by convention.  A valid decomposition covers
-    every vertex, contains both endpoints of every edge in some bag, and
-    keeps the bags containing any fixed vertex connected in the tree.
+    tree is rooted at bag 0 by convention.  A valid decomposition names
+    only game vertices, covers every vertex, contains both endpoints of
+    every edge in some bag, and keeps the bags containing any fixed vertex
+    connected in the tree.
     """
 
     bags: tuple[frozenset[int], ...]
@@ -49,12 +56,51 @@ def _vertex_name(game: ProjectionGame, v: int) -> str:
     return f"b{v - game.a_count}"
 
 
+def _bag_index(game: ProjectionGame, td: TreeDecomposition):
+    """The bags holding each game vertex, in one pass over the bags, plus
+    the sorted (bag, vertex) pairs naming a vertex outside the game."""
+    n = game.vertex_count
+    holders: list[set[int]] = [set() for _ in range(n)]
+    outside = []
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if 0 <= v < n:
+                holders[v].add(i)
+            else:
+                outside.append((i, v))
+    return holders, sorted(outside)
+
+
+def _rooted_walk(nbags: int, tree: tuple[tuple[int, int], ...]):
+    """Link lists, DFS parents (-1 at the root and off the tree) and DFS
+    preorder of the bags reachable from bag 0."""
+    tadj: list[list[int]] = [[] for _ in range(nbags)]
+    for i, j in tree:
+        tadj[i].append(j)
+        tadj[j].append(i)
+    parent = [-1] * nbags
+    seen = [False] * nbags
+    seen[0] = True
+    order = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for w in tadj[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                stack.append(w)
+    return tadj, parent, order
+
+
 def validate_decomposition(game: ProjectionGame, td: TreeDecomposition) -> list[str]:
     """Return a list of violations; empty iff the decomposition is valid.
 
     Each entry names the violated condition and a witness.  The tree
-    itself is checked first (indices, edge count, connectivity); the three
-    decomposition conditions are reported as conditions 1 to 3.
+    itself is checked first (indices, edge count, connectivity), then
+    every bag vertex must be a game vertex; the three decomposition
+    conditions are reported as conditions 1 to 3.
     """
     violations = []
     nbags = len(td.bags)
@@ -70,46 +116,36 @@ def validate_decomposition(game: ProjectionGame, td: TreeDecomposition) -> list[
         violations.append(
             f"tree: {len(td.tree)} edges on {nbags} bags, expected {nbags - 1}"
         )
-    tadj = [[] for _ in range(nbags)]
-    for i, j in td.tree:
-        tadj[i].append(j)
-        tadj[j].append(i)
-    seen = [False] * nbags
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for w in tadj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if not all(seen):
-        first = seen.index(False)
+    tadj, _, order = _rooted_walk(nbags, td.tree)
+    if len(order) < nbags:
+        first = min(set(range(nbags)).difference(order))
         violations.append(f"tree: bag {first} not reachable from bag 0")
         return violations
 
-    covered = set().union(*td.bags) if td.bags else set()
+    holders, outside = _bag_index(game, td)
+    for i, v in outside:
+        violations.append(f"bag {i}: vertex {v} is not in the game")
+
     for v in range(game.vertex_count):
-        if v not in covered:
+        if not holders[v]:
             violations.append(
                 f"condition 1: vertex {_vertex_name(game, v)} not in any bag"
             )
 
     for idx, (a, b) in enumerate(game.edges):
         gb = game.a_count + b
-        if not any(a in bag and gb in bag for bag in td.bags):
+        if holders[a].isdisjoint(holders[gb]):
             violations.append(
                 f"condition 2: edge {idx} ({_vertex_name(game, a)}, "
                 f"{_vertex_name(game, gb)}) not contained in any bag"
             )
 
-    for v in range(game.vertex_count):
-        holders = [i for i, bag in enumerate(td.bags) if v in bag]
-        if len(holders) <= 1:
+    for v, holder_set in enumerate(holders):
+        if len(holder_set) <= 1:
             continue
-        holder_set = set(holders)
-        comp = {holders[0]}
-        stack = [holders[0]]
+        start = min(holder_set)
+        comp = {start}
+        stack = [start]
         while stack:
             u = stack.pop()
             for w in tadj[u]:
@@ -124,45 +160,71 @@ def validate_decomposition(game: ProjectionGame, td: TreeDecomposition) -> list[
     return violations
 
 
-def _game_adjacency(game: ProjectionGame) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(game.vertex_count)]
-    for a, b in game.edges:
-        adj[a].add(game.a_count + b)
-        adj[game.a_count + b].add(a)
-    return adj
+def _eliminate(game: ProjectionGame, pick) -> TreeDecomposition:
+    """Eliminate every vertex, emitting its bag and linking the bags.
 
-
-def _min_fill_order(n: int, adj: list[set[int]]) -> list[int]:
-    """Elimination order picking the vertex needing fewest fill edges.
-
-    Ties break toward the smallest index.  The working graph gains the
-    fill edges as vertices are eliminated.
+    ``pick(work, alive)`` names the next vertex to eliminate; ``work[v]``
+    holds v's alive neighbors in the filled graph.  Each vertex's bag is
+    itself plus those neighbors, which then become a clique; the bag's
+    parent is the bag of the member eliminated earliest after it.  Bags
+    with no later members are chained so the result is a single tree.
     """
-    work = [set(s) for s in adj]
+    n = game.vertex_count
+    if n == 0:
+        return TreeDecomposition((frozenset(),), ())
+    work = [set(s) for s in _adjacency(game)]
     alive = set(range(n))
-    order = []
-    for _ in range(n):
-        best_v, best_fill = -1, None
-        for v in sorted(alive):
-            nbrs = [u for u in work[v] if u in alive]
-            fill = 0
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    if nbrs[j] not in work[nbrs[i]]:
-                        fill += 1
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        nbrs = [u for u in work[best_v] if u in alive]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                work[nbrs[i]].add(nbrs[j])
-                work[nbrs[j]].add(nbrs[i])
-        alive.remove(best_v)
-        order.append(best_v)
-    return order
+    pos = [0] * n
+    bags: list[frozenset[int]] = []
+    higher: list[set[int]] = []
+    for step in range(n):
+        v = pick(work, alive)
+        alive.remove(v)
+        pos[v] = step
+        nbrs = work[v]
+        for u in nbrs:
+            work[u].discard(v)
+            work[u] |= nbrs
+            work[u].discard(u)
+        bags.append(frozenset(nbrs | {v}))
+        higher.append(nbrs)
+
+    edges = []
+    roots = []
+    for i, nbrs in enumerate(higher):
+        if nbrs:
+            edges.append((i, min(pos[u] for u in nbrs)))
+        else:
+            roots.append(i)
+    edges += zip(roots, roots[1:])
+    return TreeDecomposition(tuple(bags), tuple(edges))
 
 
-def _exact_order(n: int, adj: list[set[int]]) -> list[int]:
+def _min_fill_pick(work: list[set[int]], alive: set[int]) -> int:
+    """The alive vertex needing the fewest fill edges, smallest on ties.
+
+    A vertex's count stops once it cannot beat the best so far, and the
+    scan stops at the first vertex needing none.
+    """
+    best_v, best_fill = -1, len(alive) ** 2  # more than any vertex needs
+    for v in sorted(alive):
+        nbrs = list(work[v])
+        fill = 0
+        for i, u in enumerate(nbrs):
+            wu = work[u]
+            for w in nbrs[i + 1:]:
+                if w not in wu:
+                    fill += 1
+            if fill >= best_fill:
+                break
+        else:
+            if fill == 0:
+                return v
+            best_v, best_fill = v, fill
+    return best_v
+
+
+def _exact_order(n: int, adj: list[list[int]]) -> list[int]:
     """Minimum-width elimination order by dynamic programming over subsets.
 
     The width of eliminating v after the set S is the number of vertices
@@ -175,28 +237,22 @@ def _exact_order(n: int, adj: list[set[int]]) -> list[int]:
         for u in adj[v]:
             masks[v] |= 1 << u
 
+    def reach(flood: int) -> int:
+        out = 0
+        while flood:
+            low = flood & -flood
+            out |= masks[low.bit_length() - 1]
+            flood ^= low
+        return out
+
     def elim_degree(v: int, eliminated: int) -> int:
+        # grow never overlaps flood, so the loop ends when nothing is new
         flood = 1 << v
         grow = masks[v] & eliminated
         while grow:
-            nxt = flood | grow
-            if nxt == flood:
-                break
-            flood = nxt
-            reach = 0
-            m = flood
-            while m:
-                low = m & -m
-                reach |= masks[low.bit_length() - 1]
-                m ^= low
-            grow = reach & eliminated & ~flood
-        reach = 0
-        m = flood
-        while m:
-            low = m & -m
-            reach |= masks[low.bit_length() - 1]
-            m ^= low
-        return bin(reach & ~eliminated & ~(1 << v)).count("1")
+            flood |= grow
+            grow = reach(flood) & eliminated & ~flood
+        return bin(reach(flood) & ~eliminated & ~(1 << v)).count("1")
 
     full = (1 << n) - 1
     cost = {0: 0}
@@ -229,44 +285,6 @@ def _exact_order(n: int, adj: list[set[int]]) -> list[int]:
     return list(reversed(order_rev))
 
 
-def _decomposition_from_order(
-    n: int, adj: list[set[int]], order: list[int]
-) -> TreeDecomposition:
-    """Build bags from elimination cliques and link them into a tree.
-
-    Each vertex's bag is itself plus its not-yet-eliminated neighbors in
-    the filled graph; the bag's parent is the bag of the member eliminated
-    earliest after it.  Bags with no later members are chained so the
-    result is a single tree.
-    """
-    if n == 0:
-        return TreeDecomposition((frozenset(),), ())
-    work = [set(s) for s in adj]
-    pos = {v: i for i, v in enumerate(order)}
-    bags: list[frozenset[int]] = []
-    higher: list[list[int]] = []
-    for v in order:
-        nbrs = [u for u in work[v] if pos[u] > pos[v]]
-        for i in range(len(nbrs)):
-            for j in range(i + 1, len(nbrs)):
-                work[nbrs[i]].add(nbrs[j])
-                work[nbrs[j]].add(nbrs[i])
-        bags.append(frozenset([v] + nbrs))
-        higher.append(nbrs)
-
-    edges = []
-    roots = []
-    for i, nbrs in enumerate(higher):
-        if nbrs:
-            parent = min(pos[u] for u in nbrs)
-            edges.append((i, parent))
-        else:
-            roots.append(i)
-    for r1, r2 in zip(roots, roots[1:]):
-        edges.append((r1, r2))
-    return TreeDecomposition(tuple(bags), tuple(edges))
-
-
 EXACT_DECOMPOSITION_LIMIT = 12
 
 
@@ -275,9 +293,7 @@ def heuristic_decomposition(game: ProjectionGame) -> TreeDecomposition:
 
     Always valid; no width optimality promised.
     """
-    n = game.vertex_count
-    adj = _game_adjacency(game)
-    return _decomposition_from_order(n, adj, _min_fill_order(n, adj))
+    return _eliminate(game, _min_fill_pick)
 
 
 def exact_decomposition(game: ProjectionGame) -> TreeDecomposition:
@@ -287,8 +303,8 @@ def exact_decomposition(game: ProjectionGame) -> TreeDecomposition:
         raise BudgetExceeded(
             f"exact decomposition limited to {EXACT_DECOMPOSITION_LIMIT} vertices"
         )
-    adj = _game_adjacency(game)
-    return _decomposition_from_order(n, adj, _exact_order(n, adj))
+    order = iter(_exact_order(n, _adjacency(game)))
+    return _eliminate(game, lambda work, alive: next(order))
 
 
 def brute_force_opt(
@@ -451,40 +467,20 @@ def tree_dp_solve(
         phi = Assignment((), ())
         return (phi, 0, {"states": 0}) if return_stats else (phi, 0)
 
-    nbags = len(td.bags)
-    tadj = [[] for _ in range(nbags)]
-    for i, j in td.tree:
-        tadj[i].append(j)
-        tadj[j].append(i)
-
-    parent = [-1] * nbags
-    post = []
-    seen = [False] * nbags
-    seen[0] = True
-    order_stack = [0]
-    while order_stack:
-        u = order_stack.pop()
-        post.append(u)
-        for w in tadj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                order_stack.append(w)
-    post.reverse()  # children before parents
+    tadj, parent, order = _rooted_walk(len(td.bags), td.tree)
+    post = order[::-1]  # children before parents
 
     bag_vertices = [sorted(bag) for bag in td.bags]
     kd = [
         [game.sigma_a if v < game.a_count else game.sigma_b for v in verts]
         for verts in bag_vertices
     ]
-    bag_edges = []
-    for bag in td.bags:
-        inside = [
-            (e, a, game.a_count + b)
-            for e, (a, b) in enumerate(game.edges)
-            if a in bag and game.a_count + b in bag
-        ]
-        bag_edges.append(inside)
+    holders, _ = _bag_index(game, td)
+    bag_edges: list[list[tuple[int, int, int]]] = [[] for _ in td.bags]
+    for e, (a, b) in enumerate(game.edges):
+        gb = game.a_count + b
+        for i in holders[a] & holders[gb]:
+            bag_edges[i].append((e, a, gb))
 
     def sat_inside(verts, labels, edge_list):
         lab = dict(zip(verts, labels))
@@ -495,26 +491,21 @@ def tree_dp_solve(
         return count
 
     states = 0
-    # per bag: dict of full state -> value, and per (bag, restriction) argmax
-    tables: dict[int, dict[tuple[int, ...], int]] = {}
+    # per non-root bag: its sorted vertices shared with the parent, and the
+    # argmax full state (with its value) per restriction to them
+    up: dict[int, list[int]] = {}
     child_best: dict[int, dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
 
     for i in post:
         verts = bag_vertices[i]
         radix = kd[i]
-        nstates = 1
-        for k in radix:
-            nstates *= k
-        states += nstates
+        states += prod(radix)
         if state_cap is not None and states > state_cap:
             raise BudgetExceeded(f"DP state count exceeded {state_cap}")
         children = [w for w in tadj[i] if parent[w] == i]
-        shared = {}
         shared_edges = {}
         for w in children:
-            inter = sorted(td.bags[i] & td.bags[w])
-            shared[w] = inter
-            inter_set = set(inter)
+            inter_set = set(up[w])
             shared_edges[w] = [
                 (e, ga, gb) for (e, ga, gb) in bag_edges[i]
                 if ga in inter_set and gb in inter_set
@@ -526,7 +517,7 @@ def tree_dp_solve(
             val = sat_inside(verts, state, bag_edges[i])
             ok = True
             for w in children:
-                restr = tuple(state[pos_of[v]] for v in shared[w])
+                restr = tuple(state[pos_of[v]] for v in up[w])
                 entry = child_best[w].get(restr)
                 if entry is None:
                     ok = False
@@ -534,11 +525,10 @@ def tree_dp_solve(
                 val += entry[0] - sat_inside(verts, state, shared_edges[w])
             if ok:
                 table[state] = val
-        tables[i] = table
 
         if parent[i] != -1:
-            inter = sorted(td.bags[i] & td.bags[parent[i]])
-            idxs = [pos_of[v] for v in inter]
+            up[i] = sorted(td.bags[i] & td.bags[parent[i]])
+            idxs = [pos_of[v] for v in up[i]]
             best: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
             for state, val in table.items():
                 restr = tuple(state[j] for j in idxs)
@@ -547,11 +537,8 @@ def tree_dp_solve(
                     best[restr] = (val, state)
             child_best[i] = best
 
-    root_table = tables[0]
-    best_state, best_val = None, None
-    for state, val in root_table.items():
-        if best_val is None or val > best_val:
-            best_state, best_val = state, val
+    # post ends at the root, bag 0; max keeps the first best state
+    best_state, best_val = max(table.items(), key=lambda item: item[1])
 
     a_labels = [0] * game.a_count
     b_labels = [0] * game.b_count
@@ -570,7 +557,7 @@ def tree_dp_solve(
         pos_of = {v: idx for idx, v in enumerate(bag_vertices[i])}
         for w in tadj[i]:
             if parent[w] == i:
-                restr = tuple(state[pos_of[v]] for v in sorted(td.bags[i] & td.bags[w]))
+                restr = tuple(state[pos_of[v]] for v in up[w])
                 stack.append((w, child_best[w][restr][1]))
 
     phi = Assignment(tuple(a_labels), tuple(b_labels))

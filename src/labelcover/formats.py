@@ -55,6 +55,19 @@ def _header(lines, want: str):
         raise ParseError(num, f"expected {want!r} header, got {line!r}")
 
 
+def _size_line(lines, expected: int) -> tuple[int, list[int]]:
+    """The size line after the header: its number and its fields, every
+    one a nonnegative integer."""
+    try:
+        num, line = next(lines)
+    except StopIteration:
+        raise ParseError(2, "missing size line")
+    values = _ints(num, line, expected)
+    if min(values) < 0:
+        raise ParseError(num, f"size line values must be nonnegative, got {line!r}")
+    return num, values
+
+
 def parse_labelcover(text: str) -> ProjectionGame:
     """Read the `labelcover v1` format.
 
@@ -63,11 +76,7 @@ def parse_labelcover(text: str) -> ProjectionGame:
     """
     lines = _content_lines(text)
     _header(lines, "labelcover v1")
-    try:
-        num, line = next(lines)
-    except StopIteration:
-        raise ParseError(2, "missing size line")
-    n_a, n_b, k_a, k_b, m = _ints(num, line, 5)
+    num, (n_a, n_b, k_a, k_b, m) = _size_line(lines, 5)
     edges = []
     tables = []
     for _ in range(m):
@@ -147,11 +156,7 @@ def parse_td(text: str) -> TreeDecomposition:
     """`td v1`: header; `B T` counts; B ``bag ...`` lines; T ``link i j``."""
     lines = _content_lines(text)
     _header(lines, "td v1")
-    try:
-        num, line = next(lines)
-    except StopIteration:
-        raise ParseError(2, "missing size line")
-    nbags, nlinks = _ints(num, line, 2)
+    num, (nbags, nlinks) = _size_line(lines, 2)
     bags = []
     for _ in range(nbags):
         try:
@@ -190,11 +195,7 @@ def parse_matrix_tiling(text: str) -> MatrixTiling:
     ``i j count x1 y1 .. x_count y_count`` with 1-based coordinates."""
     lines = _content_lines(text)
     _header(lines, "matrixtiling v1")
-    try:
-        num, line = next(lines)
-    except StopIteration:
-        raise ParseError(2, "missing size line")
-    k, n = _ints(num, line, 2)
+    num, (k, n) = _size_line(lines, 2)
     cells = []
     for want in range(k * k):
         try:
@@ -232,11 +233,7 @@ def parse_coloring_graph(text: str) -> ColoringGraph:
     """`colgraph v1`: header; `n m planar_flag`; then m ``u v`` lines."""
     lines = _content_lines(text)
     _header(lines, "colgraph v1")
-    try:
-        num, line = next(lines)
-    except StopIteration:
-        raise ParseError(2, "missing size line")
-    n, m, planar = _ints(num, line, 3)
+    num, (n, m, planar) = _size_line(lines, 3)
     edges = []
     for _ in range(m):
         try:

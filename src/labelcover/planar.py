@@ -21,6 +21,7 @@ from .core import (
     LabelCoverError,
     ProjectionGame,
     SolveReport,
+    _adjacency,
     build_game,
     connected_components,
     lift_assignment,
@@ -32,7 +33,6 @@ from .exact import (
     exact_decomposition,
     heuristic_decomposition,
     tree_dp_solve,
-    validate_decomposition,
 )
 
 
@@ -54,26 +54,25 @@ def euler_planarity_ok(game: ProjectionGame) -> bool:
 
 @dataclass(frozen=True)
 class BakerPartition:
-    """Edge classes plus a tree decomposition of each thinned graph.
+    """Edge classes plus each thinned game and its tree decomposition.
 
     ``classes[i]`` holds the edge indices of class i + 1; the classes are
-    disjoint and cover the edge set.  ``decompositions[i]`` is valid for
-    the graph with class i + 1 removed.  ``levels`` records the BFS level
-    used for every global vertex.
+    disjoint and cover the edge set.  ``residuals[i]`` is the game with
+    class i + 1 removed (``residual_game``), and ``decompositions[i]`` is a
+    decomposition of it.  ``levels`` records the BFS level used for every
+    global vertex.
     """
 
     h: int
     classes: tuple[frozenset[int], ...]
+    residuals: tuple[ProjectionGame, ...]
     decompositions: tuple[TreeDecomposition, ...]
     levels: tuple[int, ...]
 
 
 def _bfs_levels(game: ProjectionGame) -> list[int]:
     n = game.vertex_count
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in game.edges:
-        adj[a].append(game.a_count + b)
-        adj[game.a_count + b].append(a)
+    adj = _adjacency(game)
     level = [-1] * n
     for start in range(n):
         if level[start] != -1:
@@ -109,9 +108,10 @@ def baker_partition(game: ProjectionGame, h: int) -> BakerPartition:
 
     BFS starts at vertex 0 (and at the smallest vertex of any further
     component).  An edge whose smaller endpoint level is L lands in class
-    (L mod h) + 1.  Each thinned graph gets an exact minimum-width
-    decomposition when the graph is tiny, else a min-fill one; every
-    decomposition is validated before being returned.
+    (L mod h) + 1.  Each thinned game is kept in ``residuals`` and gets
+    an exact minimum-width decomposition when the graph is tiny, else a
+    min-fill one.  The decompositions are not validated here:
+    ``tree_dp_solve`` checks each one before its DP reads it.
     """
     if h < 1:
         raise InvalidSchemeParameter(f"h must be at least 1, got {h}")
@@ -121,21 +121,15 @@ def baker_partition(game: ProjectionGame, h: int) -> BakerPartition:
         low = min(levels[a], levels[game.a_count + b])
         classes[low % h].add(i)
 
-    decomps = []
-    for cls in classes:
-        res = residual_game(game, frozenset(cls))
-        if game.vertex_count <= EXACT_DECOMPOSITION_LIMIT:
-            td = exact_decomposition(res)
-        else:
-            td = heuristic_decomposition(res)
-        bad = validate_decomposition(res, td)
-        if bad:
-            raise LabelCoverError(f"internal: residual decomposition invalid: {bad}")
-        decomps.append(td)
+    frozen = tuple(frozenset(c) for c in classes)
+    residuals = tuple(residual_game(game, cls) for cls in frozen)
+    small = game.vertex_count <= EXACT_DECOMPOSITION_LIMIT
+    decompose = exact_decomposition if small else heuristic_decomposition
     return BakerPartition(
         h=h,
-        classes=tuple(frozenset(c) for c in classes),
-        decompositions=tuple(decomps),
+        classes=frozen,
+        residuals=residuals,
+        decompositions=tuple(decompose(res) for res in residuals),
         levels=tuple(levels),
     )
 
@@ -183,9 +177,8 @@ def ptas(
             continue
         part = baker_partition(sub, h)
         best_phi, best_val, best_dp = None, -1, 0
-        for i in range(h):
-            res = residual_game(sub, part.classes[i])
-            phi, dp_val = tree_dp_solve(res, part.decompositions[i], state_cap)
+        for res, td in zip(part.residuals, part.decompositions):
+            phi, dp_val = tree_dp_solve(res, td, state_cap)
             full_val = value(sub, phi)
             if full_val > best_val:
                 best_phi, best_val, best_dp = phi, full_val, dp_val

@@ -267,3 +267,36 @@ def test_gen_smooth_cli_writes_plant(capsys, tmp_path):
     game = formats.parse_labelcover(inst.read_text())
     phi = formats.parse_assignment(plant.read_text())
     assert lc.value(game, phi) == game.edge_count
+
+
+def test_solve_dp_td_vertex_outside_game_exits_one_line(capsys, tmp_path):
+    # tiny1 has 6 vertices (0..5); -1 and 6 are not in the game
+    for bag in ("-1 0 1 2 3 4 5", "0 1 2 3 4 5 6"):
+        td_path = tmp_path / "bad.td"
+        td_path.write_text(f"td v1\n1 0\nbag {bag}\n")
+        code, out, err = run(capsys, "solve", "dp", TINY1, "--td", str(td_path))
+        _assert_one_line_error(code, out, err)
+        assert "is not in the game" in err
+
+
+def test_unreadable_input_exits_two(capsys, tmp_path):
+    binary = tmp_path / "binary.lc"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for argv in (("stats", str(tmp_path)), ("solve", "dp", str(tmp_path)),
+                 ("stats", str(binary)), ("bench", str(tmp_path / "missing")),
+                 ("bench", TINY1), ("bench", str(tmp_path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cannot read input: ") and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_one(capsys, tmp_path):
+    missing = str(tmp_path / "missing" / "out")
+    for argv in (("gen", "grid", "--rows", "2", "--cols", "2", "--ka", "2",
+                  "--kb", "2", "--out", missing),
+                 ("bench", str(FIXTURES), "--out", missing)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("cannot write output: ") and err.count("\n") == 1

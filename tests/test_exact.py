@@ -149,6 +149,132 @@ def test_validate_reports_coverage_and_connectivity():
     assert any("condition 3" in v for v in bad2)
 
 
+def test_validate_reports_bag_vertex_outside_game():
+    g = path_game()  # global ids 0..2
+    td = lc.TreeDecomposition(
+        (frozenset({0, 2, -1}), frozenset({2, 1, 3, 7})), ((0, 1),)
+    )
+    assert lc.validate_decomposition(g, td) == [
+        "bag 0: vertex -1 is not in the game",
+        "bag 1: vertex 3 is not in the game",
+        "bag 1: vertex 7 is not in the game",
+    ]
+    with pytest.raises(lc.InvalidDecomposition):
+        lc.tree_dp_solve(g, td)
+
+
+def scan_validate(game, td):
+    """The scan-based validator the index-based one replaced, kept verbatim
+    as an oracle for bags that name only game vertices."""
+    name = lambda v: f"a{v}" if v < game.a_count else f"b{v - game.a_count}"
+    violations = []
+    nbags = len(td.bags)
+    if nbags == 0:
+        if game.vertex_count > 0:
+            violations.append("tree: no bags but graph has vertices")
+        return violations
+    for i, j in td.tree:
+        if not (0 <= i < nbags and 0 <= j < nbags):
+            violations.append(f"tree: edge ({i}, {j}) references a missing bag")
+            return violations
+    if len(td.tree) != nbags - 1:
+        violations.append(
+            f"tree: {len(td.tree)} edges on {nbags} bags, expected {nbags - 1}"
+        )
+    tadj = [[] for _ in range(nbags)]
+    for i, j in td.tree:
+        tadj[i].append(j)
+        tadj[j].append(i)
+    seen = [False] * nbags
+    stack = [0]
+    seen[0] = True
+    while stack:
+        u = stack.pop()
+        for w in tadj[u]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    if not all(seen):
+        first = seen.index(False)
+        violations.append(f"tree: bag {first} not reachable from bag 0")
+        return violations
+
+    covered = set().union(*td.bags) if td.bags else set()
+    for v in range(game.vertex_count):
+        if v not in covered:
+            violations.append(f"condition 1: vertex {name(v)} not in any bag")
+
+    for idx, (a, b) in enumerate(game.edges):
+        gb = game.a_count + b
+        if not any(a in bag and gb in bag for bag in td.bags):
+            violations.append(
+                f"condition 2: edge {idx} ({name(a)}, {name(gb)}) not "
+                f"contained in any bag"
+            )
+
+    for v in range(game.vertex_count):
+        holders = [i for i, bag in enumerate(td.bags) if v in bag]
+        if len(holders) <= 1:
+            continue
+        holder_set = set(holders)
+        comp = {holders[0]}
+        stack = [holders[0]]
+        while stack:
+            u = stack.pop()
+            for w in tadj[u]:
+                if w in holder_set and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        if comp != holder_set:
+            violations.append(
+                f"condition 3: bags containing {name(v)} are not "
+                f"connected in the tree"
+            )
+    return violations
+
+
+def mutations(td, rng):
+    """The decomposition itself plus broken copies of it."""
+    bags, tree = list(td.bags), list(td.tree)
+    nbags = len(bags)
+    yield td
+    yield lc.TreeDecomposition((), ())
+    for _ in range(3):
+        i = rng.randrange(nbags)
+        if bags[i]:
+            v = rng.choice(sorted(bags[i]))
+            dropped = bags[:i] + [bags[i] - {v}] + bags[i + 1:]
+            yield lc.TreeDecomposition(tuple(dropped), td.tree)
+    for k in range(len(tree)):
+        yield lc.TreeDecomposition(td.bags, tuple(tree[:k] + tree[k + 1:]))
+        i, j = tree[k]
+        missing = tree[:k] + [(i, nbags + rng.randrange(2))] + tree[k + 1:]
+        yield lc.TreeDecomposition(td.bags, tuple(missing))
+    for _ in range(3):
+        # any link added to a tree closes a cycle; i == j is a self loop
+        extra = (rng.randrange(nbags), rng.randrange(nbags))
+        yield lc.TreeDecomposition(td.bags, tuple(tree + [extra]))
+        if tree:
+            k = rng.randrange(len(tree))
+            swapped = tree[:k] + tree[k + 1:] + [extra]
+            yield lc.TreeDecomposition(td.bags, tuple(swapped))
+
+
+def test_validate_matches_scan_oracle_on_mutations():
+    rng = random.Random(2024)
+    checked = invalid = 0
+    for seed in range(40):
+        g = random_game(seed, n_a=1 + seed % 4, n_b=1 + seed % 3, p=0.5)
+        tds = [lc.heuristic_decomposition(g), lc.exact_decomposition(g)]
+        for td in tds:
+            for bad in mutations(td, rng):
+                got = lc.validate_decomposition(g, bad)
+                assert got == scan_validate(g, bad), (seed, bad)
+                checked += 1
+                invalid += bool(got)
+    assert invalid > checked // 2
+
+
 # --- heuristic and exact decompositions -------------------------------------
 
 def test_heuristic_edgeless():

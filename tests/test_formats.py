@@ -99,3 +99,21 @@ def test_coloring_graph_round_trip():
 def test_coloring_graph_rejects_self_loop():
     with pytest.raises(formats.ParseError):
         formats.parse_coloring_graph("colgraph v1\n2 1 0\n1 1\n")
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (formats.parse_labelcover, "labelcover v1\n1 1 2 2 -1\n", 2),
+        (formats.parse_labelcover, "# c\nlabelcover v1\n\n-1 1 2 2 0\n", 4),
+        (formats.parse_td, "td v1\n-1 0\n", 2),
+        (formats.parse_td, "td v1\n1 -1\nbag 0\n", 2),
+        (formats.parse_matrix_tiling, "matrixtiling v1\n-2 2\n", 2),
+        (formats.parse_coloring_graph, "colgraph v1\n2 -2 0\n", 2),
+    ],
+)
+def test_negative_size_line_is_parse_error(parse, text, line):
+    with pytest.raises(formats.ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert "nonnegative" in str(err.value)

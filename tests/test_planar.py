@@ -81,6 +81,12 @@ def test_baker_partition_property_sweep():
             assert sorted(e for cls in part.classes for e in cls) == list(
                 range(g.edge_count)
             )
+            assert len(part.residuals) == len(part.decompositions) == h
+            for cls, res, td in zip(
+                part.classes, part.residuals, part.decompositions
+            ):
+                assert res == lc.residual_game(g, cls)
+                assert lc.validate_decomposition(res, td) == []
 
 
 def test_baker_residual_components_span_few_levels():
