@@ -9,6 +9,7 @@ satisfy as many edges as possible.
 Everything here is immutable after construction and safe to share between
 threads; all operations are pure functions.  The label-selection kernels
 every solver shares live here too: ``_propagate``, ``_consistent_masks``,
+``_extensions`` (the pruning walk over B-side labellings),
 ``_best_a_symbol`` and ``_majority_b_symbol``, and ``_adjacency`` gives
 the global-numbering neighbor lists that decompositions and BFS read.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import index
 
 
 class LabelCoverError(Exception):
@@ -50,6 +52,10 @@ class BudgetExceeded(LabelCoverError):
 
 class InfeasibleParams(LabelCoverError):
     """Generator parameters do not admit a well-formed instance."""
+
+
+class InvalidSchemeParameter(LabelCoverError, ValueError):
+    """A scheme parameter (planar epsilon or h, smooth mu or c1) is out of range."""
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,17 @@ class Assignment:
     b_labels: tuple[int, ...]
 
 
+def _int_rows(rows, error, what: str) -> tuple[tuple[int, ...], ...]:
+    """Rows as int tuples by ``operator.index`` (0.7 is not 0), or ``error``."""
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            out.append(tuple(map(index, row)))
+        except TypeError:
+            raise error(f"edge {i}: {what} must be integers") from None
+    return tuple(out)
+
+
 def build_game(
     a_count: int,
     b_count: int,
@@ -146,15 +163,16 @@ def build_game(
     """Validate raw instance data and return an immutable game.
 
     Raises IndexOutOfRange, DuplicateEdge, TableLengthMismatch or
-    SymbolOutOfRange, each naming the offending edge index.  Computes
-    nothing beyond validation.
+    SymbolOutOfRange, each naming the offending edge index; a value that
+    is not an integer raises IndexOutOfRange as an endpoint and
+    SymbolOutOfRange as a table entry.  Computes nothing beyond validation.
     """
     if a_count < 0 or b_count < 0:
         raise IndexOutOfRange("vertex counts must be nonnegative")
     if sigma_a < 1 or sigma_b < 1:
         raise SymbolOutOfRange("alphabet sizes must be positive")
-    edges = tuple((int(a), int(b)) for a, b in edges)
-    projections = tuple(tuple(int(s) for s in t) for t in projections)
+    edges = _int_rows(edges, IndexOutOfRange, "endpoints")
+    projections = _int_rows(projections, SymbolOutOfRange, "table entries")
     if len(projections) != len(edges):
         raise TableLengthMismatch(
             f"{len(edges)} edges but {len(projections)} projection tables"
@@ -226,6 +244,56 @@ def _consistent_masks(game: ProjectionGame, b_labels, aps) -> list[int]:
                 mask &= pre[e][sb]
         out.append(mask)
     return out
+
+
+def _extensions(game: ProjectionGame, bs, watched=None, budget: int | None = None):
+    """Walk the labellings of the B vertices ``bs`` depth first in
+    ``itertools.product`` order, keeping each A vertex's consistent-symbol
+    mask (as ``_consistent_masks`` gives it).  A (vertex, symbol) trial that
+    empties the mask of a watched A vertex (``watched[a]`` true; all when
+    None) is undone and its subtree skipped.  Each complete labelling is
+    yielded as live lists ``(b_labels, a_masks)``, None off ``bs``, and
+    ``budget`` caps the trials.
+    """
+    pre, edges, b_edges = game.preimage_masks, game.edges, game.b_edges
+    watch = watched or [True] * game.a_count
+    b_labels: list[int | None] = [None] * game.b_count
+    a_masks = [(1 << game.sigma_a) - 1] * game.a_count
+    nxt = [0] * len(bs)
+    logs: list[list[tuple[int, int]]] = []
+    trials = i = 0
+    while True:
+        if i == len(bs):
+            yield b_labels, a_masks
+        elif nxt[i] < game.sigma_b:
+            b, sb = bs[i], nxt[i]
+            nxt[i] += 1
+            trials += 1
+            if budget is not None and trials > budget:
+                raise BudgetExceeded(f"satisfiability search exceeded {budget} trials")
+            log = []
+            for e in b_edges[b]:
+                a = edges[e][0]
+                new = a_masks[a] & pre[e][sb]
+                if not new and watch[a]:
+                    break
+                log.append((a, a_masks[a]))
+                a_masks[a] = new
+            else:
+                b_labels[b] = sb
+                logs.append(log)
+                i += 1
+                continue
+            for a, old in log:
+                a_masks[a] = old
+            continue
+        else:
+            nxt[i] = 0
+        if i == 0:
+            return
+        i -= 1
+        for a, old in logs.pop():
+            a_masks[a] = old
 
 
 def _best_a_symbol(game: ProjectionGame, a: int, b_labels, mask: int | None = None) -> int:

@@ -23,6 +23,7 @@ from .core import (
     LabelCoverError,
     ProjectionGame,
     _adjacency,
+    _extensions,
     _majority_b_symbol,
 )
 
@@ -401,42 +402,12 @@ def brute_force_opt(
 def is_satisfiable(game: ProjectionGame, budget: int | None = None) -> bool:
     """Decide whether some assignment satisfies every edge.
 
-    Backtracks over B labels, pruning any branch that leaves some A vertex
-    without a consistent symbol.  ``budget`` caps the number of (vertex,
-    symbol) trials.
+    Backtracks over B labels with ``core._extensions``, pruning any branch
+    that leaves some A vertex without a consistent symbol.  ``budget`` caps
+    the number of (vertex, symbol) trials.
     """
-    full = (1 << game.sigma_a) - 1
-    a_mask = [full] * game.a_count
-    pre = game.preimage_masks
     bs = [b for b in range(game.b_count) if game.b_edges[b]]
-    trials = 0
-
-    def dfs(i: int) -> bool:
-        nonlocal trials
-        if i == len(bs):
-            return True
-        b = bs[i]
-        for sb in range(game.sigma_b):
-            trials += 1
-            if budget is not None and trials > budget:
-                raise BudgetExceeded(f"satisfiability search exceeded {budget} trials")
-            touched = []
-            ok = True
-            for e in game.b_edges[b]:
-                a = game.edges[e][0]
-                new = a_mask[a] & pre[e][sb]
-                if new == 0:
-                    ok = False
-                    break
-                touched.append((a, a_mask[a]))
-                a_mask[a] = new
-            if ok and dfs(i + 1):
-                return True
-            for a, old in reversed(touched):
-                a_mask[a] = old
-        return False
-
-    return dfs(0)
+    return next(_extensions(game, bs, budget=budget), None) is not None
 
 
 def tree_dp_solve(

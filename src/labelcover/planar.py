@@ -18,6 +18,7 @@ from time import perf_counter
 
 from .core import (
     Assignment,
+    InvalidSchemeParameter,
     LabelCoverError,
     ProjectionGame,
     SolveReport,
@@ -38,10 +39,6 @@ from .exact import (
 
 class PlanarityCheckFailed(LabelCoverError):
     """The instance graph fails the edge-count planarity sanity bound."""
-
-
-class InvalidSchemeParameter(LabelCoverError, ValueError):
-    """epsilon is outside (0, 1] or the class count h is below 1."""
 
 
 def euler_planarity_ok(game: ProjectionGame) -> bool:

@@ -582,7 +582,10 @@ def gen_coloring_graph(
     Grid edges plus one anti-diagonal per unit square; the coloring
     (r + 2c) mod 3 is proper for the full graph, hence for any subgraph.
     Each candidate edge is kept independently with probability ``keep``.
+    Raises InfeasibleParams unless rows and cols are positive.
     """
+    if rows < 1 or cols < 1:
+        raise InfeasibleParams(f"grid must be at least 1x1, got {rows}x{cols}")
     rng = random.Random(seed)
     idx = lambda r, c: r * cols + c
     candidates = []
@@ -607,7 +610,10 @@ def gen_matrix_tiling(
     solvable: bool = False,
 ) -> MatrixTiling:
     """Random cell sets; with ``solvable``, a full valid selection is
-    planted (one shared row value per row, column value per column)."""
+    planted (one shared row value per row, column value per column).
+    Raises InfeasibleParams unless grid_size and coord_max are positive."""
+    if grid_size < 1 or coord_max < 1:
+        raise InfeasibleParams("grid size and coordinate range must be positive")
     rng = random.Random(seed)
     cells = []
     row_val = [rng.randrange(1, coord_max + 1) for _ in range(grid_size)]

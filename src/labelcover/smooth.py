@@ -19,10 +19,11 @@ from time import perf_counter
 from .core import (
     Assignment,
     BudgetExceeded,
+    InvalidSchemeParameter,
     ProjectionGame,
     SolveReport,
     _best_a_symbol,
-    _consistent_masks,
+    _extensions,
     _majority_b_symbol,
     value,
 )
@@ -89,16 +90,20 @@ def smooth_exact(
     """Randomized exact solver for smooth satisfiable instances.
 
     Samples each B vertex into B* independently with probability c1 * mu,
-    then walks every assignment to B*.  A vertices consistent with exactly
-    one symbol are pinned; the rest take the symbol matching the most
-    sampled edges.  Unsampled B vertices take the majority symbol under
-    the completed A labels.  The first fully satisfying assignment wins;
-    None means the sample missed.
+    then walks the assignments to B* in odometer order, pruning prefixes
+    that leave an A vertex no symbol consistent with its sampled edges.
+    A vertices consistent with exactly one symbol are pinned; the rest
+    take the symbol matching the most sampled edges.  Unsampled B vertices
+    take the majority symbol under the completed A labels.  The first
+    fully satisfying assignment wins; None means the sample missed.
+    Raises InvalidSchemeParameter for mu outside [0, 1] or c1 < 0.
 
     When every A vertex has degree at least c * log(a_count) / mu the
     sample pins the whole A side with probability at least 1/2 for a
     suitable constant c1, making the miss probability at most 1/2.
     """
+    if mu is not None and not 0 <= mu <= 1 or c1 < 0:
+        raise InvalidSchemeParameter(f"mu must be in [0, 1] and c1 >= 0, got {mu}, {c1}")
     if mu is None:
         mu = default_mu(game)
     rng = random.Random(seed)
@@ -112,16 +117,12 @@ def smooth_exact(
         )
 
     m = game.edge_count
-    all_a = range(game.a_count)
-    for labels in product(range(game.sigma_b), repeat=len(bstar)):
-        bstar_labels: list[int | None] = [None] * game.b_count
-        for b, s in zip(bstar, labels):
-            bstar_labels[b] = s
+    for bstar_labels, masks in _extensions(game, bstar):
         a_labels = tuple(
             mask.bit_length() - 1
             if mask.bit_count() == 1
             else _best_a_symbol(game, a, bstar_labels)
-            for a, mask in enumerate(_consistent_masks(game, bstar_labels, all_a))
+            for a, mask in enumerate(masks)
         )
         b_labels = tuple(
             _majority_b_symbol(game, b, a_labels) if s is None else s
@@ -140,19 +141,23 @@ def smooth_approx(
 ) -> SolveReport:
     """Deterministic constant-factor solver for smooth satisfiable games.
 
-    Three regimes: (i) mu >= 1/4: enumerate every B assignment and take
-    the best A response, which is exact; (ii) a_count >= |E| / 4: give
-    every B vertex a symbol with nonempty preimages on all its edges and
-    match each A vertex to one of its edges, satisfying at least a_count
-    edges; (iii) otherwise greedily grow B*, always adding the B vertex
-    adjacent to the most unsaturated vertices, until saturated vertices
-    (more than mu * degree of their neighbors inside B*) carry at least
-    |E| / 4 edge endpoints, then enumerate B* assignments, pin saturated
-    vertices when uniquely determined (skipping the assignment otherwise),
-    and complete B by majority.  On satisfiable instances the output
-    satisfies at least |E| / 4 edges in every regime.
+    Three regimes: (i) mu >= 1/4: enumerate every B assignment (up to the
+    first satisfying every edge) and take the best A response, which is
+    exact; (ii) a_count >= |E| / 4: give every B vertex a symbol with
+    nonempty preimages on all its edges and match each A vertex to one of
+    its edges, satisfying at least a_count edges; (iii) otherwise greedily
+    grow B*, always adding the B vertex adjacent to the most unsaturated
+    vertices, until saturated vertices (more than mu * degree of their
+    neighbors inside B*) carry at least |E| / 4 edge endpoints, then
+    enumerate B* assignments, pin saturated vertices when uniquely
+    determined (skipping the assignment otherwise, and pruning B* prefixes
+    that empty a saturated vertex's mask), and complete B by majority.  On
+    satisfiable instances the output satisfies at least |E| / 4 edges in
+    every regime.  mu outside [0, 1] raises InvalidSchemeParameter.
     """
     t0 = perf_counter()
+    if mu is not None and not 0 <= mu <= 1:
+        raise InvalidSchemeParameter(f"mu must be in [0, 1], got {mu}")
     if mu is None:
         mu = default_mu(game)
     m = game.edge_count
@@ -185,19 +190,18 @@ def smooth_approx(
             val = value(game, phi)
             if val > best_val:
                 best_phi, best_val = phi, val
+                if val == m:
+                    break
         return report(best_phi, 1)
 
     if Fraction(n_a, m) >= Fraction(1, 4):
         b_labels = []
         for b in range(game.b_count):
-            best_s, best_cnt = 0, -1
-            for s in range(game.sigma_b):
-                cnt = sum(
-                    1 for e in game.b_edges[b] if game.preimage_masks[e][s]
-                )
-                if cnt > best_cnt:
-                    best_s, best_cnt = s, cnt
-            b_labels.append(best_s)
+            counts = [
+                sum(1 for e in game.b_edges[b] if game.preimage_masks[e][s])
+                for s in range(game.sigma_b)
+            ]
+            b_labels.append(counts.index(max(counts)))
         a_labels = []
         for a in range(n_a):
             sym = 0
@@ -241,16 +245,10 @@ def smooth_approx(
 
     sat_list = [a for a in range(n_a) if saturated[a]]
     best_phi, best_val = None, -1
-    for labels in product(range(game.sigma_b), repeat=len(bstar)):
-        lab: list[int | None] = [None] * game.b_count
-        for b, s in zip(bstar, labels):
-            lab[b] = s
-        masks = _consistent_masks(game, lab, sat_list)
-        if any(mask.bit_count() != 1 for mask in masks):
+    for _, masks in _extensions(game, bstar, watched=saturated):
+        if any(masks[a].bit_count() != 1 for a in sat_list):
             continue
-        pinned: list[int | None] = [None] * n_a
-        for a, mask in zip(sat_list, masks):
-            pinned[a] = mask.bit_length() - 1
+        pinned = [masks[a].bit_length() - 1 if saturated[a] else None for a in range(n_a)]
         b_labels = tuple(_majority_b_symbol(game, b, pinned) for b in range(game.b_count))
         a_labels = tuple(0 if s is None else s for s in pinned)
         phi = Assignment(a_labels, b_labels)

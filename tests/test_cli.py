@@ -300,3 +300,22 @@ def test_unwritable_output_exits_one(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert err.startswith("cannot write output: ") and err.count("\n") == 1
+
+
+def test_smooth_parameters_out_of_range_exit_one_line(capsys):
+    path = str(FIXTURES / "smooth1.lc")
+    for argv in (("approx", path, "--mu", "-1"), ("exact", path, "--mu", "-1"),
+                 ("exact", path, "--c1", "-4"), ("approx", path, "--mu", "3/2")):
+        code, out, err = run(capsys, "smooth", *argv)
+        _assert_one_line_error(code, out, err)
+
+
+def test_gen_non_positive_dimensions_exit_one_line(capsys, tmp_path):
+    out_path = tmp_path / "out.txt"
+    for argv in (("3col", "--rows", "-1", "--cols", "2"),
+                 ("3col", "--rows", "2", "--cols", "0"),
+                 ("tiling", "--size", "3", "--coords", "0"),
+                 ("tiling", "--size", "0", "--coords", "3")):
+        code, out, err = run(capsys, "gen", *argv, "--out", str(out_path))
+        _assert_one_line_error(code, out, err)
+        assert not out_path.exists()

@@ -90,6 +90,19 @@ def test_build_table_length_mismatch():
     assert "edge 0" in str(err.value)
 
 
+def test_build_rejects_non_integer_values():
+    # int() would truncate 0.7 to endpoint 0 and 1.5 to symbol 1
+    with pytest.raises(lc.IndexOutOfRange) as err:
+        lc.build_game(1, 1, 2, 2, [(0.7, 0)], [(0, 1)])
+    assert "edge 0" in str(err.value)
+    with pytest.raises(lc.IndexOutOfRange) as err:
+        lc.build_game(1, 2, 2, 2, [(0, 0), (0, "1")], [(0, 1), (1, 0)])
+    assert "edge 1" in str(err.value)
+    with pytest.raises(lc.SymbolOutOfRange) as err:
+        lc.build_game(1, 1, 2, 2, [(0, 0)], [(0, 1.5)])
+    assert "edge 0" in str(err.value)
+
+
 def test_build_tiny1_matches_golden_stats(tiny1):
     game, _, golden = tiny1
     st = lc.compute_stats(game)

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import labelcover as lc
+from labelcover.core import BudgetExceeded, ProjectionGame
 
 
 def naive_value(game, a_labels, b_labels):
@@ -388,3 +389,78 @@ def test_dp_edge_net_count_is_one():
                 if a in td.bags[i] & td.bags[j] and gb in td.bags[i] & td.bags[j]
             )
             assert plus - minus == 1
+
+
+# --- satisfiability through the shared walk ---------------------------------
+# The oracle is is_satisfiable as it was before it became a call into
+# core._extensions, kept verbatim apart from its name.
+
+def oracle_is_satisfiable(game: ProjectionGame, budget: int | None = None) -> bool:
+    """Decide whether some assignment satisfies every edge.
+
+    Backtracks over B labels, pruning any branch that leaves some A vertex
+    without a consistent symbol.  ``budget`` caps the number of (vertex,
+    symbol) trials.
+    """
+    full = (1 << game.sigma_a) - 1
+    a_mask = [full] * game.a_count
+    pre = game.preimage_masks
+    bs = [b for b in range(game.b_count) if game.b_edges[b]]
+    trials = 0
+
+    def dfs(i: int) -> bool:
+        nonlocal trials
+        if i == len(bs):
+            return True
+        b = bs[i]
+        for sb in range(game.sigma_b):
+            trials += 1
+            if budget is not None and trials > budget:
+                raise BudgetExceeded(f"satisfiability search exceeded {budget} trials")
+            touched = []
+            ok = True
+            for e in game.b_edges[b]:
+                a = game.edges[e][0]
+                new = a_mask[a] & pre[e][sb]
+                if new == 0:
+                    ok = False
+                    break
+                touched.append((a, a_mask[a]))
+                a_mask[a] = new
+            if ok and dfs(i + 1):
+                return True
+            for a, old in reversed(touched):
+                a_mask[a] = old
+        return False
+
+    return dfs(0)
+
+
+def sat_outcome(fn, game, budget):
+    try:
+        return fn(game, budget=budget)
+    except lc.BudgetExceeded as exc:
+        return ("budget", str(exc))
+
+
+def test_is_satisfiable_matches_oracle_at_every_budget():
+    answers = []
+    for i in range(120):
+        rng = random.Random(2000 + i)
+        n_a, n_b = 1 + i % 4, rng.randint(3, 7)
+        k_a, k_b = rng.randint(2, 4), rng.randint(2, 4)
+        degree = rng.randint((n_b + 1) // 2, n_b)
+        game, _ = lc.gen_random_satisfiable(n_a, n_b, k_a, k_b, degree, seed=i)
+        if i % 2:  # redrawn tables: most of these games are unsatisfiable
+            tables = [tuple(rng.randrange(k_b) for _ in range(k_a)) for _ in game.edges]
+            game = lc.build_game(n_a, n_b, k_a, k_b, game.edges, tables)
+        budget = 1
+        while True:
+            want = sat_outcome(oracle_is_satisfiable, game, budget)
+            assert sat_outcome(lc.is_satisfiable, game, budget) == want
+            if want in (True, False):
+                break
+            budget += 1
+        assert lc.is_satisfiable(game) == want
+        answers.append(want)
+    assert answers.count(False) >= 40 and answers.count(True) >= 40

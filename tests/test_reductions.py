@@ -324,3 +324,12 @@ def test_gen_matrix_tiling_solvable_plant():
     t = lc.gen_matrix_tiling(3, 2, 0.3, seed=12, solvable=True)
     _, opt = lc.brute_force_tiling(t)
     assert opt == 9
+
+
+def test_generators_reject_non_positive_dimensions():
+    for rows, cols in ((-1, 2), (2, 0), (0, 0)):
+        with pytest.raises(lc.InfeasibleParams):
+            lc.gen_coloring_graph(rows, cols, Fraction(3, 4), seed=0)
+    for size, coords in ((3, 0), (0, 3), (-2, 2)):
+        with pytest.raises(lc.InfeasibleParams):
+            lc.gen_matrix_tiling(size, coords, 0.5, seed=0, solvable=True)

@@ -1,10 +1,23 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
+from time import perf_counter
 
 import pytest
 
 import labelcover as lc
+from labelcover.core import (
+    Assignment,
+    BudgetExceeded,
+    ProjectionGame,
+    SolveReport,
+    _best_a_symbol,
+    _consistent_masks,
+    _majority_b_symbol,
+    value,
+)
+from labelcover.smooth import DEFAULT_ENUM_CAP, default_mu
 
 
 def naive_mu(game):
@@ -135,6 +148,23 @@ def test_smooth_exact_budget():
         lc.smooth_exact(game, mu=Fraction(1), c1=4, seed=0, enum_cap=10)
 
 
+def test_smooth_solvers_reject_parameters_out_of_range(smooth1):
+    game, _ = smooth1
+    for mu in (Fraction(-1), Fraction(-1, 12), Fraction(3, 2)):
+        with pytest.raises(lc.InvalidSchemeParameter):
+            lc.smooth_exact(game, mu=mu)
+        with pytest.raises(lc.InvalidSchemeParameter):
+            lc.smooth_approx(game, mu=mu)
+    with pytest.raises(lc.InvalidSchemeParameter):
+        lc.smooth_exact(game, mu=Fraction(1, 12), c1=-4)
+    from labelcover import core, planar
+    assert lc.InvalidSchemeParameter is core.InvalidSchemeParameter
+    assert planar.InvalidSchemeParameter is core.InvalidSchemeParameter
+    # the ends of the ranges are accepted
+    lc.smooth_exact(game, mu=Fraction(0), c1=0)
+    lc.smooth_approx(game, mu=Fraction(0))
+
+
 # --- deterministic approximation ----------------------------------------------
 
 def test_smooth_approx_regime_one_exact():
@@ -186,3 +216,250 @@ def test_smooth_approx_terminates_and_valid_on_unsatisfiable():
     g = lc.build_game(3, 6, 3, 4, edges, tables)
     rep = lc.smooth_approx(g, mu=Fraction(1, 6))
     assert rep.satisfied == lc.value(g, rep.assignment)
+
+
+# --- pruned walks against the unpruned enumerations ----------------------------
+# The two oracles are the solvers as they were before the B* walks went
+# through core._extensions, kept verbatim apart from their names: they
+# enumerate every B* labelling with itertools.product.
+
+def oracle_smooth_exact(
+    game: ProjectionGame,
+    mu: Fraction | None = None,
+    c1: Fraction | int = 4,
+    seed: int = 0,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+) -> Assignment | None:
+    """Randomized exact solver for smooth satisfiable instances.
+
+    Samples each B vertex into B* independently with probability c1 * mu,
+    then walks every assignment to B*.  A vertices consistent with exactly
+    one symbol are pinned; the rest take the symbol matching the most
+    sampled edges.  Unsampled B vertices take the majority symbol under
+    the completed A labels.  The first fully satisfying assignment wins;
+    None means the sample missed.
+
+    When every A vertex has degree at least c * log(a_count) / mu the
+    sample pins the whole A side with probability at least 1/2 for a
+    suitable constant c1, making the miss probability at most 1/2.
+    """
+    if mu is None:
+        mu = default_mu(game)
+    rng = random.Random(seed)
+    p = min(Fraction(1), Fraction(c1) * mu)
+    bstar = [b for b in range(game.b_count) if rng.random() < p]
+
+    total = game.sigma_b ** len(bstar)
+    if total > enum_cap:
+        raise BudgetExceeded(
+            f"{game.sigma_b}^{len(bstar)} sampled-side assignments exceed cap {enum_cap}"
+        )
+
+    m = game.edge_count
+    all_a = range(game.a_count)
+    for labels in product(range(game.sigma_b), repeat=len(bstar)):
+        bstar_labels: list[int | None] = [None] * game.b_count
+        for b, s in zip(bstar, labels):
+            bstar_labels[b] = s
+        a_labels = tuple(
+            mask.bit_length() - 1
+            if mask.bit_count() == 1
+            else _best_a_symbol(game, a, bstar_labels)
+            for a, mask in enumerate(_consistent_masks(game, bstar_labels, all_a))
+        )
+        b_labels = tuple(
+            _majority_b_symbol(game, b, a_labels) if s is None else s
+            for b, s in enumerate(bstar_labels)
+        )
+        phi = Assignment(a_labels, b_labels)
+        if value(game, phi) == m:
+            return phi
+    return None
+
+
+def oracle_smooth_approx(
+    game: ProjectionGame,
+    mu: Fraction | None = None,
+    enum_cap: int = DEFAULT_ENUM_CAP,
+) -> SolveReport:
+    """Deterministic constant-factor solver for smooth satisfiable games.
+
+    Three regimes: (i) mu >= 1/4: enumerate every B assignment and take
+    the best A response, which is exact; (ii) a_count >= |E| / 4: give
+    every B vertex a symbol with nonempty preimages on all its edges and
+    match each A vertex to one of its edges, satisfying at least a_count
+    edges; (iii) otherwise greedily grow B*, always adding the B vertex
+    adjacent to the most unsaturated vertices, until saturated vertices
+    (more than mu * degree of their neighbors inside B*) carry at least
+    |E| / 4 edge endpoints, then enumerate B* assignments, pin saturated
+    vertices when uniquely determined (skipping the assignment otherwise),
+    and complete B by majority.  On satisfiable instances the output
+    satisfies at least |E| / 4 edges in every regime.
+    """
+    t0 = perf_counter()
+    if mu is None:
+        mu = default_mu(game)
+    m = game.edge_count
+    n_a = game.a_count
+    guarantee = Fraction(m, 4)
+
+    def report(phi, regime, extra=()):
+        return SolveReport(
+            assignment=phi,
+            satisfied=value(game, phi),
+            algorithm="smooth-approx",
+            guarantee=guarantee,
+            elapsed=perf_counter() - t0,
+            breakdown=(("regime", regime),) + tuple(extra),
+        )
+
+    if m == 0:
+        return report(Assignment((0,) * n_a, (0,) * game.b_count), 0)
+
+    if mu >= Fraction(1, 4):
+        total = game.sigma_b ** game.b_count
+        if total > enum_cap:
+            raise BudgetExceeded(
+                f"{game.sigma_b}^{game.b_count} B assignments exceed cap {enum_cap}"
+            )
+        best_phi, best_val = None, -1
+        for b_labels in product(range(game.sigma_b), repeat=game.b_count):
+            a_labels = tuple(_best_a_symbol(game, a, b_labels) for a in range(n_a))
+            phi = Assignment(a_labels, b_labels)
+            val = value(game, phi)
+            if val > best_val:
+                best_phi, best_val = phi, val
+        return report(best_phi, 1)
+
+    if Fraction(n_a, m) >= Fraction(1, 4):
+        b_labels = []
+        for b in range(game.b_count):
+            best_s, best_cnt = 0, -1
+            for s in range(game.sigma_b):
+                cnt = sum(
+                    1 for e in game.b_edges[b] if game.preimage_masks[e][s]
+                )
+                if cnt > best_cnt:
+                    best_s, best_cnt = s, cnt
+            b_labels.append(best_s)
+        a_labels = []
+        for a in range(n_a):
+            sym = 0
+            for e in game.a_edges[a]:
+                mask = game.preimage_masks[e][b_labels[game.edges[e][1]]]
+                if mask:
+                    sym = (mask & -mask).bit_length() - 1
+                    break
+            a_labels.append(sym)
+        return report(Assignment(tuple(a_labels), tuple(b_labels)), 2)
+
+    # regime (iii): greedy B* of saturated coverage, then enumeration
+    c1 = Fraction(1, 4)
+    deg = [len(e) for e in game.a_edges]
+    in_bstar = [False] * game.b_count
+    hits = [0] * n_a
+    saturated = [False] * n_a
+    sat_degree_sum = 0
+    bstar: list[int] = []
+    while sat_degree_sum < c1 * m and len(bstar) < game.b_count:
+        best_b, best_gain = -1, -1
+        for b in range(game.b_count):
+            if in_bstar[b]:
+                continue
+            gain = sum(1 for ap in game.b_neighbors[b] if not saturated[ap])
+            if gain > best_gain:
+                best_b, best_gain = b, gain
+        in_bstar[best_b] = True
+        bstar.append(best_b)
+        for ap in game.b_neighbors[best_b]:
+            hits[ap] += 1
+            if not saturated[ap] and hits[ap] > mu * deg[ap]:
+                saturated[ap] = True
+                sat_degree_sum += deg[ap]
+
+    total = game.sigma_b ** len(bstar)
+    if total > enum_cap:
+        raise BudgetExceeded(
+            f"{game.sigma_b}^{len(bstar)} B* assignments exceed cap {enum_cap}"
+        )
+
+    sat_list = [a for a in range(n_a) if saturated[a]]
+    best_phi, best_val = None, -1
+    for labels in product(range(game.sigma_b), repeat=len(bstar)):
+        lab: list[int | None] = [None] * game.b_count
+        for b, s in zip(bstar, labels):
+            lab[b] = s
+        masks = _consistent_masks(game, lab, sat_list)
+        if any(mask.bit_count() != 1 for mask in masks):
+            continue
+        pinned: list[int | None] = [None] * n_a
+        for a, mask in zip(sat_list, masks):
+            pinned[a] = mask.bit_length() - 1
+        b_labels = tuple(_majority_b_symbol(game, b, pinned) for b in range(game.b_count))
+        a_labels = tuple(0 if s is None else s for s in pinned)
+        phi = Assignment(a_labels, b_labels)
+        val = value(game, phi)
+        if val > best_val:
+            best_phi, best_val = phi, val
+    if best_phi is None:
+        best_phi = Assignment((0,) * n_a, (0,) * game.b_count)
+    return report(best_phi, 3, (("b_star", len(bstar)),))
+
+
+def sweep_games(count=100):
+    """Seeded small games with 1-4 A vertices; every odd one has its tables
+    redrawn at random, which makes most of those unsatisfiable."""
+    for i in range(count):
+        rng = random.Random(1000 + i)
+        n_a, n_b = 1 + i % 4, rng.randint(2, 8)
+        k_a, k_b = rng.randint(2, 4), rng.randint(2, 3)
+        game, _ = lc.gen_random_satisfiable(
+            n_a, n_b, k_a, k_b, rng.randint(1, n_b), seed=i
+        )
+        if i % 2:
+            tables = [tuple(rng.randrange(k_b) for _ in range(k_a)) for _ in game.edges]
+            game = lc.build_game(n_a, n_b, k_a, k_b, game.edges, tables)
+        yield game
+
+
+# mu 1/6 makes regime (iii) leave some A vertices next to B* unsaturated,
+# whose masks must not prune
+SWEEP_MUS = (
+    Fraction(0), Fraction(1, 12), Fraction(1, 6), Fraction(1, 4), Fraction(1, 2), None
+)
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except BudgetExceeded as exc:
+        return ("budget", str(exc))
+
+
+def test_smooth_exact_matches_unpruned_enumeration():
+    hits = misses = 0
+    for game in sweep_games():
+        for mu in SWEEP_MUS:
+            for seed in range(3):
+                kw = dict(mu=mu, c1=2, seed=seed, enum_cap=800)
+                want = outcome(lambda: oracle_smooth_exact(game, **kw))
+                assert outcome(lambda: lc.smooth_exact(game, **kw)) == want
+                hits += isinstance(want, Assignment)
+                misses += want is None
+    assert hits >= 100 and misses >= 100
+
+
+def test_smooth_approx_matches_unpruned_enumeration():
+    regimes = set()
+    for game in sweep_games():
+        for mu in SWEEP_MUS:
+            want = outcome(lambda: oracle_smooth_approx(game, mu=mu, enum_cap=800))
+            got = outcome(lambda: lc.smooth_approx(game, mu=mu, enum_cap=800))
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert (got.assignment, got.satisfied, got.guarantee, got.breakdown) == (
+                want.assignment, want.satisfied, want.guarantee, want.breakdown
+            )
+            regimes.add(dict(want.breakdown)["regime"])
+    assert regimes == {1, 2, 3}
