@@ -47,9 +47,10 @@ class SigmaStarCache:
     consistent choice against every B vertex; on a satisfiable instance
     the all-satisfying label of a is always admissible.  For each
     admissible (a, s) the cache stores the neighbors reachable through at
-    least one good edge (preimage size at most ``threshold``), the good
-    two-hop set, the number of edges touching it (``h_star``), and the
-    good-edge set itself (``e_star``, as edge indices).
+    least one good edge (preimage size at most ``threshold``, the exact
+    2 * p_bar_max), the good two-hop set, the number of edges touching it
+    (``h_star``), and the good-edge set itself (``e_star``, as edge
+    indices).  ``compute_sigma_star`` says how it evaluates them.
     """
 
     threshold: Fraction
@@ -72,11 +73,34 @@ def compute_sigma_star(
     candidate: the intersection of a's propagated preimages at a' with the
     preimage of t on (a', b) is nonempty.  B vertices with no two-hop
     member adjacent are vacuously fine.
+
+    Evaluation order, equal to that definition:
+
+    - Shared-edge masks: only edges into N(a) constrain a two-hop mask, so
+      the masks come from those edges, and the anchor is dropped as soon
+      as one empties.
+    - Reach-mask test: some t works for b iff the AND over b's members of
+      their reach masks (the B symbols a member's mask maps to across its
+      edge to b) is nonempty; for b in N(a) each holds b's propagated
+      label.  Packed one kB-bit field per B vertex and memoised per
+      (two-hop vertex, mask) for this call only (kB * |B| bits an entry),
+      the anchor is kept iff the AND over its two-hop set has no empty field.
+    - Integer good-edge test: popcount * |E| <= 2 * sum(p_max_e) is
+      ``<= threshold`` without Fractions.
     """
     stats = stats if stats is not None else compute_stats(game)
-    pre = game.preimage_masks
-    eidx = game.edge_index
-    threshold = 2 * stats.p_bar_max
+    pre, edges, ka, kb = game.preimage_masks, game.edges, game.sigma_a, game.sigma_b
+    full_a, full_b = (1 << ka) - 1, (1 << kb) - 1
+    every = (1 << kb * game.b_count) - 1  # one kb-bit field per B vertex
+    low = every // full_b * (full_b >> 1)  # every bit below each field's top
+    m, cap = game.edge_count, 2 * sum(stats.p_max_e)
+    # per B vertex: each edge's A end and preimages; each symbol's good edges
+    rows = [[(edges[e][0], pre[e]) for e in eids] for eids in game.b_edges]
+    good = [
+        [[e for e in eids if pre[e][t].bit_count() * m <= cap] for t in range(kb)]
+        for eids in game.b_edges
+    ]
+    reach: dict[int, int] = {}
 
     sigma_star: list[tuple[int, ...]] = []
     n_star: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -85,43 +109,34 @@ def compute_sigma_star(
     e_star: dict[tuple[int, int], frozenset[int]] = {}
 
     for a in range(game.a_count):
-        nbrs = game.a_neighbors[a]
-        n2 = stats.n2[a]
-        n2_set = set(n2)
-        cand_bs = sorted({b for ap in n2 for b in game.a_neighbors[ap]})
+        nbrs, n2 = game.a_neighbors[a], stats.n2[a]
+        tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
+        shared = [(table, rows[b]) for table, b in zip(tables, nbrs)]
         admissible = []
-        for sa in range(game.sigma_a):
-            propagated = _propagate(game, a, sa)
-            s_mask = dict(zip(n2, _consistent_masks(game, propagated, n2)))
-            ok = True
-            for b in cand_bs:
-                members = [ap for ap in game.b_neighbors[b] if ap in n2_set]
-                if not members:
-                    continue
-                if not any(
-                    all(s_mask[ap] & pre[eidx[(ap, b)]][sb] for ap in members)
-                    for sb in range(game.sigma_b)
-                ):
-                    ok = False
-                    break
-            if not ok:
+        for sa in range(ka):
+            masks = dict.fromkeys(n2, full_a)
+            if not _shared_masks(shared, sa, masks):
+                continue
+            fields = every
+            for ap, mask in masks.items():
+                key = ap << ka | mask
+                r = reach.get(key)
+                if r is None:
+                    r = reach[key] = _reach_fields(game, ap, mask, every)
+                fields &= r
+            # adding ``low`` carries into a field's top bit iff a lower bit is set
+            if (fields & low) + low | fields | low != every:
                 continue
             admissible.append(sa)
 
             good_b = []
-            good_two_hop: set[int] = set()
             good_edges: set[int] = set()
-            for b in nbrs:
-                sb = propagated[b]
-                hits = [
-                    ap
-                    for ap in game.b_neighbors[b]
-                    if pre[eidx[(ap, b)]][sb].bit_count() <= threshold
-                ]
-                if hits:
+            for b, table in zip(nbrs, tables):
+                hit = good[b][table[sa]]
+                if hit:
                     good_b.append(b)
-                    good_two_hop.update(hits)
-                    good_edges.update(eidx[(ap, b)] for ap in hits)
+                    good_edges.update(hit)
+            good_two_hop = {edges[e][0] for e in good_edges}
             n_star[(a, sa)] = tuple(good_b)
             n2_star[(a, sa)] = tuple(sorted(good_two_hop))
             h_star[(a, sa)] = sum(stats.a_degree[ap] for ap in good_two_hop)
@@ -136,7 +151,7 @@ def compute_sigma_star(
                 h_star_max = h_star[(a, sa)]
                 argmax = (a, sa)
     return SigmaStarCache(
-        threshold=threshold,
+        threshold=2 * stats.p_bar_max,
         sigma_star=tuple(sigma_star),
         n_star=n_star,
         n2_star=n2_star,
@@ -145,6 +160,30 @@ def compute_sigma_star(
         h_star_max=h_star_max if argmax is not None else 0,
         h_star_argmax=argmax,
     )
+
+
+def _shared_masks(shared, sa: int, masks: dict[int, int]) -> bool:
+    """AND each two-hop mask with its preimages under the anchor's labels on
+    the shared B vertices; False as soon as a mask empties."""
+    for table, members in shared:
+        sb = table[sa]
+        for ap, row in members:
+            x = masks[ap] & row[sb]
+            if not x:
+                return False
+            masks[ap] = x
+    return True
+
+
+def _reach_fields(game: ProjectionGame, ap: int, mask: int, every: int) -> int:
+    """``every`` with the field of each B neighbor b of ap cut down to the
+    B symbols that the symbols in ``mask`` map to across edge (ap, b)."""
+    pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
+    r = every
+    for e in game.a_edges[ap]:
+        missed = sum(1 << t for t, p in enumerate(pre[e]) if not p & mask)
+        r ^= missed << kb * edges[e][1]
+    return r
 
 
 def _lowest_bit(mask: int) -> int:

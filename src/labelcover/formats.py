@@ -9,6 +9,8 @@ files.
 
 from __future__ import annotations
 
+import re
+
 from .core import Assignment, LabelCoverError, ProjectionGame, build_game
 from .exact import TreeDecomposition
 from .reductions import (
@@ -68,6 +70,17 @@ def _size_line(lines, expected: int) -> tuple[int, list[int]]:
     return num, values
 
 
+def _built(build, what: str, at: list[int]):
+    """Call a builder; its error becomes a ParseError at the line of the
+    edge or cell it names ("edge 3: ..." is at ``at[4]``), else at ``at[0]``."""
+    try:
+        return build()
+    except LabelCoverError as exc:
+        named = re.match(r"(?:edge|cell) (\d+):", str(exc))
+        line = at[int(named[1]) + 1] if named else at[0]
+        raise ParseError(line, f"invalid {what}: {exc}") from exc
+
+
 def parse_labelcover(text: str) -> ProjectionGame:
     """Read the `labelcover v1` format.
 
@@ -77,6 +90,7 @@ def parse_labelcover(text: str) -> ProjectionGame:
     lines = _content_lines(text)
     _header(lines, "labelcover v1")
     num, (n_a, n_b, k_a, k_b, m) = _size_line(lines, 5)
+    at = [num]
     edges = []
     tables = []
     for _ in range(m):
@@ -91,15 +105,15 @@ def parse_labelcover(text: str) -> ProjectionGame:
             )
         edges.append((vals[0], vals[1]))
         tables.append(tuple(vals[2:]))
+        at.append(num)
     try:
         num, line = next(lines)
         raise ParseError(num, "trailing content after last edge line")
     except StopIteration:
         pass
-    try:
-        return build_game(n_a, n_b, k_a, k_b, edges, tables)
-    except LabelCoverError as exc:
-        raise ParseError(0, f"invalid instance: {exc}") from exc
+    return _built(
+        lambda: build_game(n_a, n_b, k_a, k_b, edges, tables), "instance", at
+    )
 
 
 def emit_labelcover(game: ProjectionGame) -> str:
@@ -196,6 +210,7 @@ def parse_matrix_tiling(text: str) -> MatrixTiling:
     lines = _content_lines(text)
     _header(lines, "matrixtiling v1")
     num, (k, n) = _size_line(lines, 2)
+    at = [num]
     cells = []
     for want in range(k * k):
         try:
@@ -212,10 +227,8 @@ def parse_matrix_tiling(text: str) -> MatrixTiling:
             raise ParseError(num, f"cell ({i}, {j}): expected {count} pairs")
         pairs = [(vals[3 + 2 * p], vals[4 + 2 * p]) for p in range(count)]
         cells.append(pairs)
-    try:
-        return build_matrix_tiling(k, n, cells)
-    except LabelCoverError as exc:
-        raise ParseError(0, f"invalid tiling: {exc}") from exc
+        at.append(num)
+    return _built(lambda: build_matrix_tiling(k, n, cells), "tiling", at)
 
 
 def emit_matrix_tiling(t: MatrixTiling) -> str:
@@ -234,6 +247,7 @@ def parse_coloring_graph(text: str) -> ColoringGraph:
     lines = _content_lines(text)
     _header(lines, "colgraph v1")
     num, (n, m, planar) = _size_line(lines, 3)
+    at = [num]
     edges = []
     for _ in range(m):
         try:
@@ -242,10 +256,10 @@ def parse_coloring_graph(text: str) -> ColoringGraph:
             raise ParseError(num + 1, f"expected {m} edge lines")
         u, v = _ints(num, line, 2)
         edges.append((u, v))
-    try:
-        return build_coloring_graph(n, edges, claimed_planar=bool(planar))
-    except LabelCoverError as exc:
-        raise ParseError(0, f"invalid graph: {exc}") from exc
+        at.append(num)
+    return _built(
+        lambda: build_coloring_graph(n, edges, bool(planar)), "graph", at
+    )
 
 
 def emit_coloring_graph(g: ColoringGraph) -> str:

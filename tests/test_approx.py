@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import labelcover as lc
+from labelcover.core import _consistent_masks, _propagate
 
 
 def single_edge_game():
@@ -101,6 +103,161 @@ def test_sigma_star_matches_naive_oracle():
     games += [random_unplanted(s) for s in range(6)]
     for g in games:
         assert lc.compute_sigma_star(g).sigma_star == naive_sigma_star(g)
+
+
+def reference_sigma_star(game, stats=None):
+    """The previous compute_sigma_star, kept verbatim as a differential
+    oracle: one propagation and one consistent-mask pass over the whole
+    two-hop set per anchor, then a per-symbol scan of every B vertex."""
+    stats = stats if stats is not None else lc.compute_stats(game)
+    pre = game.preimage_masks
+    eidx = game.edge_index
+    threshold = 2 * stats.p_bar_max
+
+    sigma_star = []
+    n_star = {}
+    n2_star = {}
+    h_star = {}
+    e_star = {}
+
+    for a in range(game.a_count):
+        nbrs = game.a_neighbors[a]
+        n2 = stats.n2[a]
+        n2_set = set(n2)
+        cand_bs = sorted({b for ap in n2 for b in game.a_neighbors[ap]})
+        admissible = []
+        for sa in range(game.sigma_a):
+            propagated = _propagate(game, a, sa)
+            s_mask = dict(zip(n2, _consistent_masks(game, propagated, n2)))
+            ok = True
+            for b in cand_bs:
+                members = [ap for ap in game.b_neighbors[b] if ap in n2_set]
+                if not members:
+                    continue
+                if not any(
+                    all(s_mask[ap] & pre[eidx[(ap, b)]][sb] for ap in members)
+                    for sb in range(game.sigma_b)
+                ):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            admissible.append(sa)
+
+            good_b = []
+            good_two_hop = set()
+            good_edges = set()
+            for b in nbrs:
+                sb = propagated[b]
+                hits = [
+                    ap
+                    for ap in game.b_neighbors[b]
+                    if pre[eidx[(ap, b)]][sb].bit_count() <= threshold
+                ]
+                if hits:
+                    good_b.append(b)
+                    good_two_hop.update(hits)
+                    good_edges.update(eidx[(ap, b)] for ap in hits)
+            n_star[(a, sa)] = tuple(good_b)
+            n2_star[(a, sa)] = tuple(sorted(good_two_hop))
+            h_star[(a, sa)] = sum(stats.a_degree[ap] for ap in good_two_hop)
+            e_star[(a, sa)] = frozenset(good_edges)
+        sigma_star.append(tuple(admissible))
+
+    h_star_max = 0
+    argmax = None
+    for a in range(game.a_count):
+        for sa in sigma_star[a]:
+            if argmax is None or h_star[(a, sa)] > h_star_max:
+                h_star_max = h_star[(a, sa)]
+                argmax = (a, sa)
+    return lc.SigmaStarCache(
+        threshold=threshold,
+        sigma_star=tuple(sigma_star),
+        n_star=n_star,
+        n2_star=n2_star,
+        h_star=h_star,
+        e_star=e_star,
+        h_star_max=h_star_max if argmax is not None else 0,
+        h_star_argmax=argmax,
+    )
+
+
+# (n_a, n_b, k_a, k_b, degree): sparse, dense (B degree far above A
+# degree), one-symbol A or B alphabets, a lone A vertex
+SWEEP_SHAPES = [
+    (6, 6, 3, 2, 2), (8, 5, 4, 3, 2), (10, 3, 3, 2, 2), (16, 3, 4, 3, 3),
+    (12, 2, 5, 4, 2), (5, 8, 1, 3, 3), (7, 4, 4, 1, 2), (1, 4, 3, 2, 4),
+    (9, 9, 2, 2, 1), (14, 4, 6, 5, 3),
+]
+
+
+def sweep_games(count):
+    """Seeded planted games; every odd one with redrawn tables (mostly
+    unsatisfiable), every fifth with isolated A and B vertices added."""
+    rng = random.Random(2024)
+    for i in range(count):
+        n_a, n_b, k_a, k_b, degree = SWEEP_SHAPES[i % len(SWEEP_SHAPES)]
+        g, _ = lc.gen_random_satisfiable(
+            n_a, n_b, k_a, k_b, degree, seed=rng.randrange(1 << 30)
+        )
+        tables = g.projections
+        if i % 2:
+            tables = [tuple(rng.randrange(k_b) for _ in t) for t in tables]
+        extra_a, extra_b = (2, 1) if i % 5 == 0 else (0, 0)
+        yield lc.build_game(
+            n_a + extra_a, n_b + extra_b, k_a, k_b, g.edges, tables
+        )
+    yield lc.build_game(3, 2, 2, 2, [], [])
+    yield lc.build_game(0, 0, 1, 1, [], [])
+
+
+def test_sigma_star_equals_reference_on_sweep():
+    games = list(sweep_games(320))
+    assert len(games) >= 300
+    unsat = 0
+    for i, g in enumerate(games):
+        st_ = lc.compute_stats(g)
+        cache = lc.compute_sigma_star(g, st_)
+        assert cache == reference_sigma_star(g, st_), f"game {i}"
+        unsat += g.a_count > 0 and not all(cache.sigma_star)
+    assert unsat >= 100
+
+
+@st.composite
+def small_games(draw):
+    n_a, n_b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    k_a, k_b = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    edges = [
+        (a, b) for a in range(n_a) for b in range(n_b) if draw(st.booleans())
+    ]
+    symbol = st.integers(0, k_b - 1)
+    tables = [
+        draw(st.lists(symbol, min_size=k_a, max_size=k_a)) for _ in edges
+    ]
+    return lc.build_game(n_a, n_b, k_a, k_b, edges, tables)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(small_games())
+def test_sigma_star_equals_reference_property(g):
+    assert lc.compute_sigma_star(g) == reference_sigma_star(g)
+
+
+def test_good_edge_boundary_is_inclusive():
+    # b0's tables give p_max_e = (1, 4, 1), so 2 * p_bar_max = 2 * 6/3 = 4.
+    # Anchoring a0 at 1 labels b0 with 0, whose preimage on edge 1 (a
+    # constant table) has exactly 4 symbols: the edge sits on the bound.
+    g = lc.build_game(
+        3, 1, 4, 2, [(0, 0), (1, 0), (2, 0)],
+        [(1, 0, 1, 1), (0, 0, 0, 0), (0, 1, 1, 1)],
+    )
+    cache = lc.compute_sigma_star(g)
+    assert cache.threshold == 4
+    assert g.preimage_masks[1][0].bit_count() == cache.threshold
+    assert 1 in cache.sigma_star[0]
+    assert cache.e_star[(0, 1)] == frozenset({0, 1, 2})
+    assert cache.n2_star[(0, 1)] == (0, 1, 2)
 
 
 def test_sigma_star_good_sets_consistent():

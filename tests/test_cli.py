@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import labelcover as lc
 from labelcover import formats
 from labelcover.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, SRC
 
 TINY1 = str(FIXTURES / "tiny1.lc")
 TINY1_ASSIGN = str(FIXTURES / "tiny1.assign")
@@ -82,6 +85,28 @@ def test_parse_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "stats", str(bad))
     assert code == 2
     assert "parse error" in err
+
+
+def test_semantic_parse_error_names_edge_line(capsys, tmp_path):
+    bad = tmp_path / "bad.lc"
+    bad.write_text("labelcover v1\n1 1 2 2 1\n0 5 0 1\n")
+    code, out, err = run(capsys, "stats", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "parse error: line 3: invalid instance: "
+        "edge 0: endpoint (0, 5) out of range\n"
+    )
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "labelcover", "stats", TINY1, "--json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["edges"] == 6
 
 
 def test_missing_file_exit_code(capsys):

@@ -117,3 +117,36 @@ def test_negative_size_line_is_parse_error(parse, text, line):
         parse(text)
     assert err.value.line == line
     assert "nonnegative" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, words",
+    [
+        (formats.parse_labelcover, "labelcover v1\n1 1 2 2 1\n0 5 0 1\n", 3,
+         "edge 0: endpoint (0, 5) out of range"),
+        (formats.parse_labelcover,
+         "# c\nlabelcover v1\n2 2 2 2 2\n0 0 0 1\n\n0 0 1 1\n", 6,
+         "edge 1: duplicate pair"),
+        (formats.parse_labelcover, "labelcover v1\n1 1 2 2 1\n0 0 0 5\n", 3,
+         "edge 0: table entry 5"),
+        (formats.parse_labelcover, "labelcover v1\n1 1 0 2 0\n", 2,
+         "alphabet sizes must be positive"),
+        (formats.parse_coloring_graph, "colgraph v1\n3 2 0\n0 1\n# c\n1 1\n", 5,
+         "edge 1: self loop"),
+        (formats.parse_coloring_graph, "colgraph v1\n2 1 0\n0 2\n", 3,
+         "edge 0: endpoint (0, 2) out of range"),
+        (formats.parse_matrix_tiling,
+         "matrixtiling v1\n2 2\n1 1 0\n1 2 1 1 3\n2 1 0\n2 2 0\n", 4,
+         "cell 1: pair (1, 3) out of range"),
+        (formats.parse_matrix_tiling, "matrixtiling v1\n0 2\n", 2,
+         "must be positive"),
+    ],
+    ids=["lc-endpoint", "lc-duplicate", "lc-table-entry", "lc-alphabet",
+         "colgraph-self-loop", "colgraph-endpoint", "tiling-pair", "tiling-size"],
+)
+def test_builder_error_names_offending_line(parse, text, line, words):
+    with pytest.raises(formats.ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: invalid ")
+    assert words in str(err.value)
