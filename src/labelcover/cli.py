@@ -9,6 +9,7 @@ input, 3 budget exceeded, 1 other errors (an unwritable output included).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -102,151 +103,6 @@ def _emit_report(args, path, game, rep, extra=None):
                 print(f"  {name}: {val}")
         if args.timings:
             print(f"elapsed: {rep.elapsed:.6f}s")
-
-
-def _add_common(sub):
-    sub.add_argument("--json", action="store_true", help="machine readable output")
-    sub.add_argument("--seed", type=int, default=0, help="generator/solver seed")
-    sub.add_argument(
-        "--enum-cap",
-        type=int,
-        default=smooth_mod.DEFAULT_ENUM_CAP,
-        help="cap on enumerated assignments for exponential phases",
-    )
-    sub.add_argument(
-        "--timings", action="store_true", help="include wall-clock in output"
-    )
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="labelcover",
-        description="Projection-game (Label Cover) solvers and generators",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="cmd", required=True)
-
-    p = subs.add_parser("gen", help="generate instances")
-    gsubs = p.add_subparsers(dest="kind", required=True)
-
-    g = gsubs.add_parser("random", help="planted random instance")
-    g.add_argument("--na", type=int, required=True)
-    g.add_argument("--nb", type=int, required=True)
-    g.add_argument("--ka", type=int, required=True)
-    g.add_argument("--kb", type=int, required=True)
-    g.add_argument("--degree", type=int, required=True)
-    g.add_argument("--uniform", action="store_true")
-    g.add_argument("--out")
-    g.add_argument("--plant-out")
-    _add_common(g)
-
-    g = gsubs.add_parser("smooth", help="planted smooth instance")
-    g.add_argument("--na", type=int, required=True)
-    g.add_argument("--nb", type=int, required=True)
-    g.add_argument("--ka", type=int, required=True)
-    g.add_argument("--kb", type=int, required=True)
-    g.add_argument("--degree", type=int, required=True)
-    g.add_argument("--mu", type=Fraction, required=True)
-    g.add_argument("--out")
-    g.add_argument("--plant-out")
-    _add_common(g)
-
-    g = gsubs.add_parser("grid", help="planted planar grid instance")
-    g.add_argument("--rows", type=int, required=True)
-    g.add_argument("--cols", type=int, required=True)
-    g.add_argument("--ka", type=int, required=True)
-    g.add_argument("--kb", type=int, required=True)
-    g.add_argument("--out")
-    g.add_argument("--plant-out")
-    _add_common(g)
-
-    g = gsubs.add_parser("3col", help="random planar 3-colorable graph")
-    g.add_argument("--rows", type=int, required=True)
-    g.add_argument("--cols", type=int, required=True)
-    g.add_argument("--keep", type=Fraction, default=Fraction(3, 4))
-    g.add_argument("--out")
-    _add_common(g)
-
-    g = gsubs.add_parser("tiling", help="random matrix tiling")
-    g.add_argument("--size", type=int, required=True)
-    g.add_argument("--coords", type=int, required=True)
-    g.add_argument("--density", type=Fraction, default=Fraction(1, 2))
-    g.add_argument("--solvable", action="store_true")
-    g.add_argument("--out")
-    _add_common(g)
-
-    p = subs.add_parser("stats", help="instance statistics")
-    p.add_argument("instance")
-    _add_common(p)
-
-    p = subs.add_parser("solve", help="exact solvers")
-    ssubs = p.add_subparsers(dest="method", required=True)
-    s = ssubs.add_parser("exact", help="brute force oracle")
-    s.add_argument("instance")
-    s.add_argument("--budget", type=int, default=None)
-    _add_common(s)
-    s = ssubs.add_parser("dp", help="tree-decomposition dynamic program")
-    s.add_argument("instance")
-    s.add_argument("--td", help="decomposition file (default: min-fill heuristic)")
-    _add_common(s)
-
-    p = subs.add_parser("approx", help="approximation algorithms")
-    p.add_argument(
-        "algorithm",
-        choices=["one-neighbor", "greedy", "kyn", "kynn", "dnc", "best"],
-    )
-    p.add_argument("instance")
-    p.add_argument("--a0", type=int, default=None, help="anchor vertex")
-    p.add_argument("--sigma", type=int, default=None, help="anchor symbol (kyn)")
-    p.add_argument("--uniform", action="store_true", help="uniform variants")
-    _add_common(p)
-
-    p = subs.add_parser("smooth", help="smooth-game algorithms")
-    msubs = p.add_subparsers(dest="method", required=True)
-    s = msubs.add_parser("measure", help="measure smoothness")
-    s.add_argument("instance")
-    _add_common(s)
-    s = msubs.add_parser("exact", help="randomized exact solver")
-    s.add_argument("instance")
-    s.add_argument("--mu", type=Fraction, default=None)
-    s.add_argument("--c1", type=Fraction, default=Fraction(4))
-    _add_common(s)
-    s = msubs.add_parser("approx", help="deterministic constant factor")
-    s.add_argument("instance")
-    s.add_argument("--mu", type=Fraction, default=None)
-    _add_common(s)
-
-    p = subs.add_parser("ptas", help="planar approximation scheme")
-    p.add_argument("instance")
-    p.add_argument("--eps", type=Fraction, required=True)
-    p.add_argument("--force-nonplanar", action="store_true")
-    p.add_argument("--h-override", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("reduce", help="instance reductions")
-    rsubs = p.add_subparsers(dest="kind", required=True)
-    r = rsubs.add_parser("3col", help="3-coloring graph to game")
-    r.add_argument("input")
-    r.add_argument("--out")
-    r.add_argument("--extract", help="assignment file to pull a coloring from")
-    _add_common(r)
-    r = rsubs.add_parser("tiling", help="matrix tiling to game")
-    r.add_argument("input")
-    r.add_argument("--out")
-    r.add_argument("--extract", help="assignment file to pull a tiling from")
-    _add_common(r)
-
-    p = subs.add_parser("verify", help="evaluate an assignment")
-    p.add_argument("instance")
-    p.add_argument("assignment")
-    _add_common(p)
-
-    p = subs.add_parser("bench", help="run the approximation suite on a corpus")
-    p.add_argument("corpus", help="directory of .lc files")
-    p.add_argument("--out", help="write JSONL records here instead of stdout")
-    _add_common(p)
-
-    return parser
 
 
 def _cmd_gen(args) -> int:
@@ -562,24 +418,138 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type for a Fraction flag; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}"
+        ) from None
+
+
+def _required_ints(*flags):
+    return tuple((flag, {"type": int, "required": True}) for flag in flags)
+
+
+_FLAG = {"action": "store_true"}
+_INSTANCE = ("instance", {})
+_OUT = ("--out", {})
+_PLANT_OUT = ("--plant-out", {})
+_SIZES = _required_ints("--na", "--nb", "--ka", "--kb", "--degree")
+_GRID = _required_ints("--rows", "--cols")
+_MU = ("--mu", {"type": _rational, "default": None})
+# added after each command's own rows, so they come last in usage and --help
+_COMMON = (
+    ("--json", {**_FLAG, "help": "machine readable output"}),
+    ("--seed", {"type": int, "default": 0, "help": "generator/solver seed"}),
+    ("--enum-cap", {
+        "type": int,
+        "default": smooth_mod.DEFAULT_ENUM_CAP,
+        "help": "cap on enumerated assignments for exponential phases",
+    }),
+    ("--timings", {**_FLAG, "help": "include wall-clock in output"}),
+)
+
+# (name, help, dest of its sub-commands or None, handler, rows): rows are
+# (flag, add_argument kwargs), or (name, help, rows) under a sub-command dest
+_COMMANDS = (
+    ("gen", "generate instances", "kind", _cmd_gen, (
+        ("random", "planted random instance",
+         (*_SIZES, ("--uniform", _FLAG), _OUT, _PLANT_OUT)),
+        ("smooth", "planted smooth instance",
+         (*_SIZES, ("--mu", {"type": _rational, "required": True}),
+          _OUT, _PLANT_OUT)),
+        ("grid", "planted planar grid instance",
+         (*_GRID, *_required_ints("--ka", "--kb"), _OUT, _PLANT_OUT)),
+        ("3col", "random planar 3-colorable graph",
+         (*_GRID, ("--keep", {"type": _rational, "default": Fraction(3, 4)}),
+          _OUT)),
+        ("tiling", "random matrix tiling",
+         (*_required_ints("--size", "--coords"),
+          ("--density", {"type": _rational, "default": Fraction(1, 2)}),
+          ("--solvable", _FLAG), _OUT)),
+    )),
+    ("stats", "instance statistics", None, _cmd_stats, (_INSTANCE,)),
+    ("solve", "exact solvers", "method", _cmd_solve, (
+        ("exact", "brute force oracle",
+         (_INSTANCE, ("--budget", {"type": int, "default": None}))),
+        ("dp", "tree-decomposition dynamic program",
+         (_INSTANCE, ("--td", {
+             "help": "decomposition file (default: min-fill heuristic)"
+         }))),
+    )),
+    ("approx", "approximation algorithms", None, _cmd_approx, (
+        ("algorithm", {"choices": BENCH_ALGOS}),
+        _INSTANCE,
+        ("--a0", {"type": int, "default": None, "help": "anchor vertex"}),
+        ("--sigma", {"type": int, "default": None,
+                     "help": "anchor symbol (kyn)"}),
+        ("--uniform", {**_FLAG, "help": "uniform variants"}),
+    )),
+    ("smooth", "smooth-game algorithms", "method", _cmd_smooth, (
+        ("measure", "measure smoothness", (_INSTANCE,)),
+        ("exact", "randomized exact solver",
+         (_INSTANCE, _MU, ("--c1", {"type": _rational, "default": Fraction(4)}))),
+        ("approx", "deterministic constant factor", (_INSTANCE, _MU)),
+    )),
+    ("ptas", "planar approximation scheme", None, _cmd_ptas, (
+        _INSTANCE,
+        ("--eps", {"type": _rational, "required": True}),
+        ("--force-nonplanar", _FLAG),
+        ("--h-override", {"type": int, "default": None}),
+    )),
+    ("reduce", "instance reductions", "kind", _cmd_reduce, (
+        ("3col", "3-coloring graph to game",
+         (("input", {}), _OUT, ("--extract", {
+             "help": "assignment file to pull a coloring from"
+         }))),
+        ("tiling", "matrix tiling to game",
+         (("input", {}), _OUT, ("--extract", {
+             "help": "assignment file to pull a tiling from"
+         }))),
+    )),
+    ("verify", "evaluate an assignment", None, _cmd_verify,
+     (_INSTANCE, ("assignment", {}))),
+    ("bench", "run the approximation suite on a corpus", None, _cmd_bench, (
+        ("corpus", {"help": "directory of .lc files"}),
+        ("--out", {"help": "write JSONL records here instead of stdout"}),
+    )),
+)
+
+
+def _add_rows(parser, rows):
+    for flag, kwargs in (*rows, *_COMMON):
+        parser.add_argument(flag, **kwargs)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built from _COMMANDS on first use and reused."""
+    parser = argparse.ArgumentParser(
+        prog="labelcover",
+        description="Projection-game (Label Cover) solvers and generators",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    commands = parser.add_subparsers(dest="cmd", required=True)
+    for name, help_text, dest, handler, rows in _COMMANDS:
+        command = commands.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        if dest is None:
+            _add_rows(command, rows)
+            continue
+        subs = command.add_subparsers(dest=dest, required=True)
+        for sub_name, sub_help, sub_rows in rows:
+            _add_rows(subs.add_parser(sub_name, help=sub_help), sub_rows)
+    return parser
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args.argv = argv
-    handlers = {
-        "gen": _cmd_gen,
-        "stats": _cmd_stats,
-        "solve": _cmd_solve,
-        "approx": _cmd_approx,
-        "smooth": _cmd_smooth,
-        "ptas": _cmd_ptas,
-        "reduce": _cmd_reduce,
-        "verify": _cmd_verify,
-        "bench": _cmd_bench,
-    }
     try:
-        return handlers[args.cmd](args)
+        return args.handler(args)
     except formats.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

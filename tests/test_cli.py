@@ -1,14 +1,18 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
 import labelcover as lc
 from labelcover import formats
-from labelcover.cli import main
+from labelcover.cli import _parser, main
 
-from conftest import FIXTURES, SRC
+from conftest import FIXTURES, SRC, fixture_text
 
 TINY1 = str(FIXTURES / "tiny1.lc")
 TINY1_ASSIGN = str(FIXTURES / "tiny1.assign")
@@ -344,3 +348,119 @@ def test_gen_non_positive_dimensions_exit_one_line(capsys, tmp_path):
         code, out, err = run(capsys, "gen", *argv, "--out", str(out_path))
         _assert_one_line_error(code, out, err)
         assert not out_path.exists()
+
+
+def test_cli_golden_help_and_usage_errors(capsys, monkeypatch):
+    """--help, --version and usage errors keep their bytes (cli_golden.json).
+
+    argparse wraps help to the terminal width, so COLUMNS is pinned. The
+    list is replayed twice so that state left in the reused parser shows.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = json.loads(fixture_text("cli_golden.json"))
+    for _ in range(2):
+        for case in cases:
+            try:
+                code = main(list(case["argv"]))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == (
+                case["code"], case["stdout"], case["stderr"]
+            ), case["argv"]
+
+
+_SIZES = ("--na", "2", "--nb", "2", "--ka", "2", "--kb", "2", "--degree", "1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ptas", TINY1, "--eps"),
+    ("smooth", "exact", TINY1, "--mu"),
+    ("smooth", "exact", TINY1, "--c1"),
+    ("smooth", "approx", TINY1, "--mu"),
+    ("gen", "smooth", *_SIZES, "--mu"),
+    ("gen", "3col", "--rows", "2", "--cols", "2", "--keep"),
+    ("gen", "tiling", "--size", "2", "--coords", "2", "--density"),
+], ids=lambda argv: " ".join(
+    a for a in (argv[0], argv[1], argv[-1]) if a.isalnum() or a.startswith("--")
+))
+def test_rational_flag_rejects_zero_denominator(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "1/0"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].endswith(
+        f": error: argument {argv[-1]}: invalid Fraction value: '1/0'"
+    )
+
+
+def _leaves(parser, path=()):
+    """Every runnable command of the parser, as (argv prefix, parser)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [leaf for name, sub in action.choices.items()
+                    for leaf in _leaves(sub, (*path, name))]
+    return [(path, parser)]
+
+
+_JUNK = st.sampled_from(["", "x", "1/", "nan", "--", "0.5", "-"])
+_RATIONALS = st.sampled_from(["0", "-1", "1/0", "1/2", "3/2", "2", "-1/3"])
+
+
+def _value(action, tmp_path, junk):
+    """Strategy for one value of an argparse action, junk strings allowed."""
+    if action.dest in ("out", "plant_out"):
+        return st.just(str(tmp_path / action.dest))
+    if action.choices:
+        good = st.sampled_from(sorted(action.choices))
+    elif action.type is int:
+        good = st.integers(-3, 6).map(str)
+    elif action.type is not None:
+        good = _RATIONALS
+    else:  # an input path; its junk is a file that does not exist
+        good = st.sampled_from([TINY1, TINY1_ASSIGN, str(tmp_path / "corpus")])
+        if junk is not None:
+            junk = st.just(str(tmp_path / "missing"))
+    return good if junk is None else good | junk
+
+
+@st.composite
+def _argvs(draw, tmp_path):
+    """An argv for a command drawn from the CLI's own parser."""
+    prefix, leaf = draw(st.sampled_from(_leaves(_parser())))
+    junk = _JUNK if draw(st.booleans()) else None
+    argv, options = list(prefix), []
+    for action in leaf._actions:
+        if isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            continue
+        if not action.option_strings:
+            argv.append(draw(_value(action, tmp_path, junk)))
+        elif action.required or draw(st.booleans()):
+            flag = [action.option_strings[0]]
+            if action.nargs != 0:
+                flag.append(draw(_value(action, tmp_path, junk)))
+            options.append(flag)
+    for flag in draw(st.permutations(options)):
+        argv.extend(flag)
+    return argv
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_argv_fuzz_exits_cleanly(capsys, tmp_path, data):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir(exist_ok=True)
+    (corpus / "tiny1.lc").write_text(Path(TINY1).read_text())
+    argv = data.draw(_argvs(tmp_path))
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: --help or a usage error
+        capsys.readouterr()
+        assert exc.code in (0, 2), argv
+        return
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), argv
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
