@@ -24,6 +24,7 @@ from .core import (
     SolveReport,
     _best_a_symbol,
     _consistent_masks,
+    _lowest_bit,
     _propagate,
     compute_stats,
     value,
@@ -184,10 +185,6 @@ def _reach_fields(game: ProjectionGame, ap: int, mask: int, every: int) -> int:
         missed = sum(1 << t for t, p in enumerate(pre[e]) if not p & mask)
         r ^= missed << kb * edges[e][1]
     return r
-
-
-def _lowest_bit(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def _check_anchor(game: ProjectionGame, a0: int) -> None:

@@ -228,6 +228,11 @@ def _propagate(game: ProjectionGame, a: int, sa: int) -> list[int | None]:
     return labels
 
 
+def _lowest_bit(mask: int) -> int:
+    """The smallest symbol in a nonzero symbol mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def _consistent_masks(game: ProjectionGame, b_labels, aps) -> list[int]:
     """For each listed A vertex, the bitmask of its symbols consistent with
     every labeled neighbor: the AND of its preimage masks over the edges

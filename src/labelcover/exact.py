@@ -8,7 +8,8 @@ search.  Both run through one elimination routine, ``_eliminate``, which
 emits each vertex's bag as it eliminates it; only the rule that picks the
 next vertex differs.  ``validate_decomposition`` and ``tree_dp_solve``
 read the same vertex-to-bags index (``_bag_index``) and the same rooted
-walk of the bag tree (``_rooted_walk``).
+walk of the bag tree (``_rooted_walk``).  The DP counts each edge once, at
+the bag nearest the root that holds both endpoints.
 """
 
 from __future__ import annotations
@@ -411,127 +412,84 @@ def is_satisfiable(game: ProjectionGame, budget: int | None = None) -> bool:
 
 
 def tree_dp_solve(
-    game: ProjectionGame,
-    td: TreeDecomposition,
-    state_cap: int | None = None,
-    return_stats: bool = False,
-):
+    game: ProjectionGame, td: TreeDecomposition, state_cap: int | None = None
+) -> tuple[Assignment, int]:
     """Exact optimum by dynamic programming over a tree decomposition.
 
-    Bags are processed bottom-up from the root (bag 0).  A bag state is a
-    typed assignment of its vertices (A members draw from the A alphabet,
-    B members from the B alphabet).  The value of a state is the edges
-    inside the bag it satisfies, plus for every child the best compatible
-    child state minus the edges inside the shared intersection, so each
-    edge is counted net exactly once.  The optimal assignment is recovered
-    by storing each child's argmax per intersection assignment and
-    backtracking from the root maximizer.
+    Bags are processed children first, from the rooted walk's preorder
+    (root bag 0) reversed.  A bag state is a typed assignment of its
+    sorted vertices (A members draw from the A alphabet, B members from
+    the B alphabet).  Each edge is owned by the bag nearest the root that
+    holds both endpoints, its first holder in the preorder, and is
+    counted there only.  The value of a state is the owned edges it
+    satisfies plus, for every child, the best child value over the child
+    states that agree with it on their shared vertices.  Each bag keeps
+    its first-best (value, state) per restriction to its parent, the root
+    its first-best state; the assignment is recovered by walking those
+    down from the root.
 
-    Returns (assignment, value), plus a stats dict with the enumerated
-    state count when ``return_stats`` is set.
+    ``state_cap`` bounds the states enumerated over all bags.
     """
     violations = validate_decomposition(game, td)
     if violations:
         raise InvalidDecomposition("; ".join(violations))
-
     if game.vertex_count == 0:
-        phi = Assignment((), ())
-        return (phi, 0, {"states": 0}) if return_stats else (phi, 0)
+        return Assignment((), ()), 0
 
-    tadj, parent, order = _rooted_walk(len(td.bags), td.tree)
-    post = order[::-1]  # children before parents
-
-    bag_vertices = [sorted(bag) for bag in td.bags]
-    kd = [
-        [game.sigma_a if v < game.a_count else game.sigma_b for v in verts]
-        for verts in bag_vertices
-    ]
+    nbags = len(td.bags)
+    _, parent, order = _rooted_walk(nbags, td.tree)
+    verts = [sorted(bag) for bag in td.bags]
+    pos = [{v: p for p, v in enumerate(vs)} for vs in verts]
+    # per bag: the positions of the vertices it shares with its parent,
+    # (child, the same vertices' positions in this bag) per child, and its
+    # owned edges as (position of a, position of b, table) checks
+    up: list[tuple[int, ...]] = [()] * nbags
+    links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nbags)]
+    for w in order[1:]:
+        p = parent[w]
+        shared = sorted(td.bags[w] & td.bags[p])
+        up[w] = tuple(pos[w][v] for v in shared)
+        links[p].append((w, tuple(pos[p][v] for v in shared)))
+    rank = {i: r for r, i in enumerate(order)}
     holders, _ = _bag_index(game, td)
-    bag_edges: list[list[tuple[int, int, int]]] = [[] for _ in td.bags]
+    checks: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nbags)]
     for e, (a, b) in enumerate(game.edges):
         gb = game.a_count + b
-        for i in holders[a] & holders[gb]:
-            bag_edges[i].append((e, a, gb))
+        i = min(holders[a] & holders[gb], key=rank.__getitem__)
+        checks[i].append((pos[i][a], pos[i][gb], game.projections[e]))
 
-    def sat_inside(verts, labels, edge_list):
-        lab = dict(zip(verts, labels))
-        count = 0
-        for e, ga, gb in edge_list:
-            if game.projections[e][lab[ga]] == lab[gb]:
-                count += 1
-        return count
-
+    # per bag: restriction to its parent -> first-best (value, state)
+    best: list = [None] * nbags
     states = 0
-    # per non-root bag: its sorted vertices shared with the parent, and the
-    # argmax full state (with its value) per restriction to them
-    up: dict[int, list[int]] = {}
-    child_best: dict[int, dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
-
-    for i in post:
-        verts = bag_vertices[i]
-        radix = kd[i]
+    for i in reversed(order):
+        radix = [game.sigma_a if v < game.a_count else game.sigma_b for v in verts[i]]
         states += prod(radix)
         if state_cap is not None and states > state_cap:
             raise BudgetExceeded(f"DP state count exceeded {state_cap}")
-        children = [w for w in tadj[i] if parent[w] == i]
-        shared_edges = {}
-        for w in children:
-            inter_set = set(up[w])
-            shared_edges[w] = [
-                (e, ga, gb) for (e, ga, gb) in bag_edges[i]
-                if ga in inter_set and gb in inter_set
-            ]
-        table: dict[tuple[int, ...], int] = {}
-        pos_of = {v: idx for idx, v in enumerate(verts)}
+        kids = [(best[w], link) for w, link in links[i]]
+        key, own = up[i], checks[i]
+        table: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+        for state in product(*map(range, radix)):
+            val = 0
+            for pa, pb, t in own:
+                if t[state[pa]] == state[pb]:
+                    val += 1
+            for kid, link in kids:
+                val += kid[tuple([state[j] for j in link])][0]
+            restr = tuple([state[j] for j in key])
+            cur = table.get(restr)
+            if cur is None or val > cur[0]:
+                table[restr] = (val, state)
+        best[i] = table
 
-        for state in product(*(range(k) for k in radix)):
-            val = sat_inside(verts, state, bag_edges[i])
-            ok = True
-            for w in children:
-                restr = tuple(state[pos_of[v]] for v in up[w])
-                entry = child_best[w].get(restr)
-                if entry is None:
-                    ok = False
-                    break
-                val += entry[0] - sat_inside(verts, state, shared_edges[w])
-            if ok:
-                table[state] = val
-
-        if parent[i] != -1:
-            up[i] = sorted(td.bags[i] & td.bags[parent[i]])
-            idxs = [pos_of[v] for v in up[i]]
-            best: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-            for state, val in table.items():
-                restr = tuple(state[j] for j in idxs)
-                cur = best.get(restr)
-                if cur is None or val > cur[0]:
-                    best[restr] = (val, state)
-            child_best[i] = best
-
-    # post ends at the root, bag 0; max keeps the first best state
-    best_state, best_val = max(table.items(), key=lambda item: item[1])
-
-    a_labels = [0] * game.a_count
-    b_labels = [0] * game.b_count
-
-    def record(bag_idx, state):
-        for v, s in zip(bag_vertices[bag_idx], state):
-            if v < game.a_count:
-                a_labels[v] = s
-            else:
-                b_labels[v - game.a_count] = s
-
-    stack = [(0, best_state)]
+    best_val, state = best[0][()]
+    labels = [0] * game.vertex_count
+    stack = [(0, state)]
     while stack:
         i, state = stack.pop()
-        record(i, state)
-        pos_of = {v: idx for idx, v in enumerate(bag_vertices[i])}
-        for w in tadj[i]:
-            if parent[w] == i:
-                restr = tuple(state[pos_of[v]] for v in up[w])
-                stack.append((w, child_best[w][restr][1]))
-
-    phi = Assignment(tuple(a_labels), tuple(b_labels))
-    if return_stats:
-        return phi, best_val, {"states": states}
-    return phi, best_val
+        for v, s in zip(verts[i], state):
+            labels[v] = s
+        for w, link in links[i]:
+            stack.append((w, best[w][tuple([state[j] for j in link])][1]))
+    a = game.a_count
+    return Assignment(tuple(labels[:a]), tuple(labels[a:])), best_val

@@ -70,6 +70,22 @@ def _size_line(lines, expected: int) -> tuple[int, list[int]]:
     return num, values
 
 
+def _rows(lines, num: int, *sections: tuple[int, str]):
+    """Yield ``(kind, number, line)`` for the counted rows after line
+    ``num``: ``count`` rows of each ``(count, kind)`` section in turn.  A
+    row missing at the end, or any content after the last row, is a
+    ParseError."""
+    for count, kind in sections:
+        for _ in range(count):
+            try:
+                num, line = next(lines)
+            except StopIteration:
+                raise ParseError(num + 1, f"expected {count} {kind} lines, file ended early")
+            yield kind, num, line
+    for num, _ in lines:
+        raise ParseError(num, "trailing content after the declared lines")
+
+
 def _built(build, what: str, at: list[int]):
     """Call a builder; its error becomes a ParseError at the line of the
     edge or cell it names ("edge 3: ..." is at ``at[4]``), else at ``at[0]``."""
@@ -93,11 +109,7 @@ def parse_labelcover(text: str) -> ProjectionGame:
     at = [num]
     edges = []
     tables = []
-    for _ in range(m):
-        try:
-            num, line = next(lines)
-        except StopIteration:
-            raise ParseError(num + 1, f"expected {m} edge lines, file ended early")
+    for _, num, line in _rows(lines, num, (m, "edge")):
         vals = _ints(num, line)
         if len(vals) != 2 + k_a:
             raise ParseError(
@@ -106,11 +118,6 @@ def parse_labelcover(text: str) -> ProjectionGame:
         edges.append((vals[0], vals[1]))
         tables.append(tuple(vals[2:]))
         at.append(num)
-    try:
-        num, line = next(lines)
-        raise ParseError(num, "trailing content after last edge line")
-    except StopIteration:
-        pass
     return _built(
         lambda: build_game(n_a, n_b, k_a, k_b, edges, tables), "instance", at
     )
@@ -172,26 +179,15 @@ def parse_td(text: str) -> TreeDecomposition:
     _header(lines, "td v1")
     num, (nbags, nlinks) = _size_line(lines, 2)
     bags = []
-    for _ in range(nbags):
-        try:
-            num, line = next(lines)
-        except StopIteration:
-            raise ParseError(num + 1, "expected more bag lines")
-        parts = line.split()
-        if parts[0] != "bag":
-            raise ParseError(num, f"expected 'bag', got {parts[0]!r}")
-        bags.append(frozenset(_ints(num, " ".join(parts[1:])) if parts[1:] else []))
     links = []
-    for _ in range(nlinks):
-        try:
-            num, line = next(lines)
-        except StopIteration:
-            raise ParseError(num + 1, "expected more link lines")
-        parts = line.split()
-        if parts[0] != "link":
-            raise ParseError(num, f"expected 'link', got {parts[0]!r}")
-        i, j = _ints(num, " ".join(parts[1:]), 2)
-        links.append((i, j))
+    for kind, num, line in _rows(lines, num, (nbags, "bag"), (nlinks, "link")):
+        word, *fields = line.split()
+        if word != kind:
+            raise ParseError(num, f"expected {kind!r}, got {word!r}")
+        if kind == "bag":
+            bags.append(frozenset(_ints(num, " ".join(fields))))
+        else:
+            links.append(tuple(_ints(num, " ".join(fields), 2)))
     return TreeDecomposition(tuple(bags), tuple(links))
 
 
@@ -212,11 +208,7 @@ def parse_matrix_tiling(text: str) -> MatrixTiling:
     num, (k, n) = _size_line(lines, 2)
     at = [num]
     cells = []
-    for want in range(k * k):
-        try:
-            num, line = next(lines)
-        except StopIteration:
-            raise ParseError(num + 1, f"expected {k * k} cell lines")
+    for want, (_, num, line) in enumerate(_rows(lines, num, (k * k, "cell"))):
         vals = _ints(num, line)
         if len(vals) < 3:
             raise ParseError(num, "cell line needs i j count")
@@ -249,11 +241,7 @@ def parse_coloring_graph(text: str) -> ColoringGraph:
     num, (n, m, planar) = _size_line(lines, 3)
     at = [num]
     edges = []
-    for _ in range(m):
-        try:
-            num, line = next(lines)
-        except StopIteration:
-            raise ParseError(num + 1, f"expected {m} edge lines")
+    for _, num, line in _rows(lines, num, (m, "edge")):
         u, v = _ints(num, line, 2)
         edges.append((u, v))
         at.append(num)

@@ -24,6 +24,7 @@ from .core import (
     SolveReport,
     _best_a_symbol,
     _extensions,
+    _lowest_bit,
     _majority_b_symbol,
     value,
 )
@@ -208,7 +209,7 @@ def smooth_approx(
             for e in game.a_edges[a]:
                 mask = game.preimage_masks[e][b_labels[game.edges[e][1]]]
                 if mask:
-                    sym = (mask & -mask).bit_length() - 1
+                    sym = _lowest_bit(mask)
                     break
             a_labels.append(sym)
         return report(Assignment(tuple(a_labels), tuple(b_labels)), 2)

@@ -308,6 +308,16 @@ def test_solve_dp_td_vertex_outside_game_exits_one_line(capsys, tmp_path):
         assert "is not in the game" in err
 
 
+def test_trailing_content_exits_two(capsys, tmp_path):
+    # the size line declares one edge; the two after it were once ignored
+    graph = tmp_path / "g.col"
+    graph.write_text("colgraph v1\n3 1 0\n0 1\n1 2\n0 2\n")
+    code, out, err = run(capsys, "reduce", "3col", str(graph))
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: line 4: trailing content after the declared lines\n"
+
+
 def test_unreadable_input_exits_two(capsys, tmp_path):
     binary = tmp_path / "binary.lc"
     binary.write_bytes(b"\xff\xfe\x00")

@@ -1,10 +1,20 @@
 import random
+from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
 import labelcover as lc
-from labelcover.core import BudgetExceeded, ProjectionGame
+from labelcover.core import Assignment, BudgetExceeded, ProjectionGame
+from labelcover.exact import (
+    EXACT_DECOMPOSITION_LIMIT,
+    InvalidDecomposition,
+    TreeDecomposition,
+    _bag_index,
+    _rooted_walk,
+    validate_decomposition,
+)
 
 
 def naive_value(game, a_labels, b_labels):
@@ -357,13 +367,19 @@ def test_dp_value_independent_of_decomposition():
         assert len(vals) == 1
 
 
-def test_dp_state_count_bound():
+def test_dp_state_cap_boundary():
+    # the cap bounds exactly the typed states of every bag, summed
     for seed in range(6):
         g = random_game(seed, n_a=4, n_b=3)
         td = lc.heuristic_decomposition(g)
-        _, _, stats = lc.tree_dp_solve(g, td, return_stats=True)
-        bound = (g.sigma_a + g.sigma_b) ** (td.width + 1) * len(td.bags)
-        assert stats["states"] <= bound
+        states = sum(
+            prod(g.sigma_a if v < g.a_count else g.sigma_b for v in bag)
+            for bag in td.bags
+        )
+        phi, val = lc.tree_dp_solve(g, td, state_cap=states)
+        assert lc.value(g, phi) == val
+        with pytest.raises(lc.BudgetExceeded):
+            lc.tree_dp_solve(g, td, state_cap=states - 1)
 
 
 def test_dp_state_cap():
@@ -374,8 +390,8 @@ def test_dp_state_cap():
 
 
 def test_dp_edge_net_count_is_one():
-    # every edge is counted once at each bag containing both endpoints and
-    # subtracted once per tree link whose shared set contains both
+    # in a valid decomposition the bags holding both endpoints of an edge
+    # form a subtree, so they outnumber the tree links among them by one
     for seed in range(10):
         g = random_game(seed, n_a=4, n_b=4)
         td = lc.heuristic_decomposition(g)
@@ -389,6 +405,187 @@ def test_dp_edge_net_count_is_one():
                 if a in td.bags[i] & td.bags[j] and gb in td.bags[i] & td.bags[j]
             )
             assert plus - minus == 1
+
+
+# --- the DP against the one it replaced ------------------------------------
+# The oracle is tree_dp_solve as it was before each edge was owned by one
+# bag: it counts an edge at every bag holding both endpoints and subtracts
+# it once per tree link.  Kept verbatim apart from its name.
+
+def oracle_tree_dp_solve(
+    game: ProjectionGame,
+    td: TreeDecomposition,
+    state_cap: int | None = None,
+    return_stats: bool = False,
+):
+    """Exact optimum by dynamic programming over a tree decomposition.
+
+    Bags are processed bottom-up from the root (bag 0).  A bag state is a
+    typed assignment of its vertices (A members draw from the A alphabet,
+    B members from the B alphabet).  The value of a state is the edges
+    inside the bag it satisfies, plus for every child the best compatible
+    child state minus the edges inside the shared intersection, so each
+    edge is counted net exactly once.  The optimal assignment is recovered
+    by storing each child's argmax per intersection assignment and
+    backtracking from the root maximizer.
+
+    Returns (assignment, value), plus a stats dict with the enumerated
+    state count when ``return_stats`` is set.
+    """
+    violations = validate_decomposition(game, td)
+    if violations:
+        raise InvalidDecomposition("; ".join(violations))
+
+    if game.vertex_count == 0:
+        phi = Assignment((), ())
+        return (phi, 0, {"states": 0}) if return_stats else (phi, 0)
+
+    tadj, parent, order = _rooted_walk(len(td.bags), td.tree)
+    post = order[::-1]  # children before parents
+
+    bag_vertices = [sorted(bag) for bag in td.bags]
+    kd = [
+        [game.sigma_a if v < game.a_count else game.sigma_b for v in verts]
+        for verts in bag_vertices
+    ]
+    holders, _ = _bag_index(game, td)
+    bag_edges: list[list[tuple[int, int, int]]] = [[] for _ in td.bags]
+    for e, (a, b) in enumerate(game.edges):
+        gb = game.a_count + b
+        for i in holders[a] & holders[gb]:
+            bag_edges[i].append((e, a, gb))
+
+    def sat_inside(verts, labels, edge_list):
+        lab = dict(zip(verts, labels))
+        count = 0
+        for e, ga, gb in edge_list:
+            if game.projections[e][lab[ga]] == lab[gb]:
+                count += 1
+        return count
+
+    states = 0
+    # per non-root bag: its sorted vertices shared with the parent, and the
+    # argmax full state (with its value) per restriction to them
+    up: dict[int, list[int]] = {}
+    child_best: dict[int, dict[tuple[int, ...], tuple[int, tuple[int, ...]]]] = {}
+
+    for i in post:
+        verts = bag_vertices[i]
+        radix = kd[i]
+        states += prod(radix)
+        if state_cap is not None and states > state_cap:
+            raise BudgetExceeded(f"DP state count exceeded {state_cap}")
+        children = [w for w in tadj[i] if parent[w] == i]
+        shared_edges = {}
+        for w in children:
+            inter_set = set(up[w])
+            shared_edges[w] = [
+                (e, ga, gb) for (e, ga, gb) in bag_edges[i]
+                if ga in inter_set and gb in inter_set
+            ]
+        table: dict[tuple[int, ...], int] = {}
+        pos_of = {v: idx for idx, v in enumerate(verts)}
+
+        for state in product(*(range(k) for k in radix)):
+            val = sat_inside(verts, state, bag_edges[i])
+            ok = True
+            for w in children:
+                restr = tuple(state[pos_of[v]] for v in up[w])
+                entry = child_best[w].get(restr)
+                if entry is None:
+                    ok = False
+                    break
+                val += entry[0] - sat_inside(verts, state, shared_edges[w])
+            if ok:
+                table[state] = val
+
+        if parent[i] != -1:
+            up[i] = sorted(td.bags[i] & td.bags[parent[i]])
+            idxs = [pos_of[v] for v in up[i]]
+            best: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+            for state, val in table.items():
+                restr = tuple(state[j] for j in idxs)
+                cur = best.get(restr)
+                if cur is None or val > cur[0]:
+                    best[restr] = (val, state)
+            child_best[i] = best
+
+    # post ends at the root, bag 0; max keeps the first best state
+    best_state, best_val = max(table.items(), key=lambda item: item[1])
+
+    a_labels = [0] * game.a_count
+    b_labels = [0] * game.b_count
+
+    def record(bag_idx, state):
+        for v, s in zip(bag_vertices[bag_idx], state):
+            if v < game.a_count:
+                a_labels[v] = s
+            else:
+                b_labels[v - game.a_count] = s
+
+    stack = [(0, best_state)]
+    while stack:
+        i, state = stack.pop()
+        record(i, state)
+        pos_of = {v: idx for idx, v in enumerate(bag_vertices[i])}
+        for w in tadj[i]:
+            if parent[w] == i:
+                restr = tuple(state[pos_of[v]] for v in up[w])
+                stack.append((w, child_best[w][restr][1]))
+
+    phi = Assignment(tuple(a_labels), tuple(b_labels))
+    if return_stats:
+        return phi, best_val, {"states": states}
+    return phi, best_val
+
+
+def duplicated(td):
+    """td under a copy of its root bag, with a leaf copy of every bag."""
+    n = len(td.bags)
+    bags = (td.bags[0],) + td.bags + td.bags
+    tree = (
+        ((0, 1),)
+        + tuple((i + 1, j + 1) for i, j in td.tree)
+        + tuple((i + 1, n + 1 + i) for i in range(n))
+    )
+    return lc.TreeDecomposition(bags, tree)
+
+
+def dp_oracle_cases():
+    for seed in range(300):
+        # odd seeds: dense games with redrawn tables, most unsatisfiable
+        rng = random.Random(seed)
+        lo = 1 + seed % 2
+        n_a, n_b = rng.randint(lo, 4), rng.randint(lo, 4)
+        k_a, k_b = rng.randint(lo, 3), rng.randint(lo, 3)
+        degree = n_b if seed % 2 else rng.randint(1, n_b)
+        g, _ = lc.gen_random_satisfiable(n_a, n_b, k_a, k_b, degree, seed)
+        if seed % 2:
+            tables = [tuple(rng.randrange(k_b) for _ in range(k_a)) for _ in g.edges]
+            g = lc.build_game(n_a, n_b, k_a, k_b, g.edges, tables)
+        heur = lc.heuristic_decomposition(g)
+        single = lc.TreeDecomposition((frozenset(range(g.vertex_count)),), ())
+        yield from ((g, td) for td in (heur, single, duplicated(heur)))
+        if g.vertex_count <= EXACT_DECOMPOSITION_LIMIT:
+            yield g, lc.exact_decomposition(g)
+    grids = [lc.gen_planar_grid(r, c, 2, 2, seed=r * c)[0] for r, c in ((3, 3), (4, 5), (7, 8))]
+    graph, _ = lc.gen_coloring_graph(4, 5, Fraction(3, 4), 0)
+    for g in grids + [lc.from_planar_3col(graph)[0]]:
+        part = lc.baker_partition(g, 3)
+        yield from zip(part.residuals, part.decompositions)
+    for g in (lc.build_game(2, 3, 2, 2, [], []), lc.build_game(0, 0, 1, 1, [], [])):
+        yield g, lc.heuristic_decomposition(g)
+        yield g, duplicated(lc.heuristic_decomposition(g))
+
+
+def test_dp_matches_oracle_sweep():
+    count = 0
+    for g, td in dp_oracle_cases():
+        got = lc.tree_dp_solve(g, td)
+        assert got == oracle_tree_dp_solve(g, td)
+        assert lc.value(g, got[0]) == got[1]
+        count += 1
+    assert count > 1000
 
 
 # --- satisfiability through the shared walk ---------------------------------

@@ -39,10 +39,22 @@ def test_labelcover_bad_header():
     assert "line 1" in str(err.value)
 
 
-def test_labelcover_trailing_garbage():
-    text = "labelcover v1\n1 1 2 2 1\n0 0 0 1\n9 9 9 9\n"
-    with pytest.raises(formats.ParseError):
-        formats.parse_labelcover(text)
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (formats.parse_labelcover, "labelcover v1\n1 1 2 2 1\n0 0 0 1\n9 9 9 9\n", 4),
+        (formats.parse_td, "td v1\n1 0\nbag 0 1\n# c\nbag 2\n", 5),
+        (formats.parse_matrix_tiling,
+         "matrixtiling v1\n2 2\n1 1 1 1 1\n1 2 0\n2 1 0\n2 2 0\n3 1 0\n", 7),
+        (formats.parse_coloring_graph, "colgraph v1\n3 1 0\n0 1\n1 2\n0 2\n", 4),
+    ],
+    ids=["labelcover", "td", "tiling", "colgraph"],
+)
+def test_trailing_content_is_parse_error(parse, text, line):
+    with pytest.raises(formats.ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert "trailing content" in str(err.value)
 
 
 def test_labelcover_semantic_error_becomes_parse_error():
