@@ -6,7 +6,10 @@ valid tree decomposition of its constraint graph; decompositions come from
 a min-fill heuristic or, on very small graphs, an exact elimination-order
 search.  Both run through one elimination routine, ``_eliminate``, which
 emits each vertex's bag as it eliminates it; only the rule that picks the
-next vertex differs.  ``validate_decomposition`` and ``tree_dp_solve``
+next vertex differs.  Min-fill picks the vertex needing the fewest fill
+edges, the smallest index on ties, from a lazily invalidated heap; after
+each elimination it rescores only the eliminated vertex's neighbors and
+their neighbors.  ``validate_decomposition`` and ``tree_dp_solve``
 read the same vertex-to-bags index (``_bag_index``) and the same rooted
 walk of the bag tree (``_rooted_walk``).  The DP counts each edge once, at
 the bag nearest the root that holds both endpoints.
@@ -15,6 +18,7 @@ the bag nearest the root that holds both endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import product
 from math import prod
 
@@ -165,25 +169,26 @@ def validate_decomposition(game: ProjectionGame, td: TreeDecomposition) -> list[
 def _eliminate(game: ProjectionGame, pick) -> TreeDecomposition:
     """Eliminate every vertex, emitting its bag and linking the bags.
 
-    ``pick(work, alive)`` names the next vertex to eliminate; ``work[v]``
-    holds v's alive neighbors in the filled graph.  Each vertex's bag is
-    itself plus those neighbors, which then become a clique; the bag's
-    parent is the bag of the member eliminated earliest after it.  Bags
-    with no later members are chained so the result is a single tree.
+    ``pick(work, touched)`` names the next vertex to eliminate; ``work[v]``
+    holds v's alive neighbors in the filled graph, and ``touched`` the
+    alive vertices whose neighborhood changed since the last call (every
+    vertex at the first).  Each vertex's bag is itself plus those
+    neighbors, which then become a clique; the bag's parent is the bag of
+    the member eliminated earliest after it.  Bags with no later members
+    are chained so the result is a single tree.
     """
     n = game.vertex_count
     if n == 0:
         return TreeDecomposition((frozenset(),), ())
     work = [set(s) for s in _adjacency(game)]
-    alive = set(range(n))
+    touched = range(n)
     pos = [0] * n
     bags: list[frozenset[int]] = []
     higher: list[set[int]] = []
     for step in range(n):
-        v = pick(work, alive)
-        alive.remove(v)
+        v = pick(work, touched)
         pos[v] = step
-        nbrs = work[v]
+        nbrs = touched = work[v]
         for u in nbrs:
             work[u].discard(v)
             work[u] |= nbrs
@@ -200,30 +205,6 @@ def _eliminate(game: ProjectionGame, pick) -> TreeDecomposition:
             roots.append(i)
     edges += zip(roots, roots[1:])
     return TreeDecomposition(tuple(bags), tuple(edges))
-
-
-def _min_fill_pick(work: list[set[int]], alive: set[int]) -> int:
-    """The alive vertex needing the fewest fill edges, smallest on ties.
-
-    A vertex's count stops once it cannot beat the best so far, and the
-    scan stops at the first vertex needing none.
-    """
-    best_v, best_fill = -1, len(alive) ** 2  # more than any vertex needs
-    for v in sorted(alive):
-        nbrs = list(work[v])
-        fill = 0
-        for i, u in enumerate(nbrs):
-            wu = work[u]
-            for w in nbrs[i + 1:]:
-                if w not in wu:
-                    fill += 1
-            if fill >= best_fill:
-                break
-        else:
-            if fill == 0:
-                return v
-            best_v, best_fill = v, fill
-    return best_v
 
 
 def _exact_order(n: int, adj: list[list[int]]) -> list[int]:
@@ -293,9 +274,33 @@ EXACT_DECOMPOSITION_LIMIT = 12
 def heuristic_decomposition(game: ProjectionGame) -> TreeDecomposition:
     """Min-fill decomposition of the game's constraint graph.
 
-    Always valid; no width optimality promised.
+    Each step eliminates the alive vertex whose neighbors miss the fewest
+    edges of a clique (its fill), the smallest index on ties.  The fills
+    sit in a heap of (fill, vertex) with lazy invalidation: after an
+    elimination only the touched vertices and their neighbors are
+    rescored, and an entry is pushed only for a fill that changed.  No
+    other fill can move: only touched vertices lose or gain neighbors, and
+    each new edge joins two touched vertices, so a vertex that sees both
+    ends is a neighbor of one.  Always valid; no width optimality promised.
     """
-    return _eliminate(game, _min_fill_pick)
+    fill = [-1] * game.vertex_count  # current count, -1 once eliminated
+    heap: list[tuple[int, int]] = []
+
+    def pick(work: list[set[int]], touched) -> int:
+        for v in set(touched).union(*(work[u] for u in touched)):
+            nbrs = work[v]
+            d = len(nbrs)
+            f = (d * (d - 1) - sum(len(nbrs & work[u]) for u in nbrs)) // 2
+            if f != fill[v]:
+                fill[v] = f
+                heappush(heap, (f, v))
+        while True:
+            f, v = heappop(heap)
+            if f == fill[v]:
+                fill[v] = -1
+                return v
+
+    return _eliminate(game, pick)
 
 
 def exact_decomposition(game: ProjectionGame) -> TreeDecomposition:
@@ -306,7 +311,7 @@ def exact_decomposition(game: ProjectionGame) -> TreeDecomposition:
             f"exact decomposition limited to {EXACT_DECOMPOSITION_LIMIT} vertices"
         )
     order = iter(_exact_order(n, _adjacency(game)))
-    return _eliminate(game, lambda work, alive: next(order))
+    return _eliminate(game, lambda work, touched: next(order))
 
 
 def brute_force_opt(

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 import labelcover as lc
-from labelcover.core import Assignment, BudgetExceeded, ProjectionGame
+from labelcover.core import Assignment, BudgetExceeded, ProjectionGame, _adjacency
 from labelcover.exact import (
     EXACT_DECOMPOSITION_LIMIT,
     InvalidDecomposition,
@@ -321,6 +321,112 @@ def test_exact_decomposition_optimal_on_small_graphs():
     assert lc.validate_decomposition(g, td) == []
     heur = lc.heuristic_decomposition(g)
     assert td.width <= heur.width
+
+
+# --- min-fill against the full rescan it replaced ---------------------------
+# The oracle is heuristic_decomposition as it was before the lazy heap: it
+# rescans and rescores every alive vertex at every step.  _eliminate and
+# _min_fill_pick are kept verbatim apart from their names.
+
+def oracle_eliminate(game: ProjectionGame, pick) -> TreeDecomposition:
+    """Eliminate every vertex, emitting its bag and linking the bags.
+
+    ``pick(work, alive)`` names the next vertex to eliminate; ``work[v]``
+    holds v's alive neighbors in the filled graph.  Each vertex's bag is
+    itself plus those neighbors, which then become a clique; the bag's
+    parent is the bag of the member eliminated earliest after it.  Bags
+    with no later members are chained so the result is a single tree.
+    """
+    n = game.vertex_count
+    if n == 0:
+        return TreeDecomposition((frozenset(),), ())
+    work = [set(s) for s in _adjacency(game)]
+    alive = set(range(n))
+    pos = [0] * n
+    bags: list[frozenset[int]] = []
+    higher: list[set[int]] = []
+    for step in range(n):
+        v = pick(work, alive)
+        alive.remove(v)
+        pos[v] = step
+        nbrs = work[v]
+        for u in nbrs:
+            work[u].discard(v)
+            work[u] |= nbrs
+            work[u].discard(u)
+        bags.append(frozenset(nbrs | {v}))
+        higher.append(nbrs)
+
+    edges = []
+    roots = []
+    for i, nbrs in enumerate(higher):
+        if nbrs:
+            edges.append((i, min(pos[u] for u in nbrs)))
+        else:
+            roots.append(i)
+    edges += zip(roots, roots[1:])
+    return TreeDecomposition(tuple(bags), tuple(edges))
+
+
+def oracle_min_fill_pick(work: list[set[int]], alive: set[int]) -> int:
+    """The alive vertex needing the fewest fill edges, smallest on ties.
+
+    A vertex's count stops once it cannot beat the best so far, and the
+    scan stops at the first vertex needing none.
+    """
+    best_v, best_fill = -1, len(alive) ** 2  # more than any vertex needs
+    for v in sorted(alive):
+        nbrs = list(work[v])
+        fill = 0
+        for i, u in enumerate(nbrs):
+            wu = work[u]
+            for w in nbrs[i + 1:]:
+                if w not in wu:
+                    fill += 1
+            if fill >= best_fill:
+                break
+        else:
+            if fill == 0:
+                return v
+            best_v, best_fill = v, fill
+    return best_v
+
+
+def oracle_heuristic_decomposition(game: ProjectionGame) -> TreeDecomposition:
+    return oracle_eliminate(game, oracle_min_fill_pick)
+
+
+def min_fill_oracle_games():
+    for seed in range(300):
+        # odd seeds: dense games, every A vertex on most of B
+        rng = random.Random(seed)
+        n_a, n_b = rng.randint(1, 14), rng.randint(1, 14)
+        degree = rng.randint(max(1, n_b - 3), n_b) if seed % 2 else rng.randint(1, min(3, n_b))
+        yield lc.gen_random_satisfiable(n_a, n_b, 2, 2, degree, seed)[0]
+    sources = [lc.gen_planar_grid(r, c, 3, 2, seed=r * c)[0]
+               for r, c in ((2, 3), (5, 7), (12, 9), (20, 20), (30, 30))]
+    for r, c in ((4, 5), (8, 8)):
+        graph, _ = lc.gen_coloring_graph(r, c, Fraction(3, 4), seed=r + c)
+        sources.append(lc.from_planar_3col(graph)[0])
+    for g in sources:
+        if g.vertex_count <= 200:
+            yield g
+        for h in (2, 3, 4, 5):
+            yield from lc.baker_partition(g, h).residuals
+    yield lc.build_game(3, 4, 2, 2, [], [])
+    yield lc.build_game(1, 0, 1, 1, [], [])
+    yield lc.build_game(0, 1, 1, 1, [], [])
+    yield lc.build_game(0, 0, 1, 1, [], [])
+
+
+def test_min_fill_matches_oracle_sweep():
+    count = 0
+    for g in min_fill_oracle_games():
+        td = lc.heuristic_decomposition(g)
+        assert td == oracle_heuristic_decomposition(g)
+        assert lc.validate_decomposition(g, td) == []
+        count += 1
+    assert count > 400
 
 
 # --- tree DP ----------------------------------------------------------------

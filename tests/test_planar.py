@@ -200,3 +200,45 @@ def test_ptas_rejects_bad_epsilon():
     g, _ = lc.gen_planar_grid(2, 2, 2, 2, seed=0)
     with pytest.raises(ValueError):
         lc.ptas(g, Fraction(3, 2))
+
+
+def certificate_games():
+    for seed in range(6):
+        yield lc.gen_planar_grid(2 + seed % 3, 2 + seed // 2, 3, 2, seed=seed)[0]
+    for seed in range(4):
+        graph, _ = lc.gen_coloring_graph(2 + seed % 2, 2 + seed // 2, Fraction(3, 4), seed)
+        yield lc.from_planar_3col(graph)[0]
+    for seed in range(40):
+        # odd seeds: tables redrawn at random, most games unsatisfiable
+        rng = random.Random(seed)
+        n_a, n_b = rng.randint(1, 6), rng.randint(1, 6)
+        k_a, k_b = rng.randint(1, 3), rng.randint(1, 3)
+        g, _ = lc.gen_random_satisfiable(n_a, n_b, k_a, k_b, rng.randint(1, min(n_b, 2)), seed)
+        if seed % 2:
+            tables = [tuple(rng.randrange(k_b) for _ in range(k_a)) for _ in g.edges]
+            g = lc.build_game(n_a, n_b, k_a, k_b, g.edges, tables)
+        if lc.euler_planarity_ok(g):
+            yield g
+
+
+def test_ptas_certificate_property():
+    # every report's count is its assignment's value and at least its
+    # guarantee; where brute force runs, DP equals it and ptas keeps its ratio
+    checked = 0
+    for g in certificate_games():
+        try:
+            _, opt = lc.brute_force_opt(g, budget=20_000)
+        except lc.BudgetExceeded:
+            opt = None
+        else:
+            phi, val = lc.tree_dp_solve(g, lc.heuristic_decomposition(g))
+            assert val == opt == lc.value(g, phi)
+            checked += 1
+        for eps in (Fraction(1), Fraction(1, 2)):
+            rep = lc.ptas(g, eps)
+            h = dict(rep.breakdown)["h"]
+            assert rep.satisfied == lc.value(g, rep.assignment)
+            assert rep.guarantee <= rep.satisfied
+            if opt is not None:
+                assert h * rep.satisfied >= (h - 1) * opt
+    assert checked >= 30

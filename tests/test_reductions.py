@@ -320,6 +320,32 @@ def test_gen_coloring_graph_proper_and_planar():
     assert lc.is_satisfiable(game)
 
 
+def test_generators_planar_by_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def planar(vertex_count, edges):
+        graph = nx.Graph()
+        graph.add_nodes_from(range(vertex_count))
+        graph.add_edges_from(edges)
+        return nx.check_planarity(graph)[0]
+
+    def game_planar(game):
+        return planar(game.vertex_count, ((a, game.a_count + b) for a, b in game.edges))
+
+    rng = random.Random(0)
+    for seed in range(16):
+        rows, cols = rng.randint(1, 14), rng.randint(1, 14)
+        game, _ = lc.gen_planar_grid(rows, cols, 2, 2, seed=seed)
+        assert game_planar(game), (rows, cols)
+        keep = Fraction(1) if seed % 2 else Fraction(3, 4)
+        graph, _ = lc.gen_coloring_graph(rows, cols, keep, seed=seed)
+        assert planar(graph.vertex_count, graph.edges), (rows, cols, keep)
+        assert game_planar(lc.from_planar_3col(graph)[0])
+    # the oracle is not vacuous: K_{3,3} is not planar
+    k33, _ = lc.gen_random_satisfiable(3, 3, 2, 2, 3, seed=0)
+    assert not game_planar(k33)
+
+
 def test_gen_matrix_tiling_solvable_plant():
     t = lc.gen_matrix_tiling(3, 2, 0.3, seed=12, solvable=True)
     _, opt = lc.brute_force_tiling(t)
