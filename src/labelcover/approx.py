@@ -75,7 +75,8 @@ def compute_sigma_star(
     preimage of t on (a', b) is nonempty.  B vertices with no two-hop
     member adjacent are vacuously fine.
 
-    Evaluation order, equal to that definition:
+    The test itself is ``_admissible``, run here for every A vertex; its
+    evaluation order, equal to that definition:
 
     - Shared-edge masks: only edges into N(a) constrain a two-hop mask, so
       the masks come from those edges, and the anchor is dropped as soon
@@ -90,18 +91,13 @@ def compute_sigma_star(
       ``<= threshold`` without Fractions.
     """
     stats = stats if stats is not None else compute_stats(game)
-    pre, edges, ka, kb = game.preimage_masks, game.edges, game.sigma_a, game.sigma_b
-    full_a, full_b = (1 << ka) - 1, (1 << kb) - 1
-    every = (1 << kb * game.b_count) - 1  # one kb-bit field per B vertex
-    low = every // full_b * (full_b >> 1)  # every bit below each field's top
+    pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
     m, cap = game.edge_count, 2 * sum(stats.p_max_e)
-    # per B vertex: each edge's A end and preimages; each symbol's good edges
-    rows = [[(edges[e][0], pre[e]) for e in eids] for eids in game.b_edges]
+    # per B vertex: each symbol's good edges
     good = [
         [[e for e in eids if pre[e][t].bit_count() * m <= cap] for t in range(kb)]
         for eids in game.b_edges
     ]
-    reach: dict[int, int] = {}
 
     sigma_star: list[tuple[int, ...]] = []
     n_star: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -109,27 +105,10 @@ def compute_sigma_star(
     h_star: dict[tuple[int, int], int] = {}
     e_star: dict[tuple[int, int], frozenset[int]] = {}
 
-    for a in range(game.a_count):
-        nbrs, n2 = game.a_neighbors[a], stats.n2[a]
+    for a, admissible in enumerate(_admissible(game, stats, range(game.a_count))):
+        nbrs = game.a_neighbors[a]
         tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
-        shared = [(table, rows[b]) for table, b in zip(tables, nbrs)]
-        admissible = []
-        for sa in range(ka):
-            masks = dict.fromkeys(n2, full_a)
-            if not _shared_masks(shared, sa, masks):
-                continue
-            fields = every
-            for ap, mask in masks.items():
-                key = ap << ka | mask
-                r = reach.get(key)
-                if r is None:
-                    r = reach[key] = _reach_fields(game, ap, mask, every)
-                fields &= r
-            # adding ``low`` carries into a field's top bit iff a lower bit is set
-            if (fields & low) + low | fields | low != every:
-                continue
-            admissible.append(sa)
-
+        for sa in admissible:
             good_b = []
             good_edges: set[int] = set()
             for b, table in zip(nbrs, tables):
@@ -142,7 +121,7 @@ def compute_sigma_star(
             n2_star[(a, sa)] = tuple(sorted(good_two_hop))
             h_star[(a, sa)] = sum(stats.a_degree[ap] for ap in good_two_hop)
             e_star[(a, sa)] = frozenset(good_edges)
-        sigma_star.append(tuple(admissible))
+        sigma_star.append(admissible)
 
     h_star_max = 0
     argmax: tuple[int, int] | None = None
@@ -161,6 +140,42 @@ def compute_sigma_star(
         h_star_max=h_star_max if argmax is not None else 0,
         h_star_argmax=argmax,
     )
+
+
+def _admissible(
+    game: ProjectionGame, stats: InstanceStats, anchors
+) -> list[tuple[int, ...]]:
+    """The admissible symbols of each A vertex in ``anchors``, in increasing
+    order; reach fields are memoised per (two-hop vertex, mask) for the
+    call."""
+    pre, edges, ka, kb = game.preimage_masks, game.edges, game.sigma_a, game.sigma_b
+    full_a, full_b = (1 << ka) - 1, (1 << kb) - 1
+    every = (1 << kb * game.b_count) - 1  # one kb-bit field per B vertex
+    low = every // full_b * (full_b >> 1)  # every bit below each field's top
+    # per B vertex: each edge's A end and preimages
+    rows = [[(edges[e][0], pre[e]) for e in eids] for eids in game.b_edges]
+    reach: dict[int, int] = {}
+    out = []
+    for a in anchors:
+        shared = [(game.projections[game.edge_index[(a, b)]], rows[b])
+                  for b in game.a_neighbors[a]]
+        symbols = []
+        for sa in range(ka):
+            masks = dict.fromkeys(stats.n2[a], full_a)
+            if not _shared_masks(shared, sa, masks):
+                continue
+            fields = every
+            for ap, mask in masks.items():
+                key = ap << ka | mask
+                r = reach.get(key)
+                if r is None:
+                    r = reach[key] = _reach_fields(game, ap, mask, every)
+                fields &= r
+            # adding ``low`` carries into a field's top bit iff a lower bit is set
+            if (fields & low) + low | fields | low == every:
+                symbols.append(sa)
+        out.append(tuple(symbols))
+    return out
 
 
 def _shared_masks(shared, sa: int, masks: dict[int, int]) -> bool:
@@ -271,8 +286,9 @@ def know_your_neighbors(
     t0 = perf_counter()
     _check_anchor(game, a0)
     stats = stats if stats is not None else compute_stats(game)
-    cache = cache if cache is not None else compute_sigma_star(game, stats)
-    if sigma_a0 not in cache.sigma_star[a0]:
+    admissible = (cache.sigma_star[a0] if cache is not None
+                  else _admissible(game, stats, [a0])[0])
+    if sigma_a0 not in admissible:
         raise NotInSigmaStar(f"symbol {sigma_a0} is not admissible for a{a0}")
 
     propagated = _propagate(game, a0, sigma_a0)

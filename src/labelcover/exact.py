@@ -12,15 +12,19 @@ each elimination it rescores only the eliminated vertex's neighbors and
 their neighbors.  ``validate_decomposition`` and ``tree_dp_solve``
 read the same vertex-to-bags index (``_bag_index``) and the same rooted
 walk of the bag tree (``_rooted_walk``).  The DP counts each edge once, at
-the bag nearest the root that holds both endpoints.
+the bag nearest the root that holds both endpoints.  It codes a bag state
+as an integer, its mixed-radix index, and builds a bag's values as sums of
+factors, lists read at the codes of the digits at fixed positions; the
+code lists for one (radix, positions) shape are built once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import product
+from itertools import count, repeat
 from math import prod
+from operator import add
 
 from .core import (
     Assignment,
@@ -424,14 +428,19 @@ def tree_dp_solve(
     Bags are processed children first, from the rooted walk's preorder
     (root bag 0) reversed.  A bag state is a typed assignment of its
     sorted vertices (A members draw from the A alphabet, B members from
-    the B alphabet).  Each edge is owned by the bag nearest the root that
-    holds both endpoints, its first holder in the preorder, and is
-    counted there only.  The value of a state is the owned edges it
+    the B alphabet), coded as its mixed-radix index in ``product`` order,
+    the last vertex fastest.  Each edge is owned by the bag nearest the
+    root that holds both endpoints, its first holder in the preorder, and
+    is counted there only.  The value of a state is the owned edges it
     satisfies plus, for every child, the best child value over the child
-    states that agree with it on their shared vertices.  Each bag keeps
-    its first-best (value, state) per restriction to its parent, the root
-    its first-best state; the assignment is recovered by walking those
-    down from the root.
+    states that agree with it on their shared vertices.  Every term is a
+    factor ``(positions, list)`` read at the code of the state's digits at
+    those positions: a 0/1 list over an owned edge's two digits, or a
+    child's best-value list over its restriction code.  The codes of every
+    state for one (radix, positions) shape are built once per call.  Each
+    bag keeps its first-best value and state index per restriction code
+    to its parent, the root its first-best state; the assignment is
+    recovered by decoding those indices down from the root.
 
     ``state_cap`` bounds the states enumerated over all bags.
     """
@@ -443,58 +452,69 @@ def tree_dp_solve(
 
     nbags = len(td.bags)
     _, parent, order = _rooted_walk(nbags, td.tree)
+    a, ka, kb = game.a_count, game.sigma_a, game.sigma_b
     verts = [sorted(bag) for bag in td.bags]
-    pos = [{v: p for p, v in enumerate(vs)} for vs in verts]
+    kind = [ka] * a + [kb] * game.b_count
+    radices = [tuple(map(kind.__getitem__, vs)) for vs in verts]
+    pos = [dict(zip(vs, count())) for vs in verts]
     # per bag: the positions of the vertices it shares with its parent,
     # (child, the same vertices' positions in this bag) per child, and its
-    # owned edges as (position of a, position of b, table) checks
+    # owned edges as factors
     up: list[tuple[int, ...]] = [()] * nbags
     links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nbags)]
     for w in order[1:]:
         p = parent[w]
         shared = sorted(td.bags[w] & td.bags[p])
-        up[w] = tuple(pos[w][v] for v in shared)
-        links[p].append((w, tuple(pos[p][v] for v in shared)))
+        up[w] = tuple(map(pos[w].__getitem__, shared))
+        links[p].append((w, tuple(map(pos[p].__getitem__, shared))))
     rank = {i: r for r, i in enumerate(order)}
     holders, _ = _bag_index(game, td)
-    checks: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nbags)]
-    for e, (a, b) in enumerate(game.edges):
-        gb = game.a_count + b
-        i = min(holders[a] & holders[gb], key=rank.__getitem__)
-        checks[i].append((pos[i][a], pos[i][gb], game.projections[e]))
+    checks = {t: [int(t[x] == y) for x in range(ka) for y in range(kb)]
+              for t in set(game.projections)}
+    factors: list[list[tuple[tuple[int, ...], list[int]]]] = [[] for _ in range(nbags)]
+    for (va, b), t in zip(game.edges, game.projections):
+        gb = a + b
+        i = min(holders[va] & holders[gb], key=rank.__getitem__)
+        factors[i].append(((pos[i][va], pos[i][gb]), checks[t]))
 
-    # per bag: restriction to its parent -> first-best (value, state)
-    best: list = [None] * nbags
+    memo: dict[tuple, list[int]] = {}
+
+    def gather(radix: tuple[int, ...], positions: tuple[int, ...]) -> list[int]:
+        """For every state, the mixed-radix code of its digits at positions."""
+        codes = memo.get((radix, positions))
+        if codes is None:
+            weight, m, codes = [0] * len(radix), 1, [0]
+            for p in reversed(positions):
+                weight[p], m = m, m * radix[p]
+            for r, w in zip(radix, weight):
+                codes = [c + d * w for c in codes for d in range(r)]
+            memo[radix, positions] = codes
+        return codes
+
+    # per bag: the first-best value and state index per restriction code
+    top, arg = [[]] * nbags, [[]] * nbags
     states = 0
     for i in reversed(order):
-        radix = [game.sigma_a if v < game.a_count else game.sigma_b for v in verts[i]]
+        radix = radices[i]
         states += prod(radix)
         if state_cap is not None and states > state_cap:
             raise BudgetExceeded(f"DP state count exceeded {state_cap}")
-        kids = [(best[w], link) for w, link in links[i]]
-        key, own = up[i], checks[i]
-        table: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-        for state in product(*map(range, radix)):
-            val = 0
-            for pa, pb, t in own:
-                if t[state[pa]] == state[pb]:
-                    val += 1
-            for kid, link in kids:
-                val += kid[tuple([state[j] for j in link])][0]
-            restr = tuple([state[j] for j in key])
-            cur = table.get(restr)
-            if cur is None or val > cur[0]:
-                table[restr] = (val, state)
-        best[i] = table
+        vals = repeat(0)
+        for positions, factor in factors[i] + [(ln, top[w]) for w, ln in links[i]]:
+            vals = map(add, vals, map(factor.__getitem__, gather(radix, positions)))
+        best = [-1] * prod(radix[p] for p in up[i])
+        at = [0] * len(best)
+        for s, val, c in zip(count(), vals, gather(radix, up[i])):
+            if val > best[c]:
+                best[c], at[c] = val, s
+        top[i], arg[i] = best, at
 
-    best_val, state = best[0][()]
     labels = [0] * game.vertex_count
-    stack = [(0, state)]
+    stack = [(0, arg[0][0])]
     while stack:
-        i, state = stack.pop()
-        for v, s in zip(verts[i], state):
-            labels[v] = s
+        i, s = stack.pop()
         for w, link in links[i]:
-            stack.append((w, best[w][tuple([state[j] for j in link])][1]))
-    a = game.a_count
-    return Assignment(tuple(labels[:a]), tuple(labels[a:])), best_val
+            stack.append((w, arg[w][gather(radices[i], link)[s]]))
+        for v, r in zip(reversed(verts[i]), reversed(radices[i])):
+            s, labels[v] = divmod(s, r)
+    return Assignment(tuple(labels[:a]), tuple(labels[a:])), top[0][0]

@@ -224,6 +224,29 @@ def test_sigma_star_equals_reference_on_sweep():
     assert unsat >= 100
 
 
+def test_kyn_without_cache_tests_its_anchor_alone():
+    # with no cache, kyn runs the admissibility test for a0 only; it must
+    # accept and reject exactly the symbols of the whole cache
+    checked = rejected = 0
+    for i, g in enumerate(sweep_games(320)):
+        st_ = lc.compute_stats(g)
+        cache = lc.compute_sigma_star(g, st_)
+        for a0 in range(g.a_count):
+            for s in range(g.sigma_a):
+                if s not in cache.sigma_star[a0]:
+                    with pytest.raises(lc.NotInSigmaStar):
+                        lc.know_your_neighbors(g, a0, s, st_)
+                    rejected += 1
+                    continue
+                got = lc.know_your_neighbors(g, a0, s, st_)
+                want = lc.know_your_neighbors(g, a0, s, st_, cache)
+                assert (got.assignment, got.satisfied, got.guarantee) == (
+                    want.assignment, want.satisfied, want.guarantee
+                ), f"game {i} a{a0} s{s}"
+                checked += 1
+    assert checked > 1000 and rejected > 1000
+
+
 @st.composite
 def small_games(draw):
     n_a, n_b = draw(st.integers(0, 4)), draw(st.integers(0, 4))

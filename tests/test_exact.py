@@ -679,6 +679,13 @@ def dp_oracle_cases():
     for g in grids + [lc.from_planar_3col(graph)[0]]:
         part = lc.baker_partition(g, 3)
         yield from zip(part.residuals, part.decompositions)
+    # residuals shaped like the planar benchmark's 5/3 and 6/4 grids: mixed
+    # radices, and links of two or more positions that are not a prefix
+    for r, c, k_a, k_b in ((6, 7, 5, 3), (10, 10, 5, 3), (7, 7, 6, 4), (12, 12, 6, 4)):
+        g = lc.gen_planar_grid(r, c, k_a, k_b, seed=r * c)[0]
+        for h in (2, 3):
+            part = lc.baker_partition(g, h)
+            yield from zip(part.residuals, part.decompositions)
     for g in (lc.build_game(2, 3, 2, 2, [], []), lc.build_game(0, 0, 1, 1, [], [])):
         yield g, lc.heuristic_decomposition(g)
         yield g, duplicated(lc.heuristic_decomposition(g))

@@ -6,8 +6,10 @@ tables redrawn at random after planting, so most of those are
 unsatisfiable and the solvers run off their analysed path.
 
 The fixture was recorded from the code before the label-selection kernels
-were shared; to record it again (only when an output change is intended)
-run ``PYTHONPATH=src python tests/test_golden.py``.
+were shared; its ``ptas`` and ``tree-dp-exact`` records were added from the
+code before the tree DP coded its states as integers.  To record it again
+(only when an output change is intended) run
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib
@@ -120,6 +122,13 @@ def game_records(game, uniform, small):
         runs["tree-dp"] = lambda: lc.tree_dp_solve(
             game, lc.heuristic_decomposition(game)
         )
+        runs["tree-dp-exact"] = lambda: lc.tree_dp_solve(
+            game, lc.exact_decomposition(game)
+        )
+        for eps in (Fraction(1), Fraction(1, 2)):
+            runs[f"ptas-eps{eps}"] = lambda eps=eps: lc.ptas(
+                game, eps, force_nonplanar=True
+            )
         for seed in SMOOTH_SEEDS:
             runs[f"smooth-exact-s{seed}"] = lambda seed=seed: lc.smooth_exact(
                 game, mu=Fraction(1, 8), seed=seed
