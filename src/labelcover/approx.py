@@ -142,12 +142,9 @@ def compute_sigma_star(
     )
 
 
-def _admissible(
-    game: ProjectionGame, stats: InstanceStats, anchors
-) -> list[tuple[int, ...]]:
-    """The admissible symbols of each A vertex in ``anchors``, in increasing
-    order; reach fields are memoised per (two-hop vertex, mask) for the
-    call."""
+def _admissible(game: ProjectionGame, stats: InstanceStats, anchors):
+    """Yield the admissible symbols of each A vertex in ``anchors``, in
+    increasing order; reach fields are memoised per (two-hop vertex, mask)."""
     pre, edges, ka, kb = game.preimage_masks, game.edges, game.sigma_a, game.sigma_b
     full_a, full_b = (1 << ka) - 1, (1 << kb) - 1
     every = (1 << kb * game.b_count) - 1  # one kb-bit field per B vertex
@@ -155,7 +152,6 @@ def _admissible(
     # per B vertex: each edge's A end and preimages
     rows = [[(edges[e][0], pre[e]) for e in eids] for eids in game.b_edges]
     reach: dict[int, int] = {}
-    out = []
     for a in anchors:
         shared = [(game.projections[game.edge_index[(a, b)]], rows[b])
                   for b in game.a_neighbors[a]]
@@ -174,8 +170,7 @@ def _admissible(
             # adding ``low`` carries into a field's top bit iff a lower bit is set
             if (fields & low) + low | fields | low == every:
                 symbols.append(sa)
-        out.append(tuple(symbols))
-    return out
+        yield tuple(symbols)
 
 
 def _shared_masks(shared, sa: int, masks: dict[int, int]) -> bool:
@@ -272,7 +267,7 @@ def greedy_assignment(
 def know_your_neighbors(
     game: ProjectionGame,
     a0: int,
-    sigma_a0: int,
+    sigma_a0: int | None,
     stats: InstanceStats | None = None,
     cache: SigmaStarCache | None = None,
 ) -> SolveReport:
@@ -281,13 +276,18 @@ def know_your_neighbors(
     Propagating the anchor fixes every neighbor of a0; admissibility
     guarantees every two-hop vertex keeps a consistent symbol, so every
     edge touching the neighborhood of a0 is satisfied: at least
-    e_n(a0) edges.  Raises IndexOutOfRange unless 0 <= a0 < a_count.
+    e_n(a0) edges.  ``sigma_a0=None`` takes a0's smallest admissible
+    symbol.  Raises IndexOutOfRange unless 0 <= a0 < a_count.
     """
     t0 = perf_counter()
     _check_anchor(game, a0)
     stats = stats if stats is not None else compute_stats(game)
     admissible = (cache.sigma_star[a0] if cache is not None
-                  else _admissible(game, stats, [a0])[0])
+                  else next(_admissible(game, stats, [a0])))
+    if sigma_a0 is None:
+        if not admissible:
+            raise NotInSigmaStar(f"no admissible symbol for a{a0}")
+        sigma_a0 = admissible[0]
     if sigma_a0 not in admissible:
         raise NotInSigmaStar(f"symbol {sigma_a0} is not admissible for a{a0}")
 

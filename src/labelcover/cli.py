@@ -200,14 +200,7 @@ def _cmd_approx(args) -> int:
         rep = approx.greedy_assignment(game, st)
     elif args.algorithm == "kyn":
         a0 = approx._kyn_anchor(st) if args.a0 is None else args.a0
-        approx._check_anchor(game, a0)
-        sigma = args.sigma
-        if sigma is None:
-            admissible = approx._admissible(game, st, [a0])[0]
-            if not admissible:
-                raise approx.NotInSigmaStar(f"no admissible symbol for a{a0}")
-            sigma = admissible[0]
-        rep = approx.know_your_neighbors(game, a0, sigma, st)
+        rep = approx.know_your_neighbors(game, a0, args.sigma, st)
     elif args.algorithm == "kynn":
         if args.uniform:
             a0 = args.a0

@@ -14,15 +14,15 @@ read the same vertex-to-bags index (``_bag_index``) and the same rooted
 walk of the bag tree (``_rooted_walk``).  The DP counts each edge once, at
 the bag nearest the root that holds both endpoints.  It codes a bag state
 as an integer, its mixed-radix index, and builds a bag's values as sums of
-factors, lists read at the codes of the digits at fixed positions; the
-code lists for one (radix, positions) shape are built once per call.
+factors, lists read at the codes of the digits at fixed positions; a
+bounded per-call memo keeps the code lists of each (radix, positions) shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count, repeat
+from itertools import count
 from math import prod
 from operator import add
 
@@ -420,6 +420,9 @@ def is_satisfiable(game: ProjectionGame, budget: int | None = None) -> bool:
     return next(_extensions(game, bs, budget=budget), None) is not None
 
 
+_GATHER_CODES = 1 << 16  # most codes tree_dp_solve's per-call memo holds
+
+
 def tree_dp_solve(
     game: ProjectionGame, td: TreeDecomposition, state_cap: int | None = None
 ) -> tuple[Assignment, int]:
@@ -436,8 +439,9 @@ def tree_dp_solve(
     states that agree with it on their shared vertices.  Every term is a
     factor ``(positions, list)`` read at the code of the state's digits at
     those positions: a 0/1 list over an owned edge's two digits, or a
-    child's best-value list over its restriction code.  The codes of every
-    state for one (radix, positions) shape are built once per call.  Each
+    child's best-value list over its restriction code, summed into a fresh
+    list per factor.  The codes of every state for one (radix, positions)
+    shape are memoised for the call, at most ``_GATHER_CODES`` codes.  Each
     bag keeps its first-best value and state index per restriction code
     to its parent, the root its first-best state; the assignment is
     recovered by decoding those indices down from the root.
@@ -453,10 +457,9 @@ def tree_dp_solve(
     nbags = len(td.bags)
     _, parent, order = _rooted_walk(nbags, td.tree)
     a, ka, kb = game.a_count, game.sigma_a, game.sigma_b
-    verts = [sorted(bag) for bag in td.bags]
     kind = [ka] * a + [kb] * game.b_count
-    radices = [tuple(map(kind.__getitem__, vs)) for vs in verts]
-    pos = [dict(zip(vs, count())) for vs in verts]
+    verts = [sorted(bag) for bag in td.bags]
+    pos = [{v: p for p, v in enumerate(vs)} for vs in verts]
     # per bag: the positions of the vertices it shares with its parent,
     # (child, the same vertices' positions in this bag) per child, and its
     # owned edges as factors
@@ -465,8 +468,8 @@ def tree_dp_solve(
     for w in order[1:]:
         p = parent[w]
         shared = sorted(td.bags[w] & td.bags[p])
-        up[w] = tuple(map(pos[w].__getitem__, shared))
-        links[p].append((w, tuple(map(pos[p].__getitem__, shared))))
+        up[w] = tuple(pos[w][v] for v in shared)
+        links[p].append((w, tuple(pos[p][v] for v in shared)))
     rank = {i: r for r, i in enumerate(order)}
     holders, _ = _bag_index(game, td)
     checks = {t: [int(t[x] == y) for x in range(ka) for y in range(kb)]
@@ -478,30 +481,40 @@ def tree_dp_solve(
         factors[i].append(((pos[i][va], pos[i][gb]), checks[t]))
 
     memo: dict[tuple, list[int]] = {}
+    held = 0
 
     def gather(radix: tuple[int, ...], positions: tuple[int, ...]) -> list[int]:
-        """For every state, the mixed-radix code of its digits at positions."""
+        """For every state, the mixed-radix code of its digits at positions.
+        The memo is emptied before it would pass _GATHER_CODES codes; one
+        longer list alone is kept until the next is built."""
+        nonlocal held
         codes = memo.get((radix, positions))
         if codes is None:
             weight, m, codes = [0] * len(radix), 1, [0]
             for p in reversed(positions):
                 weight[p], m = m, m * radix[p]
-            for r, w in zip(radix, weight):
-                codes = [c + d * w for c in codes for d in range(r)]
+            # prepend digits last to first; one outside positions repeats the block
+            for r, w in zip(reversed(radix), reversed(weight)):
+                codes = [d * w + c for d in range(r) for c in codes] if w else codes * r
+            if held + len(codes) > _GATHER_CODES:
+                memo.clear()
+                held = 0
             memo[radix, positions] = codes
+            held += len(codes)
         return codes
 
     # per bag: the first-best value and state index per restriction code
     top, arg = [[]] * nbags, [[]] * nbags
     states = 0
     for i in reversed(order):
-        radix = radices[i]
+        radix = tuple(map(kind.__getitem__, verts[i]))
         states += prod(radix)
         if state_cap is not None and states > state_cap:
             raise BudgetExceeded(f"DP state count exceeded {state_cap}")
-        vals = repeat(0)
+        # each factor is summed into a fresh list, so no iterator nests
+        vals = [0] * prod(radix)
         for positions, factor in factors[i] + [(ln, top[w]) for w, ln in links[i]]:
-            vals = map(add, vals, map(factor.__getitem__, gather(radix, positions)))
+            vals = list(map(add, vals, map(factor.__getitem__, gather(radix, positions))))
         best = [-1] * prod(radix[p] for p in up[i])
         at = [0] * len(best)
         for s, val, c in zip(count(), vals, gather(radix, up[i])):
@@ -513,8 +526,11 @@ def tree_dp_solve(
     stack = [(0, arg[0][0])]
     while stack:
         i, s = stack.pop()
+        for v in reversed(verts[i]):
+            s, labels[v] = divmod(s, kind[v])
         for w, link in links[i]:
-            stack.append((w, arg[w][gather(radices[i], link)[s]]))
-        for v, r in zip(reversed(verts[i]), reversed(radices[i])):
-            s, labels[v] = divmod(s, r)
+            c = 0
+            for v in map(verts[i].__getitem__, link):
+                c = c * kind[v] + labels[v]
+            stack.append((w, arg[w][c]))
     return Assignment(tuple(labels[:a]), tuple(labels[a:])), top[0][0]

@@ -226,12 +226,21 @@ def test_sigma_star_equals_reference_on_sweep():
 
 def test_kyn_without_cache_tests_its_anchor_alone():
     # with no cache, kyn runs the admissibility test for a0 only; it must
-    # accept and reject exactly the symbols of the whole cache
+    # accept and reject exactly the symbols of the whole cache, and with no
+    # symbol it takes the smallest one there
     checked = rejected = 0
     for i, g in enumerate(sweep_games(320)):
         st_ = lc.compute_stats(g)
         cache = lc.compute_sigma_star(g, st_)
         for a0 in range(g.a_count):
+            if not cache.sigma_star[a0]:
+                with pytest.raises(lc.NotInSigmaStar, match="no admissible symbol"):
+                    lc.know_your_neighbors(g, a0, None, st_)
+            else:
+                first = lc.know_your_neighbors(g, a0, None, st_)
+                assert first.assignment == lc.know_your_neighbors(
+                    g, a0, cache.sigma_star[a0][0], st_, cache
+                ).assignment
             for s in range(g.sigma_a):
                 if s not in cache.sigma_star[a0]:
                     with pytest.raises(lc.NotInSigmaStar):

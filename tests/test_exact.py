@@ -701,6 +701,41 @@ def test_dp_matches_oracle_sweep():
     assert count > 1000
 
 
+def test_dp_star_with_many_leaf_bags():
+    # one bag per leaf, all under the centre's bag: the root sums 100000
+    # child factors, past the depth at which nested iterators overflow the
+    # C stack
+    n = 100_000
+    g = lc.build_game(
+        1, n, 3, 2, [(0, b) for b in range(n)], [(b % 2, b // 2 % 2, 1) for b in range(n)]
+    )
+    bags = (frozenset({0}),) + tuple(frozenset({0, 1 + b}) for b in range(n))
+    td = lc.TreeDecomposition(bags, tuple((0, 1 + b) for b in range(n)))
+    phi, val = lc.tree_dp_solve(g, td)
+    assert val == lc.brute_force_opt(g)[1] == lc.value(g, phi)
+
+
+def test_dp_wide_bag_memory_is_a_few_bag_lists():
+    # one bag of 3**11 states owning 30 edges: the value and code lists in
+    # memory at once stay a few, not one per owned edge
+    import sys
+    import tracemalloc
+
+    rng = random.Random(7)
+    edges = [(a, b) for a in range(5) for b in range(6)]
+    tables = [tuple(rng.randrange(3) for _ in range(3)) for _ in edges]
+    g = lc.build_game(5, 6, 3, 3, edges, tables)
+    td = lc.TreeDecomposition((frozenset(range(11)),), ())
+    tracemalloc.start()
+    try:
+        got = lc.tree_dp_solve(g, td)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == oracle_tree_dp_solve(g, td)
+    assert peak < 8 * sys.getsizeof([0] * 3**11)
+
+
 # --- satisfiability through the shared walk ---------------------------------
 # The oracle is is_satisfiable as it was before it became a call into
 # core._extensions, kept verbatim apart from its name.
