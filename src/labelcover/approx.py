@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from time import perf_counter
 
 from .core import (
@@ -78,26 +79,38 @@ def compute_sigma_star(
     The test itself is ``_admissible``, run here for every A vertex; its
     evaluation order, equal to that definition:
 
-    - Shared-edge masks: only edges into N(a) constrain a two-hop mask, so
-      the masks come from those edges, and the anchor is dropped as soon
-      as one empties.
-    - Reach-mask test: some t works for b iff the AND over b's members of
-      their reach masks (the B symbols a member's mask maps to across its
-      edge to b) is nonempty; for b in N(a) each holds b's propagated
-      label.  Packed one kB-bit field per B vertex and memoised per
-      (two-hop vertex, mask) for this call only (kB * |B| bits an entry),
-      the anchor is kept iff the AND over its two-hop set has no empty field.
+    - Reach fields: a two-hop vertex's candidates reach, across each of its
+      edges, the B symbols they map to.  Packed one kB-bit field per B
+      vertex, some t works for every b iff the AND of the members' reach
+      fields has no empty field; for b in N(a) that field is b's
+      propagated label.
+    - Summaries: a member sharing one B vertex b with a has its preimage of
+      b's label as its candidates.  So each B vertex keeps, per symbol t,
+      the AND of its A neighbours' reach fields at their preimages of t (0
+      when one is empty), built on first use; a trial ANDs deg(a) of them.
+    - Multi-shared correction: a member sharing two or more B vertices
+      with a has the AND of those preimages as its candidates.  An empty
+      one drops the anchor, and a nonempty one's reach fields, memoised per
+      (vertex, candidates) for this call, are ANDed in too; they lie
+      inside the summary terms, since reach is monotone.
     - Integer good-edge test: popcount * |E| <= 2 * sum(p_max_e) is
-      ``<= threshold`` without Fractions.
+      ``<= threshold`` without Fractions; each (b, t) keeps its good edges
+      and their A ends, so an anchor's good sets are unions of deg(a) of
+      them.
     """
     stats = stats if stats is not None else compute_stats(game)
+    # finish the test first, so its memos are freed before the output grows
+    admissible_sets = [tuple(symbols) for symbols in
+                       _admissible(game, range(game.a_count))]
     pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
     m, cap = game.edge_count, 2 * sum(stats.p_max_e)
-    # per B vertex: each symbol's good edges
-    good = [
-        [[e for e in eids if pre[e][t].bit_count() * m <= cap] for t in range(kb)]
-        for eids in game.b_edges
-    ]
+    # per B vertex and symbol: its good edges and their A ends
+    good = []
+    for eids in game.b_edges:
+        per_symbol = [tuple(e for e in eids if pre[e][t].bit_count() * m <= cap)
+                      for t in range(kb)]
+        good.append([(hit, frozenset(edges[e][0] for e in hit)) for hit in per_symbol])
+    degree = stats.a_degree.__getitem__
 
     sigma_star: list[tuple[int, ...]] = []
     n_star: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -105,22 +118,16 @@ def compute_sigma_star(
     h_star: dict[tuple[int, int], int] = {}
     e_star: dict[tuple[int, int], frozenset[int]] = {}
 
-    for a, admissible in enumerate(_admissible(game, stats, range(game.a_count))):
+    for a, admissible in enumerate(admissible_sets):
         nbrs = game.a_neighbors[a]
         tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
         for sa in admissible:
-            good_b = []
-            good_edges: set[int] = set()
-            for b, table in zip(nbrs, tables):
-                hit = good[b][table[sa]]
-                if hit:
-                    good_b.append(b)
-                    good_edges.update(hit)
-            good_two_hop = {edges[e][0] for e in good_edges}
-            n_star[(a, sa)] = tuple(good_b)
-            n2_star[(a, sa)] = tuple(sorted(good_two_hop))
-            h_star[(a, sa)] = sum(stats.a_degree[ap] for ap in good_two_hop)
-            e_star[(a, sa)] = frozenset(good_edges)
+            hits = [good[b][table[sa]] for b, table in zip(nbrs, tables)]
+            good_two_hop = sorted(frozenset().union(*(ends for _, ends in hits)))
+            n_star[(a, sa)] = tuple(b for b, (hit, _) in zip(nbrs, hits) if hit)
+            n2_star[(a, sa)] = tuple(good_two_hop)
+            h_star[(a, sa)] = sum(map(degree, good_two_hop))
+            e_star[(a, sa)] = frozenset(chain.from_iterable(hit for hit, _ in hits))
         sigma_star.append(admissible)
 
     h_star_max = 0
@@ -142,58 +149,138 @@ def compute_sigma_star(
     )
 
 
-def _admissible(game: ProjectionGame, stats: InstanceStats, anchors):
-    """Yield the admissible symbols of each A vertex in ``anchors``, in
-    increasing order; reach fields are memoised per (two-hop vertex, mask)."""
-    pre, edges, ka, kb = game.preimage_masks, game.edges, game.sigma_a, game.sigma_b
-    full_a, full_b = (1 << ka) - 1, (1 << kb) - 1
-    every = (1 << kb * game.b_count) - 1  # one kb-bit field per B vertex
+def _admissible(game: ProjectionGame, anchors, symbols=None):
+    """Yield, for each A vertex in ``anchors``, an iterator over its
+    admissible symbols among ``symbols`` (default: all), in increasing
+    order; a symbol is tested when the iterator reaches it.
+
+    A summary entry (b, t) is built when a trial first needs it, so a call
+    for one anchor touches only N(a) and the neighbours of N(a).  Entries
+    hold the whole test of a two-hop vertex that shares one B vertex with
+    the anchor.  One that shares more has the AND of its preimages there
+    as its mask (``_joint_fields``); the mask lies inside each of them, so
+    by monotonicity of reach the entry terms it is ANDed with change
+    nothing.  The anchor needs no correction: its mask holds sa, and all
+    its fields lie on N(a), where each of its preimages reaches the
+    propagated label alone.
+    """
+    tried = range(game.sigma_a) if symbols is None else symbols
+    full_b = (1 << game.sigma_b) - 1
+    every = (1 << game.sigma_b * game.b_count) - 1
     low = every // full_b * (full_b >> 1)  # every bit below each field's top
-    # per B vertex: each edge's A end and preimages
-    rows = [[(edges[e][0], pre[e]) for e in eids] for eids in game.b_edges]
-    reach: dict[int, int] = {}
-    for a in anchors:
-        shared = [(game.projections[game.edge_index[(a, b)]], rows[b])
-                  for b in game.a_neighbors[a]]
-        symbols = []
-        for sa in range(ka):
-            masks = dict.fromkeys(stats.n2[a], full_a)
-            if not _shared_masks(shared, sa, masks):
-                continue
+    singles: dict[int, tuple] = {}  # A vertex -> its one-symbol reach fields
+    hoods: dict[int, tuple] = {}  # B vertex -> (summary, members, rows)
+    reach: dict[int, int] = {}  # (A vertex, candidates) -> reach fields
+
+    def trials(a):
+        nbrs = game.a_neighbors[a]
+        tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
+        hood = [hoods.get(b) or _hood(game, b, hoods) for b in nbrs]
+        once = twice = 0  # A vertices next to one, and to two or more, of N(a)
+        for _, members, _ in hood:
+            twice |= once & members
+            once |= members
+        twice &= ~(1 << a)
+        shared = None
+        for sa in tried:
             fields = every
-            for ap, mask in masks.items():
-                key = ap << ka | mask
-                r = reach.get(key)
-                if r is None:
-                    r = reach[key] = _reach_fields(game, ap, mask, every)
-                fields &= r
+            for (summary, _, rows), table in zip(hood, tables):
+                t = table[sa]
+                g = summary[t]
+                if g is None:
+                    g = summary[t] = _summary_entry(game, rows, t, every, singles)
+                fields &= g
+                if not fields:
+                    break
+            if fields and twice:
+                if shared is None:
+                    flags = f"{twice:0{game.a_count}b}"[::-1]  # flags[ap] is bit ap
+                    shared = [[(ap, row) for ap, row in rows if flags[ap] == "1"]
+                              for _, _, rows in hood]
+                fields = _joint_fields(game, shared, tables, sa, fields, every,
+                                       singles, reach)
             # adding ``low`` carries into a field's top bit iff a lower bit is set
             if (fields & low) + low | fields | low == every:
-                symbols.append(sa)
-        yield tuple(symbols)
+                yield sa
+
+    for a in anchors:
+        yield trials(a)
 
 
-def _shared_masks(shared, sa: int, masks: dict[int, int]) -> bool:
-    """AND each two-hop mask with its preimages under the anchor's labels on
-    the shared B vertices; False as soon as a mask empties."""
-    for table, members in shared:
+def _joint_fields(game, shared, tables, sa, fields, every, singles, reach) -> int:
+    """``fields`` ANDed with the reach fields of each two-hop vertex's mask
+    over the B vertices it shares with the anchor (``shared``: per B
+    neighbour of the anchor, its (vertex, preimages) rows); 0 as soon as a
+    mask empties."""
+    ka = game.sigma_a
+    masks: dict[int, int] = {}
+    for rows, table in zip(shared, tables):
         sb = table[sa]
-        for ap, row in members:
-            x = masks[ap] & row[sb]
-            if not x:
-                return False
-            masks[ap] = x
-    return True
+        for ap, row in rows:
+            mask = masks.get(ap, -1) & row[sb]
+            if not mask:
+                return 0
+            masks[ap] = mask
+    for ap, mask in masks.items():
+        key = ap << ka | mask
+        r = reach.get(key)
+        if r is None:
+            r = reach[key] = _reach_fields(game, ap, mask, every, singles)
+        fields &= r
+    return fields
 
 
-def _reach_fields(game: ProjectionGame, ap: int, mask: int, every: int) -> int:
+def _hood(game: ProjectionGame, b: int, hoods):
+    """B vertex b's summary, its A neighbours as a bitset and its (A end,
+    preimages) rows; stored in ``hoods``.  The summary holds, per B symbol,
+    0 when the symbol has an empty preimage on some edge at b, else None
+    until ``_summary_entry`` builds it."""
+    pre, kb = game.preimage_masks, game.sigma_b
+    rows = [(game.edges[e][0], pre[e]) for e in game.b_edges[b]]
+    members = 0
+    for ap, _ in rows:
+        members |= 1 << ap
+    summary = [None if all(row[t] for _, row in rows) else 0 for t in range(kb)]
+    hood = hoods[b] = summary, members, rows
+    return hood
+
+
+def _summary_entry(game: ProjectionGame, rows, t: int, every: int, singles) -> int:
+    """The AND over a B vertex's (A end ap, preimages) ``rows`` of the reach
+    fields of ap's preimage of t, each nonempty."""
+    g = every
+    for ap, row in rows:
+        g &= _reach_fields(game, ap, row[t], every, singles)
+    return g
+
+
+def _reach_fields(game: ProjectionGame, ap: int, mask: int, every: int, singles) -> int:
     """``every`` with the field of each B neighbor b of ap cut down to the
-    B symbols that the symbols in ``mask`` map to across edge (ap, b)."""
-    pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
-    r = every
-    for e in game.a_edges[ap]:
-        missed = sum(1 << t for t, p in enumerate(pre[e]) if not p & mask)
-        r ^= missed << kb * edges[e][1]
+    B symbols that the symbols in the nonempty ``mask`` map to across edge
+    (ap, b).  That is the OR of the fields of the one-symbol masks inside
+    ``mask``, each built on first use and kept in ``singles``."""
+    entry = singles.get(ap)
+    if entry is None:
+        kb, edges = game.sigma_b, game.edges
+        full_b = (1 << kb) - 1
+        base, cuts = every, []
+        for e in game.a_edges[ap]:
+            shift = kb * edges[e][1]
+            base ^= full_b << shift
+            cuts.append((shift, game.projections[e]))
+        entry = singles[ap] = base, cuts, [None] * game.sigma_a
+    base, cuts, one = entry
+    r = 0
+    while mask:
+        s = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        x = one[s]
+        if x is None:
+            x = base
+            for shift, table in cuts:
+                x |= 1 << shift + table[s]
+            one[s] = x
+        r |= x
     return r
 
 
@@ -282,13 +369,17 @@ def know_your_neighbors(
     t0 = perf_counter()
     _check_anchor(game, a0)
     stats = stats if stats is not None else compute_stats(game)
-    admissible = (cache.sigma_star[a0] if cache is not None
-                  else next(_admissible(game, stats, [a0])))
+    if cache is not None:
+        admissible = iter(cache.sigma_star[a0])
+    else:  # test a0 alone, and only as far as the answer needs
+        asked = (range(game.sigma_a) if sigma_a0 is None
+                 else (sigma_a0,) if 0 <= sigma_a0 < game.sigma_a else ())
+        admissible = next(_admissible(game, [a0], asked))
     if sigma_a0 is None:
-        if not admissible:
+        sigma_a0 = next(admissible, None)
+        if sigma_a0 is None:
             raise NotInSigmaStar(f"no admissible symbol for a{a0}")
-        sigma_a0 = admissible[0]
-    if sigma_a0 not in admissible:
+    elif sigma_a0 not in admissible:
         raise NotInSigmaStar(f"symbol {sigma_a0} is not admissible for a{a0}")
 
     propagated = _propagate(game, a0, sigma_a0)

@@ -9,10 +9,10 @@ emits each vertex's bag as it eliminates it; only the rule that picks the
 next vertex differs.  Min-fill picks the vertex needing the fewest fill
 edges, the smallest index on ties, from a lazily invalidated heap; after
 each elimination it rescores only the eliminated vertex's neighbors and
-their neighbors.  ``validate_decomposition`` and ``tree_dp_solve``
-read the same vertex-to-bags index (``_bag_index``) and the same rooted
-walk of the bag tree (``_rooted_walk``).  The DP counts each edge once, at
-the bag nearest the root that holds both endpoints.  It codes a bag state
+their neighbors.  ``tree_dp_solve`` reuses the vertex-to-bags index
+(``_bag_index``) and the rooted walk of the bag tree (``_rooted_walk``)
+that its validation built.  The DP counts each edge once, at the bag
+nearest the root that holds both endpoints.  It codes a bag state
 as an integer, its mixed-radix index, and builds a bag's values as sums of
 factors, lists read at the codes of the digits at fixed positions; a
 bounded per-call memo keeps the code lists of each (radix, positions) shape.
@@ -112,25 +112,32 @@ def validate_decomposition(game: ProjectionGame, td: TreeDecomposition) -> list[
     every bag vertex must be a game vertex; the three decomposition
     conditions are reported as conditions 1 to 3.
     """
-    violations = []
+    return _validated(game, td)[0]
+
+
+def _validated(game: ProjectionGame, td: TreeDecomposition):
+    """``validate_decomposition``'s violations, plus the rooted walk and the
+    bag index built for them (None where the checks stopped first)."""
+    violations: list[str] = []
     nbags = len(td.bags)
     if nbags == 0:
         if game.vertex_count > 0:
             violations.append("tree: no bags but graph has vertices")
-        return violations
+        return violations, None, None
     for i, j in td.tree:
         if not (0 <= i < nbags and 0 <= j < nbags):
             violations.append(f"tree: edge ({i}, {j}) references a missing bag")
-            return violations
+            return violations, None, None
     if len(td.tree) != nbags - 1:
         violations.append(
             f"tree: {len(td.tree)} edges on {nbags} bags, expected {nbags - 1}"
         )
-    tadj, _, order = _rooted_walk(nbags, td.tree)
+    walk = _rooted_walk(nbags, td.tree)
+    tadj, _, order = walk
     if len(order) < nbags:
         first = min(set(range(nbags)).difference(order))
         violations.append(f"tree: bag {first} not reachable from bag 0")
-        return violations
+        return violations, walk, None
 
     holders, outside = _bag_index(game, td)
     for i, v in outside:
@@ -167,7 +174,7 @@ def validate_decomposition(game: ProjectionGame, td: TreeDecomposition) -> list[
                 f"condition 3: bags containing {_vertex_name(game, v)} are not "
                 f"connected in the tree"
             )
-    return violations
+    return violations, walk, holders
 
 
 def _eliminate(game: ProjectionGame, pick) -> TreeDecomposition:
@@ -448,14 +455,14 @@ def tree_dp_solve(
 
     ``state_cap`` bounds the states enumerated over all bags.
     """
-    violations = validate_decomposition(game, td)
+    violations, walk, holders = _validated(game, td)
     if violations:
         raise InvalidDecomposition("; ".join(violations))
     if game.vertex_count == 0:
         return Assignment((), ()), 0
 
     nbags = len(td.bags)
-    _, parent, order = _rooted_walk(nbags, td.tree)
+    _, parent, order = walk
     a, ka, kb = game.a_count, game.sigma_a, game.sigma_b
     kind = [ka] * a + [kb] * game.b_count
     verts = [sorted(bag) for bag in td.bags]
@@ -471,7 +478,6 @@ def tree_dp_solve(
         up[w] = tuple(pos[w][v] for v in shared)
         links[p].append((w, tuple(pos[p][v] for v in shared)))
     rank = {i: r for r, i in enumerate(order)}
-    holders, _ = _bag_index(game, td)
     checks = {t: [int(t[x] == y) for x in range(ka) for y in range(kb)]
               for t in set(game.projections)}
     factors: list[list[tuple[tuple[int, ...], list[int]]]] = [[] for _ in range(nbags)]

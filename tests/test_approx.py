@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import labelcover as lc
-from labelcover.core import _consistent_masks, _propagate
+from labelcover.approx import SigmaStarCache
+from labelcover.core import (
+    InstanceStats,
+    ProjectionGame,
+    _consistent_masks,
+    _propagate,
+    compute_stats,
+)
 
 
 def single_edge_game():
@@ -256,6 +263,179 @@ def test_kyn_without_cache_tests_its_anchor_alone():
     assert checked > 1000 and rejected > 1000
 
 
+# --- the shared-mask sigma* (the previous code) as an oracle ----------------
+
+def shared_mask_sigma_star(
+    game: ProjectionGame, stats: InstanceStats | None = None
+) -> SigmaStarCache:
+    """The previous compute_sigma_star with its ``_admissible``,
+    ``_shared_masks`` and ``_reach_fields``, kept verbatim as a differential
+    oracle: per anchor symbol, every two-hop mask is cut by the shared
+    edges, then the reach fields of every two-hop vertex are ANDed."""
+    stats = stats if stats is not None else compute_stats(game)
+    pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
+    m, cap = game.edge_count, 2 * sum(stats.p_max_e)
+    # per B vertex: each symbol's good edges
+    good = [
+        [[e for e in eids if pre[e][t].bit_count() * m <= cap] for t in range(kb)]
+        for eids in game.b_edges
+    ]
+
+    sigma_star: list[tuple[int, ...]] = []
+    n_star: dict[tuple[int, int], tuple[int, ...]] = {}
+    n2_star: dict[tuple[int, int], tuple[int, ...]] = {}
+    h_star: dict[tuple[int, int], int] = {}
+    e_star: dict[tuple[int, int], frozenset[int]] = {}
+
+    for a, admissible in enumerate(shared_mask_admissible(game, stats, range(game.a_count))):
+        nbrs = game.a_neighbors[a]
+        tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
+        for sa in admissible:
+            good_b = []
+            good_edges: set[int] = set()
+            for b, table in zip(nbrs, tables):
+                hit = good[b][table[sa]]
+                if hit:
+                    good_b.append(b)
+                    good_edges.update(hit)
+            good_two_hop = {edges[e][0] for e in good_edges}
+            n_star[(a, sa)] = tuple(good_b)
+            n2_star[(a, sa)] = tuple(sorted(good_two_hop))
+            h_star[(a, sa)] = sum(stats.a_degree[ap] for ap in good_two_hop)
+            e_star[(a, sa)] = frozenset(good_edges)
+        sigma_star.append(admissible)
+
+    h_star_max = 0
+    argmax: tuple[int, int] | None = None
+    for a in range(game.a_count):
+        for sa in sigma_star[a]:
+            if argmax is None or h_star[(a, sa)] > h_star_max:
+                h_star_max = h_star[(a, sa)]
+                argmax = (a, sa)
+    return lc.SigmaStarCache(
+        threshold=2 * stats.p_bar_max,
+        sigma_star=tuple(sigma_star),
+        n_star=n_star,
+        n2_star=n2_star,
+        h_star=h_star,
+        e_star=e_star,
+        h_star_max=h_star_max if argmax is not None else 0,
+        h_star_argmax=argmax,
+    )
+
+
+def shared_mask_admissible(game: ProjectionGame, stats: InstanceStats, anchors):
+    """Yield the admissible symbols of each A vertex in ``anchors``, in
+    increasing order; reach fields are memoised per (two-hop vertex, mask)."""
+    pre, edges, ka, kb = game.preimage_masks, game.edges, game.sigma_a, game.sigma_b
+    full_a, full_b = (1 << ka) - 1, (1 << kb) - 1
+    every = (1 << kb * game.b_count) - 1  # one kb-bit field per B vertex
+    low = every // full_b * (full_b >> 1)  # every bit below each field's top
+    # per B vertex: each edge's A end and preimages
+    rows = [[(edges[e][0], pre[e]) for e in eids] for eids in game.b_edges]
+    reach: dict[int, int] = {}
+    for a in anchors:
+        shared = [(game.projections[game.edge_index[(a, b)]], rows[b])
+                  for b in game.a_neighbors[a]]
+        symbols = []
+        for sa in range(ka):
+            masks = dict.fromkeys(stats.n2[a], full_a)
+            if not _shared_masks(shared, sa, masks):
+                continue
+            fields = every
+            for ap, mask in masks.items():
+                key = ap << ka | mask
+                r = reach.get(key)
+                if r is None:
+                    r = reach[key] = _reach_fields(game, ap, mask, every)
+                fields &= r
+            # adding ``low`` carries into a field's top bit iff a lower bit is set
+            if (fields & low) + low | fields | low == every:
+                symbols.append(sa)
+        yield tuple(symbols)
+
+
+def _shared_masks(shared, sa: int, masks: dict[int, int]) -> bool:
+    """AND each two-hop mask with its preimages under the anchor's labels on
+    the shared B vertices; False as soon as a mask empties."""
+    for table, members in shared:
+        sb = table[sa]
+        for ap, row in members:
+            x = masks[ap] & row[sb]
+            if not x:
+                return False
+            masks[ap] = x
+    return True
+
+
+def _reach_fields(game: ProjectionGame, ap: int, mask: int, every: int) -> int:
+    """``every`` with the field of each B neighbor b of ap cut down to the
+    B symbols that the symbols in ``mask`` map to across edge (ap, b)."""
+    pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
+    r = every
+    for e in game.a_edges[ap]:
+        missed = sum(1 << t for t, p in enumerate(pre[e]) if not p & mask)
+        r ^= missed << kb * edges[e][1]
+    return r
+
+
+def dense_games(count):
+    """Seeded games with random tables on most A-B pairs, so that two-hop
+    vertices often share two or more B vertices with the anchor."""
+    rng = random.Random(7)
+    for seed in range(count):
+        n_a, n_b = rng.randint(2, 6), rng.randint(2, 5)
+        k_a, k_b = rng.randint(2, 5), rng.randint(2, 3)
+        yield random_unplanted(seed, n_a, n_b, k_a, k_b, p=0.8)
+
+
+def test_sigma_star_equals_shared_mask_oracle_on_sweep():
+    for i, g in enumerate(list(sweep_games(320)) + list(dense_games(600))):
+        st_ = lc.compute_stats(g)
+        assert lc.compute_sigma_star(g, st_) == shared_mask_sigma_star(g, st_), (
+            f"game {i}"
+        )
+
+
+def test_sigma_star_drops_empty_joint_mask():
+    # a1 shares b0, b1, b2 with a0; anchoring a0 at 0 labels all three 0,
+    # and a1's preimages of 0 there, {0, 1}, {1, 2} and {0, 2}, meet
+    # pairwise but not all together, so a0's symbol 0 is not admissible
+    g = lc.build_game(
+        2, 3, 3, 2,
+        [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)],
+        [(0, 1, 1), (0, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0)],
+    )
+    pre = g.preimage_masks
+    a1_masks = [pre[g.edge_index[(1, b)]][0] for b in range(3)]
+    assert all(x & y for x in a1_masks for y in a1_masks)
+    assert a1_masks[0] & a1_masks[1] & a1_masks[2] == 0
+    cache = lc.compute_sigma_star(g)
+    assert 0 not in cache.sigma_star[0]
+    assert cache == shared_mask_sigma_star(g)
+    assert cache.sigma_star == naive_sigma_star(g)
+
+
+def test_sigma_star_drops_joint_mask_reach_conflict():
+    # a1 shares b0 and b1 with a0; anchoring a0 at 0 labels both 0, and
+    # a1's preimages there, {0, 1} and {1, 2}, leave it only symbol 1,
+    # which maps to 1 at b2; a2 shares b0 alone, keeps {0}, and maps it
+    # to 0 at b2, so no label of b2 suits both and 0 is not admissible
+    g = lc.build_game(
+        3, 3, 3, 2,
+        [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 2)],
+        [(0, 1, 1), (0, 1, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0),
+         (0, 1, 1), (0, 0, 0)],
+    )
+    pre = g.preimage_masks
+    p0, p1 = (pre[g.edge_index[(1, b)]][0] for b in (0, 1))
+    assert p0 & p1 not in (0, p0, p1)
+    cache = lc.compute_sigma_star(g)
+    assert 0 not in cache.sigma_star[0]
+    assert cache == shared_mask_sigma_star(g)
+    assert cache.sigma_star == naive_sigma_star(g)
+
+
 @st.composite
 def small_games(draw):
     n_a, n_b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
@@ -274,6 +454,12 @@ def small_games(draw):
 @given(small_games())
 def test_sigma_star_equals_reference_property(g):
     assert lc.compute_sigma_star(g) == reference_sigma_star(g)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(small_games())
+def test_sigma_star_equals_shared_mask_oracle_property(g):
+    assert lc.compute_sigma_star(g) == shared_mask_sigma_star(g)
 
 
 def test_good_edge_boundary_is_inclusive():
@@ -547,3 +733,47 @@ def test_all_algorithms_structurally_valid_on_unsatisfiable_inputs():
             )
         for rep in reports:
             assert rep.satisfied == lc.value(g, rep.assignment)
+
+
+def approx_reports(g, st_, cache):
+    """Every approximation report on g: the five algorithms (kyn at each
+    anchor's smallest admissible symbol, kynn at every anchor), the
+    uniform variants when tables split evenly, and best_of."""
+    reports = [
+        lc.satisfy_one_neighbor(g),
+        lc.greedy_assignment(g, st_),
+        lc.divide_and_conquer(g, st_, cache),
+        lc.best_of(g, st_, cache),
+    ]
+    for a0 in range(g.a_count):
+        if cache.sigma_star[a0]:
+            reports.append(lc.know_your_neighbors(
+                g, a0, cache.sigma_star[a0][0], st_, cache))
+        reports.append(lc.know_neighbors_neighbors(g, a0, st_, cache))
+        if st_.uniform_p is not None:
+            reports.append(lc.know_neighbors_neighbors(g, a0, st_, uniform=True))
+    if st_.uniform_p is not None:
+        reports.append(lc.divide_and_conquer(g, st_, uniform=True))
+    return reports
+
+
+def test_approx_certificate_property():
+    # every report's count is the value of its assignment, and on the
+    # planted (satisfiable) games it meets the certified guarantee; the
+    # sweep's even games keep their planted tables
+    games = [(g, i % 2 == 0) for i, g in enumerate(sweep_games(320))]
+    games += [(planted(s, k_a=4, k_b=2, uniform=True)[0], True) for s in range(20)]
+    algorithms = set()
+    uniform_games = 0
+    for i, (g, satisfiable) in enumerate(games):
+        st_ = lc.compute_stats(g)
+        cache = lc.compute_sigma_star(g, st_)
+        uniform_games += st_.uniform_p is not None
+        for rep in approx_reports(g, st_, cache):
+            algorithms.add(rep.algorithm.split("(")[0])
+            assert rep.satisfied == lc.value(g, rep.assignment), (i, rep.algorithm)
+            if satisfiable:
+                assert rep.satisfied >= rep.guarantee, (i, rep.algorithm)
+    assert algorithms == {"one-neighbor", "greedy", "kyn", "kynn", "kynn-uniform",
+                          "dnc", "dnc-uniform", "best"}
+    assert uniform_games >= 20
