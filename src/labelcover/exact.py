@@ -16,6 +16,7 @@ nearest the root that holds both endpoints.  It codes a bag state
 as an integer, its mixed-radix index, and builds a bag's values as sums of
 factors, lists read at the codes of the digits at fixed positions; a
 bounded per-call memo keeps the code lists of each (radix, positions) shape.
+The exact search caps its subset costs at the min-fill width.
 """
 
 from __future__ import annotations
@@ -218,13 +219,19 @@ def _eliminate(game: ProjectionGame, pick) -> TreeDecomposition:
     return TreeDecomposition(tuple(bags), tuple(edges))
 
 
-def _exact_order(n: int, adj: list[list[int]]) -> list[int]:
+def _exact_order(n: int, adj: list[list[int]], bound: int) -> list[int]:
     """Minimum-width elimination order by dynamic programming over subsets.
 
     The width of eliminating v after the set S is the number of vertices
     outside S reachable from v through S; minimising the maximum over all
     orders yields the true treewidth.  Exponential in n, so only used for
-    tiny graphs.
+    tiny graphs.  ``bound`` is the width of some elimination order: costs
+    are capped at bound + 1 and a predecessor whose cost cannot beat the
+    best so far is not extended (the upper-bound pruning of Bodlaender,
+    Fomin, Koster, Kratsch & Thilikos, "On exact algorithms for
+    treewidth", 2012).  No cost on the path that rebuilds the order
+    exceeds the treewidth, so each first minimiser there, and the order,
+    is the one the uncapped search picks.
     """
     masks = [0] * n
     for v in range(n):
@@ -249,26 +256,26 @@ def _exact_order(n: int, adj: list[list[int]]) -> list[int]:
         return bin(reach(flood) & ~eliminated & ~(1 << v)).count("1")
 
     full = (1 << n) - 1
-    cost = {0: 0}
-    choice: dict[int, int] = {}
+    cost = [0] * (1 << n)
+    choice = [-1] * (1 << n)
     subsets_by_size: list[list[int]] = [[] for _ in range(n + 1)]
     for s in range(1 << n):
         subsets_by_size[bin(s).count("1")].append(s)
     for size in range(1, n + 1):
         for s in subsets_by_size[size]:
-            best = None
-            best_v = -1
+            best = bound + 1
             m = s
             while m:
                 low = m & -m
-                v = low.bit_length() - 1
                 m ^= low
                 prev = s ^ low
-                cand = max(cost[prev], elim_degree(v, prev))
-                if best is None or cand < best:
-                    best, best_v = cand, v
+                if cost[prev] < best:
+                    v = low.bit_length() - 1
+                    cand = max(cost[prev], elim_degree(v, prev))
+                    if cand < best:
+                        best = cand
+                        choice[s] = v
             cost[s] = best
-            choice[s] = best_v
 
     order_rev = []
     s = full
@@ -321,7 +328,8 @@ def exact_decomposition(game: ProjectionGame) -> TreeDecomposition:
         raise BudgetExceeded(
             f"exact decomposition limited to {EXACT_DECOMPOSITION_LIMIT} vertices"
         )
-    order = iter(_exact_order(n, _adjacency(game)))
+    bound = heuristic_decomposition(game).width
+    order = iter(_exact_order(n, _adjacency(game), bound))
     return _eliminate(game, lambda work, touched: next(order))
 
 

@@ -142,19 +142,23 @@ def smooth_approx(
 ) -> SolveReport:
     """Deterministic constant-factor solver for smooth satisfiable games.
 
-    Three regimes: (i) mu >= 1/4: enumerate every B assignment (up to the
-    first satisfying every edge) and take the best A response, which is
-    exact; (ii) a_count >= |E| / 4: give every B vertex a symbol with
-    nonempty preimages on all its edges and match each A vertex to one of
-    its edges, satisfying at least a_count edges; (iii) otherwise greedily
-    grow B*, always adding the B vertex adjacent to the most unsaturated
-    vertices, until saturated vertices (more than mu * degree of their
-    neighbors inside B*) carry at least |E| / 4 edge endpoints, then
-    enumerate B* assignments, pin saturated vertices when uniquely
-    determined (skipping the assignment otherwise, and pruning B* prefixes
-    that empty a saturated vertex's mask), and complete B by majority.  On
-    satisfiable instances the output satisfies at least |E| / 4 edges in
-    every regime.  mu outside [0, 1] raises InvalidSchemeParameter.
+    Three regimes: (i) mu >= 1/4: walk the B assignments in product order,
+    pruning every prefix that leaves an A vertex no consistent symbol, to
+    the first one satisfying every edge, and take the best A response,
+    which is exact; only when the walk finds none (the game is
+    unsatisfiable) enumerate every B assignment and keep the first with
+    the most satisfied edges; (ii) a_count >= |E| / 4: give every B vertex
+    a symbol with nonempty preimages on all its edges and match each A
+    vertex to one of its edges, satisfying at least a_count edges; (iii)
+    otherwise greedily grow B*, always adding the B vertex adjacent to the
+    most unsaturated vertices, until saturated vertices (more than
+    mu * degree of their neighbors inside B*) carry at least |E| / 4 edge
+    endpoints, then enumerate B* assignments, pin saturated vertices when
+    uniquely determined (skipping the assignment otherwise, and pruning B*
+    prefixes that empty a saturated vertex's mask), and complete B by
+    majority.  On satisfiable instances the output satisfies at least
+    |E| / 4 edges in every regime.  mu outside [0, 1] raises
+    InvalidSchemeParameter.
     """
     t0 = perf_counter()
     if mu is not None and not 0 <= mu <= 1:
@@ -184,6 +188,13 @@ def smooth_approx(
             raise BudgetExceeded(
                 f"{game.sigma_b}^{game.b_count} B assignments exceed cap {enum_cap}"
             )
+        # A labelling satisfies every edge exactly when every A vertex keeps
+        # a consistent symbol, so the walk's first leaf is where the product
+        # loop below would stop; that loop is left for unsatisfiable games.
+        for b_labels, _ in _extensions(game, range(game.b_count)):
+            b_labels = tuple(b_labels)
+            a_labels = tuple(_best_a_symbol(game, a, b_labels) for a in range(n_a))
+            return report(Assignment(a_labels, b_labels), 1)
         best_phi, best_val = None, -1
         for b_labels in product(range(game.sigma_b), repeat=game.b_count):
             a_labels = tuple(_best_a_symbol(game, a, b_labels) for a in range(n_a))
@@ -191,8 +202,6 @@ def smooth_approx(
             val = value(game, phi)
             if val > best_val:
                 best_phi, best_val = phi, val
-                if val == m:
-                    break
         return report(best_phi, 1)
 
     if Fraction(n_a, m) >= Fraction(1, 4):

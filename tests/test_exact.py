@@ -12,6 +12,8 @@ from labelcover.exact import (
     InvalidDecomposition,
     TreeDecomposition,
     _bag_index,
+    _eliminate,
+    _exact_order,
     _rooted_walk,
     validate_decomposition,
 )
@@ -323,6 +325,143 @@ def test_exact_decomposition_optimal_on_small_graphs():
     assert td.width <= heur.width
 
 
+# --- capped subset DP against the uncapped one it replaced ---------------------
+# The oracle is _exact_order as it was before the upper-bound cap, kept
+# verbatim apart from its name.
+
+def oracle_exact_order(n: int, adj: list[list[int]]) -> list[int]:
+    """Minimum-width elimination order by dynamic programming over subsets.
+
+    The width of eliminating v after the set S is the number of vertices
+    outside S reachable from v through S; minimising the maximum over all
+    orders yields the true treewidth.  Exponential in n, so only used for
+    tiny graphs.
+    """
+    masks = [0] * n
+    for v in range(n):
+        for u in adj[v]:
+            masks[v] |= 1 << u
+
+    def reach(flood: int) -> int:
+        out = 0
+        while flood:
+            low = flood & -flood
+            out |= masks[low.bit_length() - 1]
+            flood ^= low
+        return out
+
+    def elim_degree(v: int, eliminated: int) -> int:
+        # grow never overlaps flood, so the loop ends when nothing is new
+        flood = 1 << v
+        grow = masks[v] & eliminated
+        while grow:
+            flood |= grow
+            grow = reach(flood) & eliminated & ~flood
+        return bin(reach(flood) & ~eliminated & ~(1 << v)).count("1")
+
+    full = (1 << n) - 1
+    cost = {0: 0}
+    choice: dict[int, int] = {}
+    subsets_by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for s in range(1 << n):
+        subsets_by_size[bin(s).count("1")].append(s)
+    for size in range(1, n + 1):
+        for s in subsets_by_size[size]:
+            best = None
+            best_v = -1
+            m = s
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                m ^= low
+                prev = s ^ low
+                cand = max(cost[prev], elim_degree(v, prev))
+                if best is None or cand < best:
+                    best, best_v = cand, v
+            cost[s] = best
+            choice[s] = best_v
+
+    order_rev = []
+    s = full
+    while s:
+        v = choice[s]
+        order_rev.append(v)
+        s ^= 1 << v
+    return list(reversed(order_rev))
+
+
+def order_width(adj: list[list[int]], order: list[int]) -> int:
+    """The width of eliminating the vertices in ``order``: the most alive
+    neighbours any vertex has in the filled graph when it goes."""
+    work = [set(nbrs) for nbrs in adj]
+    width = -1
+    for v in order:
+        width = max(width, len(work[v]))
+        for u in work[v]:
+            work[u] |= work[v]
+            work[u] -= {u, v}
+    return width
+
+
+def test_capped_exact_order_matches_oracle_on_every_small_graph():
+    # every labelled graph of at most 5 vertices, at every bound from the
+    # treewidth (the tightest cap) up to n - 1
+    graphs = 0
+    for n in range(6):
+        pairs = [(u, v) for v in range(n) for u in range(v)]
+        for bits in range(1 << len(pairs)):
+            adj: list[list[int]] = [[] for _ in range(n)]
+            for i, (u, v) in enumerate(pairs):
+                if bits >> i & 1:
+                    adj[u].append(v)
+                    adj[v].append(u)
+            want = oracle_exact_order(n, adj)
+            for bound in range(order_width(adj, want), n):
+                assert _exact_order(n, adj, bound) == want, (n, adj, bound)
+            graphs += 1
+    assert graphs == 1 + 1 + 2 + 8 + 64 + 1024
+
+
+def test_capped_exact_order_matches_oracle_on_seeded_graphs():
+    # random graphs of 6-12 vertices (20 of each size, then more of 6-9,
+    # where the oracle is cheap) at the treewidth and at n - 1, then
+    # exact_decomposition (capped at the min-fill width) on bipartite
+    # games, small grids and their baker_partition residuals
+    for seed in range(320):
+        rng = random.Random(seed)
+        n = 6 + seed % (7 if seed < 140 else 4)
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for v in range(n):
+            for u in range(v):
+                if rng.random() < p:
+                    adj[u].append(v)
+                    adj[v].append(u)
+        want = oracle_exact_order(n, adj)
+        for bound in (order_width(adj, want), n - 1):
+            assert _exact_order(n, adj, bound) == want, (seed, bound)
+
+    def oracle_decomposition(g):
+        order = iter(oracle_exact_order(g.vertex_count, _adjacency(g)))
+        return _eliminate(g, lambda work, touched: next(order))
+
+    games = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        n_a = rng.randint(1, 6)
+        n_b = rng.randint(1, EXACT_DECOMPOSITION_LIMIT - n_a)
+        games.append(lc.gen_random_satisfiable(n_a, n_b, 2, 2, rng.randint(1, n_b), seed)[0])
+    for r, c in ((2, 2), (2, 3), (3, 3), (4, 5), (6, 6)):
+        g, _ = lc.gen_planar_grid(r, c, 3, 2, seed=r * c)
+        games.append(g)
+        for h in (2, 3):
+            games += lc.baker_partition(g, h).residuals
+    small = [g for g in games if g.vertex_count <= EXACT_DECOMPOSITION_LIMIT]
+    assert len(small) >= 75
+    for g in small:
+        assert lc.exact_decomposition(g) == oracle_decomposition(g)
+
+
 # --- min-fill against the full rescan it replaced ---------------------------
 # The oracle is heuristic_decomposition as it was before the lazy heap: it
 # rescans and rescores every alive vertex at every step.  _eliminate and
@@ -461,6 +600,32 @@ def test_dp_equals_brute_on_random_sweep():
         phi, val = lc.tree_dp_solve(g, td)
         assert val == lc.brute_force_opt(g)[1]
         assert lc.value(g, phi) == val
+
+
+def test_dp_on_min_fill_certificate_property():
+    # planted games, sparse and dense, and (odd seeds) the same graphs with
+    # tables redrawn at random, mostly unsatisfiable: wherever brute force
+    # runs, the DP's count is its assignment's value and the optimum, and
+    # it satisfies every edge of a planted game
+    checked = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        n_a, n_b = rng.randint(1, 6), rng.randint(1, 6)
+        k_a, k_b = rng.randint(1, 3), rng.randint(1, 3)
+        g, _ = lc.gen_random_satisfiable(n_a, n_b, k_a, k_b, rng.randint(1, n_b), seed)
+        if seed % 2:
+            tables = [tuple(rng.randrange(k_b) for _ in range(k_a)) for _ in g.edges]
+            g = lc.build_game(n_a, n_b, k_a, k_b, g.edges, tables)
+        try:
+            _, opt = lc.brute_force_opt(g, budget=20_000)
+        except BudgetExceeded:
+            continue
+        phi, val = lc.tree_dp_solve(g, lc.heuristic_decomposition(g))
+        assert val == opt == lc.value(g, phi), seed
+        if seed % 2 == 0:
+            assert val == g.edge_count, seed
+        checked += 1
+    assert checked >= 100
 
 
 def test_dp_value_independent_of_decomposition():

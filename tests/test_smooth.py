@@ -451,6 +451,7 @@ def test_smooth_exact_matches_unpruned_enumeration():
 
 def test_smooth_approx_matches_unpruned_enumeration():
     regimes = set()
+    unsatisfiable_regime_one = 0
     for game in sweep_games():
         for mu in SWEEP_MUS:
             want = outcome(lambda: oracle_smooth_approx(game, mu=mu, enum_cap=800))
@@ -461,5 +462,93 @@ def test_smooth_approx_matches_unpruned_enumeration():
             assert (got.assignment, got.satisfied, got.guarantee, got.breakdown) == (
                 want.assignment, want.satisfied, want.guarantee, want.breakdown
             )
-            regimes.add(dict(want.breakdown)["regime"])
+            regime = dict(want.breakdown)["regime"]
+            regimes.add(regime)
+            # regime (i) is exact, so a short count means no labelling
+            # satisfies every edge and the full-product fallback ran
+            unsatisfiable_regime_one += regime == 1 and want.satisfied < game.edge_count
     assert regimes == {1, 2, 3}
+    assert unsatisfiable_regime_one >= 50
+
+
+def test_smooth_approx_regime_one_checks_cap_before_walk():
+    # the all-zero labelling satisfies every edge, so the walk would stop
+    # at its first leaf; the cap still refuses the 2^10 labellings first
+    edges = [(a, b) for a in range(2) for b in range(10)]
+    g = lc.build_game(2, 10, 2, 2, edges, [(0, 0)] * len(edges))
+    with pytest.raises(BudgetExceeded) as exc:
+        lc.smooth_approx(g, mu=Fraction(1), enum_cap=1023)
+    assert str(exc.value) == "2^10 B assignments exceed cap 1023"
+    assert oracle_smooth_approx(g, mu=Fraction(1), enum_cap=1024).satisfied == 20
+    assert lc.smooth_approx(g, mu=Fraction(1), enum_cap=1024).satisfied == 20
+
+
+@pytest.mark.parametrize("tables,satisfiable", [
+    ([(0, 1), (1, 0), (0, 1)], True),
+    ([(0, 0), (1, 1), (0, 1)], False),  # b0 must be both 0 and 1
+])
+def test_smooth_approx_regime_one_isolated_vertices(tables, satisfiable):
+    # one game with an edgeless B vertex (b1), one with an edgeless A
+    # vertex (a2); the unsatisfiable tables take the full-product fallback
+    for a_count, b_count, edges in ((2, 3, [(0, 0), (1, 0), (1, 2)]),
+                                    (3, 2, [(0, 0), (1, 0), (1, 1)])):
+        g = lc.build_game(a_count, b_count, 2, 2, edges, tables)
+        for mu in (Fraction(1, 4), Fraction(1)):
+            want = oracle_smooth_approx(g, mu=mu)
+            got = lc.smooth_approx(g, mu=mu)
+            assert dict(got.breakdown)["regime"] == 1
+            assert (got.assignment, got.satisfied) == (want.assignment, want.satisfied)
+            assert (got.satisfied == 3) == satisfiable
+
+
+# --- certificates --------------------------------------------------------------
+
+def planted_smooth_games():
+    """Seeded satisfiable games: random planted tables, unique (mu 0)
+    smooth games of degree 4, and mu-smooth games of high A degree."""
+    for seed in range(60):
+        rng = random.Random(seed)
+        if seed % 3 == 0:
+            n_a, n_b = rng.randint(1, 8), rng.randint(2, 8)
+            k_a, k_b, deg = rng.randint(2, 4), rng.randint(2, 3), rng.randint(1, n_b)
+            yield lc.gen_random_satisfiable(n_a, n_b, k_a, k_b, deg, seed=seed)[0]
+        elif seed % 3 == 1:
+            n_a, n_b, k_a = rng.randint(2, 8), rng.randint(4, 8), rng.randint(2, 3)
+            yield lc.gen_smooth(n_a, n_b, k_a, 4, 4, Fraction(0), seed=seed)[0]
+        else:
+            n_a, n_b, k_a, k_b = rng.randint(2, 4), rng.randint(8, 12), 3, 5
+            mu = Fraction(rng.randint(1, 2), 8)
+            yield lc.gen_smooth(n_a, n_b, k_a, k_b, rng.randint(8, n_b), mu, seed=seed)[0]
+
+
+def test_smooth_solvers_certificate_property():
+    # every smooth_approx count is its assignment's value and, on the
+    # satisfiable games (the planted ones and the sweep's even ones, each
+    # mu-smooth for every mu tried), at least |E| / 4 in every regime; a
+    # smooth_exact answer satisfies every edge
+    regimes = set()
+    exact_hits = 0
+    games = [(g, True) for g in planted_smooth_games()]
+    games += [(g, i % 2 == 0) for i, g in enumerate(sweep_games(40))]
+    for g, satisfiable in games:
+        mu0 = lc.measure_smoothness(g).mu
+        for mu in (None, mu0, max(mu0, Fraction(1, 4))):
+            try:
+                rep = lc.smooth_approx(g, mu=mu)
+            except BudgetExceeded:
+                continue
+            assert rep.satisfied == value(g, rep.assignment)
+            assert rep.guarantee == Fraction(g.edge_count, 4)
+            if satisfiable:
+                assert rep.satisfied >= rep.guarantee
+                regimes.add(dict(rep.breakdown)["regime"])
+        for seed in range(3):
+            try:
+                phi = lc.smooth_exact(g, mu=mu0, seed=seed)
+            except BudgetExceeded:
+                continue
+            if phi is not None:
+                assert value(g, phi) == g.edge_count
+                exact_hits += 1
+    assert regimes == {1, 2, 3}
+    assert exact_hits >= 50
