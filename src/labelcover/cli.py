@@ -432,87 +432,95 @@ _PLANT_OUT = ("--plant-out", {})
 _SIZES = _required_ints("--na", "--nb", "--ka", "--kb", "--degree")
 _GRID = _required_ints("--rows", "--cols")
 _MU = ("--mu", {"type": _rational, "default": None})
-# added after each command's own rows, so they come last in usage and --help
-_COMMON = (
-    ("--json", {**_FLAG, "help": "machine readable output"}),
-    ("--seed", {"type": int, "default": 0, "help": "generator/solver seed"}),
-    ("--enum-cap", {
-        "type": int,
-        "default": smooth_mod.DEFAULT_ENUM_CAP,
-        "help": "cap on enumerated assignments for exponential phases",
-    }),
-    ("--timings", {**_FLAG, "help": "include wall-clock in output"}),
-)
+_A0 = ("--a0", {"type": int, "default": None, "help": "anchor vertex"})
+_UNIFORM = ("--uniform", {**_FLAG, "help": "uniform variants"})
+# listed after each command's own rows, so they come last in usage and --help
+_JSON = ("--json", {**_FLAG, "help": "machine readable output"})
+_SEED = ("--seed", {"type": int, "default": 0, "help": "generator/solver seed"})
+_ENUM_CAP = ("--enum-cap", {
+    "type": int,
+    "default": smooth_mod.DEFAULT_ENUM_CAP,
+    "help": "cap on enumerated assignments for exponential phases",
+})
+_TIMINGS = ("--timings", {**_FLAG, "help": "include wall-clock in output"})
 
 # (name, help, dest of its sub-commands or None, handler, rows): rows are
 # (flag, add_argument kwargs), or (name, help, rows) under a sub-command dest
 _COMMANDS = (
     ("gen", "generate instances", "kind", _cmd_gen, (
         ("random", "planted random instance",
-         (*_SIZES, ("--uniform", _FLAG), _OUT, _PLANT_OUT)),
+         (*_SIZES, ("--uniform", _FLAG), _OUT, _PLANT_OUT, _SEED)),
         ("smooth", "planted smooth instance",
          (*_SIZES, ("--mu", {"type": _rational, "required": True}),
-          _OUT, _PLANT_OUT)),
+          _OUT, _PLANT_OUT, _JSON, _SEED)),
         ("grid", "planted planar grid instance",
-         (*_GRID, *_required_ints("--ka", "--kb"), _OUT, _PLANT_OUT)),
+         (*_GRID, *_required_ints("--ka", "--kb"), _OUT, _PLANT_OUT, _SEED)),
         ("3col", "random planar 3-colorable graph",
          (*_GRID, ("--keep", {"type": _rational, "default": Fraction(3, 4)}),
-          _OUT)),
+          _OUT, _SEED)),
         ("tiling", "random matrix tiling",
          (*_required_ints("--size", "--coords"),
           ("--density", {"type": _rational, "default": Fraction(1, 2)}),
-          ("--solvable", _FLAG), _OUT)),
+          ("--solvable", _FLAG), _OUT, _SEED)),
     )),
-    ("stats", "instance statistics", None, _cmd_stats, (_INSTANCE,)),
+    ("stats", "instance statistics", None, _cmd_stats, (_INSTANCE, _JSON)),
     ("solve", "exact solvers", "method", _cmd_solve, (
         ("exact", "brute force oracle",
-         (_INSTANCE, ("--budget", {"type": int, "default": None}))),
+         (_INSTANCE, ("--budget", {"type": int, "default": None}),
+          _JSON, _TIMINGS)),
         ("dp", "tree-decomposition dynamic program",
          (_INSTANCE, ("--td", {
              "help": "decomposition file (default: min-fill heuristic)"
-         }))),
+         }), _JSON, _TIMINGS)),
     )),
-    ("approx", "approximation algorithms", None, _cmd_approx, (
-        ("algorithm", {"choices": BENCH_ALGOS}),
-        _INSTANCE,
-        ("--a0", {"type": int, "default": None, "help": "anchor vertex"}),
-        ("--sigma", {"type": int, "default": None,
-                     "help": "anchor symbol (kyn)"}),
-        ("--uniform", {**_FLAG, "help": "uniform variants"}),
+    ("approx", "approximation algorithms", "algorithm", _cmd_approx, (
+        ("one-neighbor", "one edge per B vertex", (_INSTANCE, _JSON, _TIMINGS)),
+        ("greedy", "preimage-greedy labels", (_INSTANCE, _JSON, _TIMINGS)),
+        ("kyn", "know your neighbors", (_INSTANCE, _A0, ("--sigma", {
+            "type": int, "default": None, "help": "anchor symbol (kyn)"
+        }), _JSON, _TIMINGS)),
+        ("kynn", "know your neighbors' neighbors",
+         (_INSTANCE, _A0, _UNIFORM, _JSON, _TIMINGS)),
+        ("dnc", "divide and conquer", (_INSTANCE, _UNIFORM, _JSON, _TIMINGS)),
+        ("best", "best of the five", (_INSTANCE, _JSON, _TIMINGS)),
     )),
     ("smooth", "smooth-game algorithms", "method", _cmd_smooth, (
-        ("measure", "measure smoothness", (_INSTANCE,)),
+        ("measure", "measure smoothness", (_INSTANCE, _JSON)),
         ("exact", "randomized exact solver",
-         (_INSTANCE, _MU, ("--c1", {"type": _rational, "default": Fraction(4)}))),
-        ("approx", "deterministic constant factor", (_INSTANCE, _MU)),
+         (_INSTANCE, _MU, ("--c1", {"type": _rational, "default": Fraction(4)}),
+          _JSON, _SEED, _ENUM_CAP)),
+        ("approx", "deterministic constant factor",
+         (_INSTANCE, _MU, _JSON, _ENUM_CAP, _TIMINGS)),
     )),
     ("ptas", "planar approximation scheme", None, _cmd_ptas, (
         _INSTANCE,
         ("--eps", {"type": _rational, "required": True}),
         ("--force-nonplanar", _FLAG),
         ("--h-override", {"type": int, "default": None}),
+        _JSON, _TIMINGS,
     )),
     ("reduce", "instance reductions", "kind", _cmd_reduce, (
         ("3col", "3-coloring graph to game",
          (("input", {}), _OUT, ("--extract", {
              "help": "assignment file to pull a coloring from"
-         }))),
+         }), _JSON)),
         ("tiling", "matrix tiling to game",
          (("input", {}), _OUT, ("--extract", {
              "help": "assignment file to pull a tiling from"
-         }))),
+         }), _JSON)),
     )),
     ("verify", "evaluate an assignment", None, _cmd_verify,
-     (_INSTANCE, ("assignment", {}))),
+     (_INSTANCE, ("assignment", {}), _JSON)),
     ("bench", "run the approximation suite on a corpus", None, _cmd_bench, (
         ("corpus", {"help": "directory of .lc files"}),
         ("--out", {"help": "write JSONL records here instead of stdout"}),
+        _TIMINGS,
     )),
 )
 
 
 def _add_rows(parser, rows):
-    for flag, kwargs in (*rows, *_COMMON):
+    for flag, kwargs in rows:
         parser.add_argument(flag, **kwargs)
 
 

@@ -138,7 +138,7 @@ def parse_assignment(text: str) -> Assignment:
     """`assign v1`: header, then one line of A labels, one of B labels.
 
     Either label line may be empty for an empty side, but both lines must
-    be present.
+    be present, and only blank or comment lines may follow them.
     """
     rows = text.splitlines()
     idx = 0
@@ -150,9 +150,10 @@ def parse_assignment(text: str) -> Assignment:
     for off, raw in enumerate(rows[idx + 1:], start=idx + 2):
         if raw.lstrip().startswith("#"):
             continue
-        data.append((off, raw))
-        if len(data) == 2:
-            break
+        if len(data) < 2:
+            data.append((off, raw))
+        elif raw.strip():
+            raise ParseError(off, "trailing content after the declared lines")
     if len(data) < 2:
         raise ParseError(len(rows), "expected two label lines")
     a_line, b_line = data

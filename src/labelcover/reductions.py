@@ -28,6 +28,7 @@ from .core import (
     LabelCoverError,
     ProjectionGame,
     build_game,
+    check_assignment,
 )
 from .smooth import SmoothnessReport, measure_smoothness
 
@@ -124,6 +125,7 @@ def extract_coloring(
     A fully satisfying assignment yields a proper 3-coloring; otherwise
     the partial coloring comes with the violated game edge indices.
     """
+    check_assignment(game, phi)
     violated = tuple(
         i
         for i, ((a, b), table) in enumerate(zip(game.edges, game.projections))
@@ -320,6 +322,7 @@ def extract_tiling(
     unsatisfied edge touches the connector sets of at most two cells, so
     the wildcard count is at most twice the number of unsatisfied edges.
     """
+    check_assignment(game, phi)
     maps, _ = _tiling_layout(t)
     k = t.grid_size
     sat = [

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +11,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import labelcover as lc
 from labelcover import formats
-from labelcover.cli import _parser, main
+from labelcover.cli import BENCH_ALGOS, _parser, main
 
 from conftest import FIXTURES, SRC, fixture_text
 
 TINY1 = str(FIXTURES / "tiny1.lc")
 TINY1_ASSIGN = str(FIXTURES / "tiny1.assign")
+SMOOTH1 = str(FIXTURES / "smooth1.lc")
+GRID = str(FIXTURES / "grid4x4_seed7.lc")
 
 
 def run(capsys, *argv):
@@ -201,6 +204,25 @@ def test_reduce_tiling_and_extract(capsys, tmp_path):
     assert payload["violations"] == []
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("3col", "colgraph v1\n3 3 1\n0 1\n0 2\n1 2\n"),
+    ("tiling", formats.emit_matrix_tiling(
+        lc.gen_matrix_tiling(2, 2, 0.5, seed=3, solvable=True))),
+], ids=["3col", "tiling"])
+def test_reduce_extract_misshapen_assignment_exits_one_line(capsys, tmp_path, kind, text):
+    src = tmp_path / "source"
+    src.write_text(text)
+    assign_path = tmp_path / "bad.assign"
+    game = formats.parse_labelcover(run(capsys, "reduce", kind, str(src))[1])
+    a, b = (0,) * game.a_count, (0,) * game.b_count
+    for phi in (lc.Assignment(a[1:], b), lc.Assignment((-1, *a[1:]), b)):
+        assign_path.write_text(formats.emit_assignment(phi))
+        code, out, err = run(
+            capsys, "reduce", kind, str(src), "--extract", str(assign_path), "--json"
+        )
+        _assert_one_line_error(code, out, err)
+
+
 def test_bench_corpus(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -316,6 +338,11 @@ def test_trailing_content_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "parse error: line 4: trailing content after the declared lines\n"
+    assign = tmp_path / "g.assign"
+    assign.write_text("assign v1\n1 1 1\n1 0 0\ngarbage here\n")
+    code, out, err = run(capsys, "verify", TINY1, str(assign))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 4: trailing content after the declared lines\n"
 
 
 def test_unreadable_input_exits_two(capsys, tmp_path):
@@ -412,6 +439,142 @@ def _leaves(parser, path=()):
             return [leaf for name, sub in action.choices.items()
                     for leaf in _leaves(sub, (*path, name))]
     return [(path, parser)]
+
+
+# every option each leaf accepts (-h aside), in usage order
+_LEAF_FLAGS = {
+    ("gen", "random"): ("--na", "--nb", "--ka", "--kb", "--degree", "--uniform",
+                        "--out", "--plant-out", "--seed"),
+    ("gen", "smooth"): ("--na", "--nb", "--ka", "--kb", "--degree", "--mu",
+                        "--out", "--plant-out", "--json", "--seed"),
+    ("gen", "grid"): ("--rows", "--cols", "--ka", "--kb", "--out", "--plant-out",
+                      "--seed"),
+    ("gen", "3col"): ("--rows", "--cols", "--keep", "--out", "--seed"),
+    ("gen", "tiling"): ("--size", "--coords", "--density", "--solvable", "--out",
+                        "--seed"),
+    ("stats",): ("--json",),
+    ("solve", "exact"): ("--budget", "--json", "--timings"),
+    ("solve", "dp"): ("--td", "--json", "--timings"),
+    ("approx", "one-neighbor"): ("--json", "--timings"),
+    ("approx", "greedy"): ("--json", "--timings"),
+    ("approx", "kyn"): ("--a0", "--sigma", "--json", "--timings"),
+    ("approx", "kynn"): ("--a0", "--uniform", "--json", "--timings"),
+    ("approx", "dnc"): ("--uniform", "--json", "--timings"),
+    ("approx", "best"): ("--json", "--timings"),
+    ("smooth", "measure"): ("--json",),
+    ("smooth", "exact"): ("--mu", "--c1", "--json", "--seed", "--enum-cap"),
+    ("smooth", "approx"): ("--mu", "--json", "--enum-cap", "--timings"),
+    ("ptas",): ("--eps", "--force-nonplanar", "--h-override", "--json", "--timings"),
+    ("reduce", "3col"): ("--out", "--extract", "--json"),
+    ("reduce", "tiling"): ("--out", "--extract", "--json"),
+    ("verify",): ("--json",),
+    ("bench",): ("--out", "--timings"),
+}
+
+
+def _shared_flags(path):
+    """Flags that every leaf, or every approx leaf, once accepted."""
+    common = ("--json", "--seed", "--enum-cap", "--timings")
+    return common + (("--a0", "--sigma", "--uniform") if path[0] == "approx" else ())
+
+
+def test_every_leaf_accepts_exactly_the_flags_it_reads():
+    leaves = dict(_leaves(_parser()))
+    accepted = {
+        path: tuple(flag for action in leaf._actions
+                    for flag in action.option_strings if flag not in ("-h", "--help"))
+        for path, leaf in leaves.items()
+    }
+    assert accepted == _LEAF_FLAGS
+    assert tuple(path[1] for path in leaves if path[0] == "approx") == BENCH_ALGOS
+    pairs = [(path, flag) for path in leaves for flag in _shared_flags(path)]
+    kept = [(path, flag) for path, flag in pairs if flag in _LEAF_FLAGS[path]]
+    assert (len(pairs), len(kept)) == (106, 41)
+
+
+def test_every_dropped_flag_is_a_usage_error(capsys):
+    for path, leaf in _leaves(_parser()):
+        argv = list(path)  # positionals and required options, so it parses
+        for action in leaf._actions:
+            if not action.option_strings:
+                argv.append("1")
+            elif action.required:
+                argv += [action.option_strings[0], "1"]
+        _parser().parse_args(argv)
+        for flag in _shared_flags(path):
+            if flag in _LEAF_FLAGS[path]:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, flag, "0"])
+            assert exc.value.code == 2, (path, flag)
+            err = capsys.readouterr().err
+            assert err.endswith(f": error: unrecognized arguments: {flag} 0\n")
+
+
+_TIMED = [
+    ("solve", "exact", TINY1),
+    ("solve", "dp", TINY1),
+    ("approx", "kynn", TINY1),
+    ("smooth", "approx", SMOOTH1, "--mu", "1/12"),
+    ("ptas", GRID, "--eps", "1/2"),
+]
+
+
+@pytest.mark.parametrize("argv", _TIMED, ids=lambda argv: " ".join(argv[:2]))
+def test_timings_flag_adds_elapsed_and_nothing_else(capsys, argv):
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and "elapsed" not in text
+    code, timed, _ = run(capsys, *argv, "--timings")
+    *lines, last = timed.splitlines()
+    assert code == 0 and lines == text.splitlines()
+    assert last.startswith("elapsed: ") and last.endswith("s")
+    code, out, _ = run(capsys, *argv, "--json")
+    payload = json.loads(out)
+    assert code == 0 and "elapsed" not in payload
+    code, out, _ = run(capsys, *argv, "--json", "--timings")
+    timed = json.loads(out)
+    assert code == 0 and timed.pop("elapsed") >= 0
+    assert timed.pop("command") == [*argv, "--json", "--timings"]
+    assert payload.pop("command") == [*argv, "--json"]
+    assert timed == payload
+
+
+def test_bench_timings_adds_elapsed_to_run_records(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "tiny1.lc").write_text(Path(TINY1).read_text())
+    code, out, _ = run(capsys, "bench", str(corpus))
+    assert code == 0 and "elapsed" not in out
+    code, timed, _ = run(capsys, "bench", str(corpus), "--timings")
+    assert code == 0
+    records = [json.loads(line) for line in timed.splitlines()]
+    plain = [json.loads(line) for line in out.splitlines()]
+    for record in records[:-1]:
+        assert record.pop("elapsed") >= 0
+    assert records == plain
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("exact", ("--mu", "1/12", "--seed", "0")),
+    ("approx", ("--mu", "1/12")),
+], ids=["exact", "approx"])
+def test_smooth_enum_cap_exits_three(capsys, method, extra):
+    code, _, _ = run(capsys, "smooth", method, SMOOTH1, *extra)
+    assert code == 0
+    code, out, err = run(capsys, "smooth", method, SMOOTH1, *extra, "--enum-cap", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: ") and err.endswith(" exceed cap 1\n")
+    assert err.count("\n") == 1
+
+
+def test_readme_command_lines_parse():
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    argvs = [shlex.split(line)[1:] for line in lines if line.startswith("labelcover ")]
+    assert len(argvs) == len(lines)
+    for argv in argvs:
+        _parser().parse_args(argv)
 
 
 _JUNK = st.sampled_from(["", "x", "1/", "nan", "--", "0.5", "-"])

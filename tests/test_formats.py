@@ -47,8 +47,9 @@ def test_labelcover_bad_header():
         (formats.parse_matrix_tiling,
          "matrixtiling v1\n2 2\n1 1 1 1 1\n1 2 0\n2 1 0\n2 2 0\n3 1 0\n", 7),
         (formats.parse_coloring_graph, "colgraph v1\n3 1 0\n0 1\n1 2\n0 2\n", 4),
+        (formats.parse_assignment, "assign v1\n0 0 0\n0 0 0 0\n\ngarbage here\n", 5),
     ],
-    ids=["labelcover", "td", "tiling", "colgraph"],
+    ids=["labelcover", "td", "tiling", "colgraph", "assign"],
 )
 def test_trailing_content_is_parse_error(parse, text, line):
     with pytest.raises(formats.ParseError) as err:
@@ -72,6 +73,11 @@ def test_assignment_round_trip():
 def test_assignment_empty_side():
     phi = lc.Assignment((), (0, 1))
     assert formats.parse_assignment(formats.emit_assignment(phi)) == phi
+
+
+def test_assignment_allows_blank_and_comment_lines_after_labels():
+    text = "assign v1\n0 1\n2\n\n# note\n  \n"
+    assert formats.parse_assignment(text) == lc.Assignment((0, 1), (2,))
 
 
 def test_td_round_trip():

@@ -229,6 +229,26 @@ def test_extract_tiling_single_violation():
     assert 4 - sol.chosen_count() <= 2 * unsat
 
 
+
+def _misshapen(game):
+    """Assignments that do not fit game: a side one label short, a label -1."""
+    a, b = (0,) * game.a_count, (0,) * game.b_count
+    return (
+        lc.Assignment(a[1:], b), lc.Assignment(a, b[1:]),
+        lc.Assignment((-1, *a[1:]), b), lc.Assignment(a, (-1, *b[1:])),
+    )
+
+
+@pytest.mark.parametrize("source, reduce, extract", [
+    (k_graph(3), lc.from_planar_3col, lc.extract_coloring),
+    (singleton_tiling(), lc.from_matrix_tiling, lc.extract_tiling),
+], ids=["coloring", "tiling"])
+def test_extract_rejects_misshapen_assignment(source, reduce, extract):
+    game, _ = reduce(source)
+    for phi in _misshapen(game):
+        with pytest.raises(lc.ShapeMismatch):
+            extract(source, game, phi)
+
 def test_extract_tiling_random_assignments_valid():
     t = lc.gen_matrix_tiling(3, 2, 0.5, seed=9, solvable=True)
     game, _ = lc.from_matrix_tiling(t)
