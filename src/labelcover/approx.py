@@ -578,15 +578,17 @@ def divide_and_conquer(
                     for ki in owners[e]:
                         live[ki] -= 1
 
+    # live counts only fall, so a key the scan has passed stays ineligible
+    # and each round's scan resumes at the last chosen key
+    pos = 0
     while True:
-        chosen = None
-        for ki, key in enumerate(keys):
-            if factor * n_a * n_b * live[ki] >= m * m and live[ki] > 0:
-                chosen = (ki, key)
-                break
-        if chosen is None:
+        while pos < len(keys) and not (
+            factor * n_a * n_b * live[pos] >= m * m and live[pos] > 0
+        ):
+            pos += 1
+        if pos == len(keys):
             break
-        _, (a, sa) = chosen
+        a, sa = keys[pos]
 
         if uniform:
             p_b = [b for b in game.a_neighbors[a] if not in_vp[n_a + b]]

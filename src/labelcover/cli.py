@@ -193,7 +193,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_approx(args) -> int:
     game = _load_game(args.instance)
-    st = compute_stats(game)
+    st = None if args.algorithm == "one-neighbor" else compute_stats(game)
     if args.algorithm == "one-neighbor":
         rep = approx.satisfy_one_neighbor(game)
     elif args.algorithm == "greedy":
@@ -289,18 +289,17 @@ def _cmd_reduce(args) -> int:
         if args.extract:
             phi = formats.parse_assignment(_read_text(args.extract))
             ext = reductions.extract_coloring(graph, game, phi)
-            if args.json:
-                print(json.dumps({
-                    "proper": ext.proper,
-                    "coloring": list(ext.coloring),
-                    "violated_edges": list(ext.violated_edges),
-                }))
-            else:
-                print(f"proper: {ext.proper}")
-                print("coloring:", " ".join(str(c) for c in ext.coloring))
-                if ext.violated_edges:
-                    print("violated edges:", " ".join(map(str, ext.violated_edges)))
-            return 0
+            payload = {
+                "proper": ext.proper,
+                "coloring": list(ext.coloring),
+                "violated_edges": list(ext.violated_edges),
+            }
+            lines = [
+                f"proper: {ext.proper}",
+                "coloring: " + " ".join(map(str, ext.coloring)),
+            ]
+            if ext.violated_edges:
+                lines.append("violated edges: " + " ".join(map(str, ext.violated_edges)))
     else:
         tiling = formats.parse_matrix_tiling(_read_text(args.input))
         game, _ = reductions.from_matrix_tiling(tiling)
@@ -308,18 +307,20 @@ def _cmd_reduce(args) -> int:
             phi = formats.parse_assignment(_read_text(args.extract))
             sol = reductions.extract_tiling(tiling, game, phi)
             bad = reductions.validate_tiling_solution(tiling, sol)
-            if args.json:
-                print(json.dumps({
-                    "cells": [list(c) if c else None for c in sol.cells],
-                    "chosen": sol.chosen_count(),
-                    "violations": bad,
-                }))
-            else:
-                print(f"chosen cells: {sol.chosen_count()} of {len(sol.cells)}")
-                for line in bad:
-                    print(f"violation: {line}")
-            return 0
-    _write_or_print(formats.emit_labelcover(game), args.out)
+            payload = {
+                "cells": [list(c) if c else None for c in sol.cells],
+                "chosen": sol.chosen_count(),
+                "violations": bad,
+            }
+            lines = [f"chosen cells: {sol.chosen_count()} of {len(sol.cells)}"]
+            lines += [f"violation: {line}" for line in bad]
+    if not args.extract:
+        text = formats.emit_labelcover(game)
+    elif args.json:
+        text = json.dumps(payload) + "\n"
+    else:
+        text = "\n".join(lines) + "\n"
+    _write_or_print(text, args.out)
     return 0
 
 

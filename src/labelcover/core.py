@@ -16,9 +16,11 @@ the global-numbering neighbor lists that decompositions and BFS read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import index
 
 
@@ -167,16 +169,60 @@ def build_game(
     is not an integer raises IndexOutOfRange as an endpoint and
     SymbolOutOfRange as a table entry.  Computes nothing beyond validation.
     """
+    return _validated_game(
+        a_count, b_count, sigma_a, sigma_b, edges, projections, _int_rows
+    )
+
+
+def _validated_game(
+    a_count, b_count, sigma_a, sigma_b, edges, projections, int_rows=None
+) -> ProjectionGame:
+    """``build_game``'s checks, in its order.  ``int_rows`` turns the rows
+    into tuples of ints after the size checks; without it ``edges`` and
+    ``projections`` must already be such tuples (the parser's)."""
     if a_count < 0 or b_count < 0:
         raise IndexOutOfRange("vertex counts must be nonnegative")
     if sigma_a < 1 or sigma_b < 1:
         raise SymbolOutOfRange("alphabet sizes must be positive")
-    edges = _int_rows(edges, IndexOutOfRange, "endpoints")
-    projections = _int_rows(projections, SymbolOutOfRange, "table entries")
-    if len(projections) != len(edges):
+    if int_rows is not None:
+        edges = int_rows(edges, IndexOutOfRange, "endpoints")
+        projections = int_rows(projections, SymbolOutOfRange, "table entries")
+    m = len(edges)
+    if len(projections) != m:
         raise TableLengthMismatch(
-            f"{len(edges)} edges but {len(projections)} projection tables"
+            f"{m} edges but {len(projections)} projection tables"
         )
+    if not _all_valid(a_count, b_count, sigma_a, sigma_b, edges, projections):
+        _first_error(a_count, b_count, sigma_a, sigma_b, edges, projections)
+    return ProjectionGame(a_count, b_count, sigma_a, sigma_b, edges, projections)
+
+
+def _all_valid(a_count, b_count, sigma_a, sigma_b, edges, projections) -> bool:
+    """Whether every edge passes ``_first_error``'s checks, found in a few
+    C-level passes over the whole input."""
+    if not edges:
+        return True
+    if set(map(len, edges)) != {2} or set(map(len, projections)) != {sigma_a}:
+        return False
+    if len(set(edges)) != len(edges):
+        return False
+    a_ends, b_ends = zip(*edges)
+    return (
+        _in_range(a_ends, a_count)
+        and _in_range(b_ends, b_count)
+        and _in_range(chain.from_iterable(projections), sigma_b)
+    )
+
+
+def _in_range(values, bound) -> bool:
+    """Whether every one of some values lies in range(bound).  min and max
+    run over the distinct values, which is cheaper than over them all."""
+    distinct = set(values)
+    return 0 <= min(distinct) and max(distinct) < bound
+
+
+def _first_error(a_count, b_count, sigma_a, sigma_b, edges, projections):
+    """Raise the error of the first bad edge, checked one at a time."""
     seen = set()
     for i, (a, b) in enumerate(edges):
         if not (0 <= a < a_count and 0 <= b < b_count):
@@ -192,7 +238,6 @@ def build_game(
         for s in table:
             if not 0 <= s < sigma_b:
                 raise SymbolOutOfRange(f"edge {i}: table entry {s} not a B symbol")
-    return ProjectionGame(a_count, b_count, sigma_a, sigma_b, edges, projections)
 
 
 def check_assignment(game: ProjectionGame, phi: Assignment) -> None:
@@ -329,6 +374,18 @@ def _majority_b_symbol(game: ProjectionGame, b: int, a_labels) -> int:
     return scores.index(max(scores))
 
 
+def _draw_threshold(p) -> float:
+    """A float q such that ``rng.random() < q`` exactly when
+    ``rng.random() < p``, for a rational p, so each draw is a float compare
+    instead of a Fraction one.  random() returns k / 2**53 for an integer
+    k, and k / 2**53 < p exactly when k < ceil(p * 2**53); that bound,
+    clamped to [0, 2**53], over 2**53 is an exact float.  A float p is
+    returned as it is."""
+    if isinstance(p, float):
+        return p
+    return min(max(math.ceil(Fraction(p) * 2**53), 0), 2**53) / 2**53
+
+
 def _adjacency(game: ProjectionGame) -> list[list[int]]:
     """Neighbors of every vertex in the global numbering, in edge order."""
     adj: list[list[int]] = [[] for _ in range(game.vertex_count)]
@@ -372,37 +429,31 @@ def compute_stats(game: ProjectionGame) -> InstanceStats:
     a_deg = tuple(len(x) for x in game.a_edges)
     b_deg = tuple(len(x) for x in game.b_edges)
 
-    n2 = []
-    for a in range(game.a_count):
-        two_hop: set[int] = set()
-        for b in game.a_neighbors[a]:
-            two_hop.update(game.b_neighbors[b])
-        n2.append(tuple(sorted(two_hop)))
-    n2 = tuple(n2)
+    a_nbrs, b_nbrs = game.a_neighbors, game.b_neighbors
+    n2 = tuple(
+        tuple(sorted(set().union(*map(b_nbrs.__getitem__, nbrs))))
+        for nbrs in a_nbrs
+    )
 
+    # the B symbol with the most table entries over b's edges
+    tables = game.projections
     sigma_b_max = []
-    for b in range(game.b_count):
-        best_sym, best_total = 0, -1
-        for sb in range(game.sigma_b):
-            total = sum(
-                game.preimage_masks[e][sb].bit_count() for e in game.b_edges[b]
-            )
-            if total > best_total:
-                best_sym, best_total = sb, total
-        sigma_b_max.append(best_sym)
+    for eids in game.b_edges:
+        counts = [0] * game.sigma_b
+        for e in eids:
+            for sb in tables[e]:
+                counts[sb] += 1
+        sigma_b_max.append(counts.index(max(counts)))
     sigma_b_max = tuple(sigma_b_max)
 
     p_max_e = tuple(
-        game.preimage_masks[i][sigma_b_max[b]].bit_count()
-        for i, (_, b) in enumerate(game.edges)
+        map(tuple.count, tables, [sigma_b_max[b] for _, b in game.edges])
     )
     m = game.edge_count
     p_bar_max = Fraction(sum(p_max_e), m) if m else Fraction(0)
 
-    e_n = tuple(
-        sum(b_deg[b] for b in game.a_neighbors[a]) for a in range(game.a_count)
-    )
-    h = tuple(sum(a_deg[ap] for ap in n2[a]) for a in range(game.a_count))
+    e_n = tuple(sum(map(b_deg.__getitem__, nbrs)) for nbrs in a_nbrs)
+    h = tuple(sum(map(a_deg.__getitem__, two_hop)) for two_hop in n2)
     h_max = max(h, default=0)
     e_n_max = max(e_n, default=0)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Assignment, LabelCoverError, ProjectionGame, build_game
+from .core import Assignment, LabelCoverError, ProjectionGame, _validated_game
 from .exact import TreeDecomposition
 from .reductions import (
     ColoringGraph,
@@ -37,10 +37,9 @@ def _content_lines(text: str):
         yield num, line
 
 
-def _ints(num: int, line: str, expected: int | None = None) -> list[int]:
-    parts = line.split()
+def _ints(num: int, line: str, expected: int | None = None) -> tuple[int, ...]:
     try:
-        values = [int(p) for p in parts]
+        values = tuple(map(int, line.split()))
     except ValueError:
         raise ParseError(num, f"expected integers, got {line!r}")
     if expected is not None and len(values) != expected:
@@ -107,31 +106,35 @@ def parse_labelcover(text: str) -> ProjectionGame:
     _header(lines, "labelcover v1")
     num, (n_a, n_b, k_a, k_b, m) = _size_line(lines, 5)
     at = [num]
-    edges = []
-    tables = []
+    rows = []
     for _, num, line in _rows(lines, num, (m, "edge")):
-        vals = _ints(num, line)
-        if len(vals) != 2 + k_a:
+        row = _ints(num, line)
+        if len(row) != 2 + k_a:
             raise ParseError(
-                num, f"edge line needs {2 + k_a} fields, got {len(vals)}"
+                num, f"edge line needs {2 + k_a} fields, got {len(row)}"
             )
-        edges.append((vals[0], vals[1]))
-        tables.append(tuple(vals[2:]))
+        rows.append(row)
         at.append(num)
+    edges = tuple([row[:2] for row in rows])
+    tables = tuple([row[2:] for row in rows])
     return _built(
-        lambda: build_game(n_a, n_b, k_a, k_b, edges, tables), "instance", at
+        lambda: _validated_game(n_a, n_b, k_a, k_b, edges, tables), "instance", at
     )
 
 
 def emit_labelcover(game: ProjectionGame) -> str:
-    out = ["labelcover v1"]
-    out.append(
-        f"{game.a_count} {game.b_count} {game.sigma_a} {game.sigma_b} "
-        f"{game.edge_count}"
+    head = (
+        f"labelcover v1\n{game.a_count} {game.b_count} {game.sigma_a} "
+        f"{game.sigma_b} {game.edge_count}\n"
     )
-    for (a, b), table in zip(game.edges, game.projections):
-        out.append(" ".join(str(x) for x in (a, b, *table)))
-    return "\n".join(out) + "\n"
+    if not game.edges:
+        return head
+    # stored values are exact ints (int() here, operator.index in
+    # build_game), so "%d" prints each one as str() does
+    row = " ".join(["%d"] * (2 + len(game.projections[0]))) + "\n"
+    return head + "".join(
+        [row % (*edge, *table) for edge, table in zip(game.edges, game.projections)]
+    )
 
 
 def parse_assignment(text: str) -> Assignment:
@@ -163,7 +166,7 @@ def parse_assignment(text: str) -> Assignment:
         raw = raw.strip()
         if not raw:
             return ()
-        return tuple(_ints(num, raw))
+        return _ints(num, raw)
 
     return Assignment(labels(a_line), labels(b_line))
 
@@ -188,7 +191,7 @@ def parse_td(text: str) -> TreeDecomposition:
         if kind == "bag":
             bags.append(frozenset(_ints(num, " ".join(fields))))
         else:
-            links.append(tuple(_ints(num, " ".join(fields), 2)))
+            links.append(_ints(num, " ".join(fields), 2))
     return TreeDecomposition(tuple(bags), tuple(links))
 
 

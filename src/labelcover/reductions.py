@@ -27,6 +27,7 @@ from .core import (
     InfeasibleParams,
     LabelCoverError,
     ProjectionGame,
+    _draw_threshold,
     build_game,
     check_assignment,
 )
@@ -600,6 +601,7 @@ def gen_coloring_graph(
                 candidates.append((idx(r, c), idx(r + 1, c)))
             if r + 1 < rows and c + 1 < cols:
                 candidates.append((idx(r, c + 1), idx(r + 1, c)))
+    keep = _draw_threshold(keep)
     edges = [e for e in candidates if rng.random() < keep]
     coloring = tuple((r + 2 * c) % 3 for r in range(rows) for c in range(cols))
     return build_coloring_graph(rows * cols, edges, claimed_planar=True), coloring
@@ -618,6 +620,7 @@ def gen_matrix_tiling(
     if grid_size < 1 or coord_max < 1:
         raise InfeasibleParams("grid size and coordinate range must be positive")
     rng = random.Random(seed)
+    density = _draw_threshold(density)
     cells = []
     row_val = [rng.randrange(1, coord_max + 1) for _ in range(grid_size)]
     col_val = [rng.randrange(1, coord_max + 1) for _ in range(grid_size)]

@@ -23,6 +23,7 @@ from .core import (
     ProjectionGame,
     SolveReport,
     _best_a_symbol,
+    _draw_threshold,
     _extensions,
     _lowest_bit,
     _majority_b_symbol,
@@ -109,7 +110,8 @@ def smooth_exact(
         mu = default_mu(game)
     rng = random.Random(seed)
     p = min(Fraction(1), Fraction(c1) * mu)
-    bstar = [b for b in range(game.b_count) if rng.random() < p]
+    cut = _draw_threshold(p)
+    bstar = [b for b in range(game.b_count) if rng.random() < cut]
 
     total = game.sigma_b ** len(bstar)
     if total > enum_cap:

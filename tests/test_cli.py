@@ -223,6 +223,29 @@ def test_reduce_extract_misshapen_assignment_exits_one_line(capsys, tmp_path, ki
         _assert_one_line_error(code, out, err)
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("3col", "colgraph v1\n3 3 1\n0 1\n0 2\n1 2\n"),
+    ("tiling", formats.emit_matrix_tiling(
+        lc.gen_matrix_tiling(2, 2, 0.5, seed=3, solvable=True))),
+], ids=["3col", "tiling"])
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_reduce_extract_writes_to_out(capsys, tmp_path, kind, text, json_flag):
+    src = tmp_path / "source"
+    src.write_text(text)
+    game = formats.parse_labelcover(run(capsys, "reduce", kind, str(src))[1])
+    assign_path = tmp_path / "zero.assign"
+    assign_path.write_text(formats.emit_assignment(
+        lc.Assignment((0,) * game.a_count, (0,) * game.b_count)
+    ))
+    argv = ("reduce", kind, str(src), "--extract", str(assign_path), *json_flag)
+    code, printed, _ = run(capsys, *argv)
+    assert code == 0 and printed
+    out_path = tmp_path / "extraction.out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert (code, out, err) == (0, "", "")
+    assert out_path.read_text() == printed
+
+
 def test_bench_corpus(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -204,6 +204,25 @@ def test_stats_identities_random_sweep():
             assert st.h[a] >= st.e_n[a] >= st.a_degree[a]
 
 
+def test_sigma_b_max_is_first_most_preimages():
+    """sigma_b_max[b] is the smallest B symbol with the most preimages
+    summed over b's edges, and p_max_e counts them, for small and large
+    alphabets alike."""
+    shapes = [(3, 2), (2, 5), (6, 6), (40, 50)]
+    for seed in range(20):
+        k_a, k_b = shapes[seed % len(shapes)]
+        g = random_game(seed, n_a=5, n_b=4, k_a=k_a, k_b=k_b)
+        st = lc.compute_stats(g)
+        for b in range(g.b_count):
+            totals = [
+                sum(g.projections[e].count(s) for e in g.b_edges[b])
+                for s in range(k_b)
+            ]
+            assert st.sigma_b_max[b] == totals.index(max(totals))
+        for e, (_, b) in enumerate(g.edges):
+            assert st.p_max_e[e] == g.projections[e].count(st.sigma_b_max[b])
+
+
 def test_pbar_max_at_least_one_on_planted():
     for seed in range(10):
         g, plant = lc.gen_random_satisfiable(5, 5, 3, 2, 2, seed=seed)

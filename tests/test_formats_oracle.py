@@ -1,0 +1,315 @@
+"""The `labelcover v1` load path against its earlier, per-entry form.
+
+``oracle_parse_labelcover``, ``oracle_build_game`` and
+``oracle_emit_labelcover`` below are the parser, builder and emitter as
+they stood before parsing built each row once and validation ran in a few
+whole-input passes.  On canonical games and on hypothesis mutations of
+them, the current code must return an ``==`` game or raise the same error
+(class, message and line), and emit must give the same bytes.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import labelcover as lc
+from labelcover import core, formats
+from labelcover.core import (
+    DuplicateEdge,
+    IndexOutOfRange,
+    ProjectionGame,
+    SymbolOutOfRange,
+    TableLengthMismatch,
+    _int_rows,
+)
+from labelcover.formats import (
+    ParseError,
+    _built,
+    _content_lines,
+    _header,
+    _ints,
+    _rows,
+    _size_line,
+)
+
+
+def oracle_build_game(a_count, b_count, sigma_a, sigma_b, edges, projections):
+    if a_count < 0 or b_count < 0:
+        raise IndexOutOfRange("vertex counts must be nonnegative")
+    if sigma_a < 1 or sigma_b < 1:
+        raise SymbolOutOfRange("alphabet sizes must be positive")
+    edges = _int_rows(edges, IndexOutOfRange, "endpoints")
+    projections = _int_rows(projections, SymbolOutOfRange, "table entries")
+    if len(projections) != len(edges):
+        raise TableLengthMismatch(
+            f"{len(edges)} edges but {len(projections)} projection tables"
+        )
+    seen = set()
+    for i, (a, b) in enumerate(edges):
+        if not (0 <= a < a_count and 0 <= b < b_count):
+            raise IndexOutOfRange(f"edge {i}: endpoint ({a}, {b}) out of range")
+        if (a, b) in seen:
+            raise DuplicateEdge(f"edge {i}: duplicate pair ({a}, {b})")
+        seen.add((a, b))
+        table = projections[i]
+        if len(table) != sigma_a:
+            raise TableLengthMismatch(
+                f"edge {i}: table has {len(table)} entries, expected {sigma_a}"
+            )
+        for s in table:
+            if not 0 <= s < sigma_b:
+                raise SymbolOutOfRange(f"edge {i}: table entry {s} not a B symbol")
+    return ProjectionGame(a_count, b_count, sigma_a, sigma_b, edges, projections)
+
+
+def oracle_parse_labelcover(text):
+    lines = _content_lines(text)
+    _header(lines, "labelcover v1")
+    num, (n_a, n_b, k_a, k_b, m) = _size_line(lines, 5)
+    at = [num]
+    edges = []
+    tables = []
+    for _, num, line in _rows(lines, num, (m, "edge")):
+        vals = _ints(num, line)
+        if len(vals) != 2 + k_a:
+            raise ParseError(
+                num, f"edge line needs {2 + k_a} fields, got {len(vals)}"
+            )
+        edges.append((vals[0], vals[1]))
+        tables.append(tuple(vals[2:]))
+        at.append(num)
+    return _built(
+        lambda: oracle_build_game(n_a, n_b, k_a, k_b, edges, tables), "instance", at
+    )
+
+
+def oracle_emit_labelcover(game):
+    out = ["labelcover v1"]
+    out.append(
+        f"{game.a_count} {game.b_count} {game.sigma_a} {game.sigma_b} "
+        f"{game.edge_count}"
+    )
+    for (a, b), table in zip(game.edges, game.projections):
+        out.append(" ".join(str(x) for x in (a, b, *table)))
+    return "\n".join(out) + "\n"
+
+
+def outcome(fn, *args):
+    """What a call returns, or the class, message and line of its error."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the oracle decides which errors are right
+        return "error", (type(exc), str(exc), getattr(exc, "line", None))
+
+
+# (nA, nB, kA, kB, degree); kA == 1 and an edgeless game included
+SHAPES = [
+    (1, 1, 1, 1, 1),
+    (3, 2, 1, 2, 1),
+    (4, 3, 3, 2, 2),
+    (5, 4, 2, 3, 2),
+    (6, 3, 4, 2, 3),
+    (8, 5, 3, 3, 2),
+]
+
+
+def canonical_texts():
+    texts = ["labelcover v1\n0 0 1 1 0\n", "labelcover v1\n3 2 2 2 0\n"]
+    for i, shape in enumerate(SHAPES):
+        for seed in range(3):
+            game, _ = lc.gen_random_satisfiable(*shape, seed=10 * i + seed)
+            texts.append(oracle_emit_labelcover(game))
+    for rows, cols in ((2, 2), (3, 2)):
+        game, _ = lc.gen_planar_grid(rows, cols, 3, 2, seed=rows)
+        texts.append(oracle_emit_labelcover(game))
+    return texts
+
+
+CANONICAL = canonical_texts()
+
+
+@pytest.mark.parametrize("text", CANONICAL)
+def test_canonical_games_round_trip_like_the_oracle(text):
+    game = formats.parse_labelcover(text)
+    assert game == oracle_parse_labelcover(text)
+    assert formats.emit_labelcover(game) == oracle_emit_labelcover(game) == text
+
+
+def test_emit_matches_oracle_on_single_symbol_and_edgeless_games():
+    games = [
+        lc.build_game(2, 2, 1, 3, [(0, 1), (1, 0)], [(2,), (0,)]),
+        lc.build_game(0, 0, 1, 1, [], []),
+        lc.build_game(4, 2, 5, 1, [], []),
+        lc.build_game(1, 1, 1, 1, [(0, 0)], [(0,)]),
+    ]
+    for game in games:
+        assert formats.emit_labelcover(game) == oracle_emit_labelcover(game)
+
+
+TOKENS = ["+1", "01", "1_0", "-1", "x", "0.5", "9", "100", "", "0 0", "\t0"]
+
+
+def mutate(text, data):
+    """Apply a few drawn edits to the lines of a canonical text."""
+    lines = text.split("\n")[:-1]
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from([
+            "comment", "blank", "tabs", "spaces", "pad", "token", "drop-token",
+            "add-token", "endpoint", "trailing", "delete", "duplicate",
+            "copy-row", "swap-rows",
+        ]))
+        at = data.draw(st.integers(0, len(lines)))
+        row = min(at, len(lines) - 1)
+        if kind == "comment":
+            lines.insert(at, data.draw(st.sampled_from(["# note", "  #x 1 2", "#"])))
+        elif kind == "blank":
+            lines.insert(at, data.draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "tabs":
+            lines[row] = lines[row].replace(" ", "\t")
+        elif kind == "spaces":
+            lines[row] = lines[row].replace(" ", "  ")
+        elif kind == "pad":
+            lines[row] = " " + lines[row] + " \t"
+        elif kind in ("token", "drop-token", "add-token"):
+            words = lines[row].split()
+            where = data.draw(st.integers(0, len(words)))
+            if kind == "add-token" or not words:
+                words.insert(where, data.draw(st.sampled_from(TOKENS)))
+            elif kind == "drop-token":
+                del words[min(where, len(words) - 1)]
+            else:
+                words[min(where, len(words) - 1)] = data.draw(st.sampled_from(TOKENS))
+            lines[row] = " ".join(words)
+        elif kind == "endpoint":
+            words = lines[row].split()
+            if words:
+                where = data.draw(st.integers(0, min(1, len(words) - 1)))
+                words[where] = data.draw(st.sampled_from(["-1", "9", "100"]))
+            lines[row] = " ".join(words)
+        elif kind == "trailing":
+            lines.append(data.draw(st.sampled_from(["0 0 0", "garbage", "1 1 1 1"])))
+        elif kind == "delete":
+            del lines[row]
+        elif kind == "duplicate":
+            lines.insert(at, lines[row])
+        elif kind == "copy-row":
+            lines[row] = lines[data.draw(st.integers(0, len(lines) - 1))]
+        else:
+            other = data.draw(st.integers(0, len(lines) - 1))
+            lines[row], lines[other] = lines[other], lines[row]
+        if not lines:
+            lines = [""]
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+    end = data.draw(st.sampled_from([newline, ""]))
+    return newline.join(lines) + end
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_parse_matches_oracle_on_mutated_inputs(data):
+    text = mutate(data.draw(st.sampled_from(CANONICAL)), data)
+    got = outcome(formats.parse_labelcover, text)
+    want = outcome(oracle_parse_labelcover, text)
+    assert got == want
+    if got[0] == "ok":
+        assert formats.emit_labelcover(got[1]) == oracle_emit_labelcover(got[1])
+
+
+ERROR_WORDS = ("integers", "fields", "out of range", "duplicate", "table entry",
+               "trailing", "ended early", "header")
+
+
+def test_mutations_reach_every_kind_of_outcome():
+    """The mutated inputs above include games and each ParseError kind."""
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def collect(data):
+        text = mutate(data.draw(st.sampled_from(CANONICAL)), data)
+        kind, result = outcome(oracle_parse_labelcover, text)
+        if kind == "ok":
+            seen.add("game")
+        else:
+            seen.update(w for w in ERROR_WORDS if w in result[1])
+
+    collect()
+    assert seen == {"game", *ERROR_WORDS}
+
+
+ROW_VALUES = [0, 1, 2, 3, -1, 0.5, True, Fraction(1), "1", None]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_build_game_matches_oracle_on_raw_rows(data):
+    n_a, n_b = data.draw(st.integers(-1, 3)), data.draw(st.integers(-1, 3))
+    k_a, k_b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    values = st.one_of(st.integers(-1, 3), st.sampled_from(ROW_VALUES))
+    mostly_ints = st.one_of(st.integers(0, 3), st.integers(0, 3), values)
+    m = data.draw(st.integers(0, 5))
+    edges = [
+        tuple(data.draw(st.lists(mostly_ints, min_size=1, max_size=3)))
+        if data.draw(st.integers(0, 9)) == 0
+        else (data.draw(mostly_ints), data.draw(mostly_ints))
+        for _ in range(m)
+    ]
+    width = max(k_a, 0)
+    tables = [
+        tuple(data.draw(st.lists(mostly_ints, min_size=max(width - 1, 0), max_size=width + 1)))
+        if data.draw(st.integers(0, 9)) == 0
+        else tuple(data.draw(mostly_ints) for _ in range(width))
+        for _ in range(m + (data.draw(st.integers(0, 19)) == 0))
+    ]
+    got = outcome(lc.build_game, n_a, n_b, k_a, k_b, edges, tables)
+    want = outcome(oracle_build_game, n_a, n_b, k_a, k_b, edges, tables)
+    assert got == want
+    if got[0] == "ok":
+        assert formats.emit_labelcover(got[1]) == oracle_emit_labelcover(got[1])
+
+
+def test_build_game_first_error_order_is_the_oracle_s():
+    """Two bad edges: the earlier one is reported, whatever its kind."""
+    good = [((0, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 1))]
+    bad = [((5, 0), (0, 1)), ((0, 0), (0, 1)), ((1, 1), (0,)), ((1, 1), (0, 7))]
+    for i in range(len(good) + 1):
+        for first in bad:
+            for second in bad:
+                rows = good[:i] + [first] + good[i:] + [second]
+                edges = [e for e, _ in rows]
+                tables = [t for _, t in rows]
+                got = outcome(lc.build_game, 2, 2, 2, 2, edges, tables)
+                want = outcome(oracle_build_game, 2, 2, 2, 2, edges, tables)
+                assert got == want and got[0] == "error"
+
+
+def test_preimage_masks_per_edge():
+    game = lc.build_game(
+        3, 2, 3, 2, [(0, 0), (1, 0), (2, 1)], [(0, 1, 0), (0, 1, 0), (1, 1, 0)]
+    )
+    masks = game.preimage_masks
+    assert masks == ((0b101, 0b010), (0b101, 0b010), (0b100, 0b011))
+
+
+def test_draw_threshold_draws_like_the_fraction_compare():
+    """``random() < _draw_threshold(p)`` draws as ``random() < p``."""
+    ps = [
+        Fraction(0), Fraction(1), Fraction(1, 3), Fraction(3, 4),
+        Fraction(1, 2**60), Fraction(2**60 - 1, 2**60), Fraction(5, 4),
+        Fraction(-1, 7),
+    ]
+    for p in ps:
+        cut = core._draw_threshold(p)
+        for seed in range(200):
+            want, got = random.Random(seed), random.Random(seed)
+            assert [want.random() < p for _ in range(20)] == [
+                got.random() < cut for _ in range(20)
+            ]
+        # every draw is k / 2**53; check the draws next to the threshold
+        k = int(p * 2**53)
+        for j in range(max(k - 2, 0), min(k + 3, 2**53)):
+            x = j / 2**53
+            assert (x < p) == (x < cut)
+    assert core._draw_threshold(0.3) == 0.3
