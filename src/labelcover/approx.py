@@ -11,6 +11,7 @@ All tie-breaking is smallest-index-wins so runs are bit-reproducible.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -27,6 +28,7 @@ from .core import (
     _consistent_masks,
     _lowest_bit,
     _propagate,
+    _report,
     compute_stats,
     value,
 )
@@ -291,12 +293,6 @@ def _check_anchor(game: ProjectionGame, a0: int) -> None:
         )
 
 
-def _kyn_anchor(stats: InstanceStats) -> int:
-    """The A vertex whose neighborhood touches the most edges, smallest
-    index on ties (0 when there are no A vertices)."""
-    return max(range(len(stats.e_n)), key=lambda a: (stats.e_n[a], -a), default=0)
-
-
 def satisfy_one_neighbor(game: ProjectionGame) -> SolveReport:
     """Give every A vertex the zero symbol; let each B vertex match one edge.
 
@@ -317,13 +313,7 @@ def satisfy_one_neighbor(game: ProjectionGame) -> SolveReport:
         else:
             b_labels.append(0)
     phi = Assignment(a_labels, tuple(b_labels))
-    return SolveReport(
-        assignment=phi,
-        satisfied=value(game, phi),
-        algorithm="one-neighbor",
-        guarantee=Fraction(covered),
-        elapsed=perf_counter() - t0,
-    )
+    return _report(game, phi, "one-neighbor", Fraction(covered), t0)
 
 
 def greedy_assignment(
@@ -340,21 +330,14 @@ def greedy_assignment(
     stats = stats if stats is not None else compute_stats(game)
     b_labels = stats.sigma_b_max
     a_labels = tuple(_best_a_symbol(game, a, b_labels) for a in range(game.a_count))
-    phi = Assignment(a_labels, b_labels)
     guarantee = Fraction(sum(stats.p_max_e), game.sigma_a)
-    return SolveReport(
-        assignment=phi,
-        satisfied=value(game, phi),
-        algorithm="greedy",
-        guarantee=guarantee,
-        elapsed=perf_counter() - t0,
-    )
+    return _report(game, Assignment(a_labels, b_labels), "greedy", guarantee, t0)
 
 
 def know_your_neighbors(
     game: ProjectionGame,
-    a0: int,
-    sigma_a0: int | None,
+    a0: int | None = None,
+    sigma_a0: int | None = None,
     stats: InstanceStats | None = None,
     cache: SigmaStarCache | None = None,
 ) -> SolveReport:
@@ -363,12 +346,15 @@ def know_your_neighbors(
     Propagating the anchor fixes every neighbor of a0; admissibility
     guarantees every two-hop vertex keeps a consistent symbol, so every
     edge touching the neighborhood of a0 is satisfied: at least
-    e_n(a0) edges.  ``sigma_a0=None`` takes a0's smallest admissible
-    symbol.  Raises IndexOutOfRange unless 0 <= a0 < a_count.
+    e_n(a0) edges.  ``a0=None`` anchors the A vertex with the largest
+    e_n, smallest index on ties; ``sigma_a0=None`` takes a0's smallest
+    admissible symbol.  Raises IndexOutOfRange unless 0 <= a0 < a_count.
     """
     t0 = perf_counter()
-    _check_anchor(game, a0)
     stats = stats if stats is not None else compute_stats(game)
+    if a0 is None:
+        a0 = max(range(game.a_count), key=lambda a: (stats.e_n[a], -a), default=0)
+    _check_anchor(game, a0)
     if cache is not None:
         admissible = iter(cache.sigma_star[a0])
     else:  # test a0 alone, and only as far as the answer needs
@@ -389,20 +375,14 @@ def know_your_neighbors(
         a_labels[ap] = _lowest_bit(mask) if mask else 0
     b_labels = tuple(0 if sb is None else sb for sb in propagated)
     phi = Assignment(tuple(a_labels), b_labels)
-    return SolveReport(
-        assignment=phi,
-        satisfied=value(game, phi),
-        algorithm="kyn",
-        guarantee=Fraction(stats.e_n[a0]),
-        elapsed=perf_counter() - t0,
-    )
+    return _report(game, phi, "kyn", Fraction(stats.e_n[a0]), t0)
 
 
 def _kynn_single(game, stats, a0, s0, scope, pinned_empty_skips):
     """One anchored pass: propagate, score B symbols over the scope,
     then let every A vertex respond inside its candidate set.
 
-    Returns (a_labels, b_labels) or None when a candidate set is empty
+    Returns the pass's Assignment, or None when a candidate set is empty
     and ``pinned_empty_skips`` asks to skip this anchor.
     """
     pre = game.preimage_masks
@@ -433,12 +413,12 @@ def _kynn_single(game, stats, a0, s0, scope, pinned_empty_skips):
         _best_a_symbol(game, a, b_labels, s_mask[a] or full)
         for a in range(game.a_count)
     )
-    return a_labels, tuple(b_labels)
+    return Assignment(a_labels, tuple(b_labels))
 
 
 def know_neighbors_neighbors(
     game: ProjectionGame,
-    a0: int,
+    a0: int | None = None,
     stats: InstanceStats | None = None,
     cache: SigmaStarCache | None = None,
     uniform: bool = False,
@@ -450,15 +430,21 @@ def know_neighbors_neighbors(
     pass satisfies at least h_star(a0, s) / (2 * p_bar_max) edges for
     every anchor s it tried.  The uniform variant requires evenly
     splitting tables, ranges over the whole alphabet, skips anchors that
-    empty some candidate set, and certifies h(a0) / uniform_p.  Raises
-    IndexOutOfRange unless 0 <= a0 < a_count.
+    empty some candidate set, and certifies h(a0) / uniform_p.  ``a0=None``
+    anchors the first vertex of ``h_star_argmax`` (0 when there is none),
+    or in the uniform variant the vertex with the largest h, smallest
+    index on ties.  Raises IndexOutOfRange unless 0 <= a0 < a_count.
     """
     t0 = perf_counter()
-    _check_anchor(game, a0)
     stats = stats if stats is not None else compute_stats(game)
+    if a0 is None and uniform:
+        a0 = max(range(game.a_count), key=lambda a: (stats.h[a], -a), default=0)
+    elif a0 is None:
+        cache = cache if cache is not None else compute_sigma_star(game, stats)
+        a0 = cache.h_star_argmax[0] if cache.h_star_argmax is not None else 0
+    _check_anchor(game, a0)
 
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    best_val = -1
+    best, best_val = None, -1
     if uniform:
         if stats.uniform_p is None:
             raise UniformAssumptionViolated(
@@ -468,7 +454,7 @@ def know_neighbors_neighbors(
             out = _kynn_single(game, stats, a0, s0, stats.n2[a0], True)
             if out is None:
                 continue
-            val = value(game, Assignment(*out))
+            val = value(game, out)
             if val > best_val:
                 best, best_val = out, val
         guarantee = Fraction(stats.h[a0], stats.uniform_p)
@@ -477,7 +463,7 @@ def know_neighbors_neighbors(
         guarantee = Fraction(0)
         for s0 in cache.sigma_star[a0]:
             out = _kynn_single(game, stats, a0, s0, cache.n2_star[(a0, s0)], False)
-            val = value(game, Assignment(*out))
+            val = value(game, out)
             if val > best_val:
                 best, best_val = out, val
             if stats.p_bar_max > 0:
@@ -485,18 +471,9 @@ def know_neighbors_neighbors(
                 guarantee = max(guarantee, bound)
 
     if best is None:
-        phi = Assignment((0,) * game.a_count, (0,) * game.b_count)
-        best_val = value(game, phi)
+        best = Assignment((0,) * game.a_count, (0,) * game.b_count)
         guarantee = Fraction(0)
-    else:
-        phi = Assignment(*best)
-    return SolveReport(
-        assignment=phi,
-        satisfied=best_val,
-        algorithm="kynn-uniform" if uniform else "kynn",
-        guarantee=guarantee,
-        elapsed=perf_counter() - t0,
-    )
+    return _report(game, best, "kynn-uniform" if uniform else "kynn", guarantee, t0)
 
 
 def divide_and_conquer(
@@ -524,13 +501,7 @@ def divide_and_conquer(
 
     def finish(guarantee: Fraction) -> SolveReport:
         phi = Assignment(tuple(a_labels), tuple(b_labels))
-        return SolveReport(
-            assignment=phi,
-            satisfied=value(game, phi),
-            algorithm="dnc-uniform" if uniform else "dnc",
-            guarantee=guarantee,
-            elapsed=perf_counter() - t0,
-        )
+        return _report(game, phi, "dnc-uniform" if uniform else "dnc", guarantee, t0)
 
     if m == 0 or n_a == 0 or n_b == 0:
         return finish(Fraction(0))
@@ -656,27 +627,21 @@ def best_of(
 
     reports = [satisfy_one_neighbor(game), greedy_assignment(game, stats)]
     if game.a_count and game.edge_count:
-        a0 = _kyn_anchor(stats)
-        if cache.sigma_star[a0]:
-            reports.append(
-                know_your_neighbors(game, a0, cache.sigma_star[a0][0], stats, cache)
-            )
+        # an anchor with no admissible symbol (only on unsatisfiable games)
+        # leaves kyn out of the selection
+        with suppress(NotInSigmaStar):
+            reports.append(know_your_neighbors(game, None, None, stats, cache))
     if cache.h_star_argmax is not None:
-        reports.append(
-            know_neighbors_neighbors(game, cache.h_star_argmax[0], stats, cache)
-        )
+        reports.append(know_neighbors_neighbors(game, None, stats, cache))
     reports.append(divide_and_conquer(game, stats, cache))
 
-    winner = reports[0]
-    for rep in reports[1:]:
-        if rep.satisfied > winner.satisfied:
-            winner = rep
-    return SolveReport(
-        assignment=winner.assignment,
-        satisfied=winner.satisfied,
-        algorithm=f"best({winner.algorithm})",
-        guarantee=max(rep.guarantee for rep in reports),
-        elapsed=perf_counter() - t0,
+    winner = max(reports, key=lambda rep: rep.satisfied)  # first of the best
+    return _report(
+        game,
+        winner.assignment,
+        f"best({winner.algorithm})",
+        max(rep.guarantee for rep in reports),
+        t0,
         breakdown=tuple((rep.algorithm, rep.satisfied) for rep in reports),
         parts=tuple(reports),
     )

@@ -15,13 +15,14 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from time import perf_counter
 
 from . import __version__
 from .core import (
     BudgetExceeded,
     LabelCoverError,
     ProjectionGame,
-    SolveReport,
+    _report,
     compute_stats,
     value,
 )
@@ -63,13 +64,39 @@ def _write_or_print(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _report_payload(args, path, game, rep, extra=None):
-    payload = {
+def _instance(args, game) -> dict:
+    return {"instance": args.instance, "instance_digest": _digest(game)}
+
+
+def _labels(phi) -> dict:
+    return {"a_labels": list(phi.a_labels), "b_labels": list(phi.b_labels)}
+
+
+def _emit(args, payload, lines):
+    """Print payload() as one JSON line under --json, else the text lines;
+    payload is a function so text output never computes a digest."""
+    if args.json:
+        print(json.dumps(payload()))
+    else:
+        print("\n".join(lines))
+
+
+def _emit_report(args, game, rep):
+    lines = [
+        f"algorithm: {rep.algorithm}",
+        f"satisfied = {rep.satisfied} / {game.edge_count}",
+        f"guarantee >= {rep.guarantee}",
+    ]
+    if rep.guarantee_ratio_of_opt is not None:
+        lines.append(f"guarantee ratio of optimum: {rep.guarantee_ratio_of_opt}")
+    lines += [f"  {name}: {val}" for name, val in rep.breakdown or ()]
+    if args.timings:
+        lines.append(f"elapsed: {rep.elapsed:.6f}s")
+    _emit(args, lambda: {
         "tool": "labelcover",
         "version": __version__,
         "command": list(args.argv),
-        "instance": path,
-        "instance_digest": _digest(game),
+        **_instance(args, game),
         "algorithm": rep.algorithm,
         "satisfied": rep.satisfied,
         "edges": game.edge_count,
@@ -77,32 +104,9 @@ def _report_payload(args, path, game, rep, extra=None):
         "guarantee_ratio_of_opt": _frac_str(rep.guarantee_ratio_of_opt),
         "breakdown": dict(rep.breakdown) if rep.breakdown else None,
         "seed": rep.seed,
-        "assignment": {
-            "a_labels": list(rep.assignment.a_labels),
-            "b_labels": list(rep.assignment.b_labels),
-        },
-    }
-    if extra:
-        payload.update(extra)
-    if args.timings:
-        payload["elapsed"] = rep.elapsed
-    return payload
-
-
-def _emit_report(args, path, game, rep, extra=None):
-    if args.json:
-        print(json.dumps(_report_payload(args, path, game, rep, extra)))
-    else:
-        print(f"algorithm: {rep.algorithm}")
-        print(f"satisfied = {rep.satisfied} / {game.edge_count}")
-        print(f"guarantee >= {rep.guarantee}")
-        if rep.guarantee_ratio_of_opt is not None:
-            print(f"guarantee ratio of optimum: {rep.guarantee_ratio_of_opt}")
-        if rep.breakdown:
-            for name, val in rep.breakdown:
-                print(f"  {name}: {val}")
-        if args.timings:
-            print(f"elapsed: {rep.elapsed:.6f}s")
+        "assignment": _labels(rep.assignment),
+        **({"elapsed": rep.elapsed} if args.timings else {}),
+    }, lines)
 
 
 def _cmd_gen(args) -> int:
@@ -144,8 +148,7 @@ def _cmd_stats(args) -> int:
     game = _load_game(args.instance)
     st = compute_stats(game)
     payload = {
-        "instance": args.instance,
-        "instance_digest": _digest(game),
+        **_instance(args, game),
         "a_count": game.a_count,
         "b_count": game.b_count,
         "sigma_a": game.sigma_a,
@@ -156,17 +159,11 @@ def _cmd_stats(args) -> int:
         "p_bar_max": _frac_str(st.p_bar_max),
         "uniform_p": st.uniform_p,
     }
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        for key, val in payload.items():
-            print(f"{key}: {val}")
+    _emit(args, lambda: payload, [f"{key}: {val}" for key, val in payload.items()])
     return 0
 
 
 def _cmd_solve(args) -> int:
-    from time import perf_counter
-
     game = _load_game(args.instance)
     t0 = perf_counter()
     if args.method == "exact":
@@ -180,14 +177,7 @@ def _cmd_solve(args) -> int:
         )
         phi, val = exact.tree_dp_solve(game, td)
         name = "tree-dp"
-    rep = SolveReport(
-        assignment=phi,
-        satisfied=val,
-        algorithm=name,
-        guarantee=Fraction(val),
-        elapsed=perf_counter() - t0,
-    )
-    _emit_report(args, args.instance, game, rep)
+    _emit_report(args, game, _report(game, phi, name, Fraction(val), t0))
     return 0
 
 
@@ -199,29 +189,14 @@ def _cmd_approx(args) -> int:
     elif args.algorithm == "greedy":
         rep = approx.greedy_assignment(game, st)
     elif args.algorithm == "kyn":
-        a0 = approx._kyn_anchor(st) if args.a0 is None else args.a0
-        rep = approx.know_your_neighbors(game, a0, args.sigma, st)
+        rep = approx.know_your_neighbors(game, args.a0, args.sigma, st)
     elif args.algorithm == "kynn":
-        if args.uniform:
-            a0 = args.a0
-            if a0 is None:
-                a0 = max(range(game.a_count), key=lambda a: (st.h[a], -a), default=0)
-            rep = approx.know_neighbors_neighbors(game, a0, st, uniform=True)
-        else:
-            cache = approx.compute_sigma_star(game, st)
-            a0 = args.a0
-            if a0 is None:
-                a0 = (
-                    cache.h_star_argmax[0]
-                    if cache.h_star_argmax is not None
-                    else 0
-                )
-            rep = approx.know_neighbors_neighbors(game, a0, st, cache)
+        rep = approx.know_neighbors_neighbors(game, args.a0, st, uniform=args.uniform)
     elif args.algorithm == "dnc":
         rep = approx.divide_and_conquer(game, st, uniform=args.uniform)
     else:
         rep = approx.best_of(game, st)
-    _emit_report(args, args.instance, game, rep)
+    _emit_report(args, game, rep)
     return 0
 
 
@@ -229,44 +204,32 @@ def _cmd_smooth(args) -> int:
     game = _load_game(args.instance)
     if args.method == "measure":
         report = smooth_mod.measure_smoothness(game)
-        payload = {
-            "instance": args.instance,
-            "instance_digest": _digest(game),
+        lines = [f"mu = {report.mu}"]
+        if report.witness:
+            lines.append("witness: a{} symbols {}, {}".format(*report.witness))
+        _emit(args, lambda: {
+            **_instance(args, game),
             "mu": _frac_str(report.mu),
             "witness": list(report.witness) if report.witness else None,
-        }
-        if args.json:
-            print(json.dumps(payload))
-        else:
-            print(f"mu = {report.mu}")
-            if report.witness:
-                a, s, s2 = report.witness
-                print(f"witness: a{a} symbols {s}, {s2}")
+        }, lines)
         return 0
     if args.method == "exact":
         phi = smooth_mod.smooth_exact(
             game, mu=args.mu, c1=args.c1, seed=args.seed, enum_cap=args.enum_cap
         )
-        if args.json:
-            payload = {
-                "instance": args.instance,
-                "instance_digest": _digest(game),
-                "found": phi is not None,
-                "seed": args.seed,
-            }
-            if phi is not None:
-                payload["assignment"] = {
-                    "a_labels": list(phi.a_labels),
-                    "b_labels": list(phi.b_labels),
-                }
-            print(json.dumps(payload))
-        elif phi is None:
-            print("no satisfying assignment found for this seed")
-        else:
-            print(f"satisfied = {value(game, phi)} / {game.edge_count}")
+        found = phi is not None
+        _emit(args, lambda: {
+            **_instance(args, game),
+            "found": found,
+            "seed": args.seed,
+            **({"assignment": _labels(phi)} if found else {}),
+        }, [
+            f"satisfied = {value(game, phi)} / {game.edge_count}" if found
+            else "no satisfying assignment found for this seed"
+        ])
         return 0
     rep = smooth_mod.smooth_approx(game, mu=args.mu, enum_cap=args.enum_cap)
-    _emit_report(args, args.instance, game, rep)
+    _emit_report(args, game, rep)
     return 0
 
 
@@ -278,7 +241,7 @@ def _cmd_ptas(args) -> int:
         force_nonplanar=args.force_nonplanar,
         h_override=args.h_override,
     )
-    _emit_report(args, args.instance, game, rep)
+    _emit_report(args, game, rep)
     return 0
 
 
@@ -328,20 +291,12 @@ def _cmd_verify(args) -> int:
     game = _load_game(args.instance)
     phi = formats.parse_assignment(_read_text(args.assignment))
     sat = value(game, phi)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "instance": args.instance,
-                    "instance_digest": _digest(game),
-                    "satisfied": sat,
-                    "edges": game.edge_count,
-                    "satisfies_all": sat == game.edge_count,
-                }
-            )
-        )
-    else:
-        print(f"satisfied = {sat} / {game.edge_count}")
+    _emit(args, lambda: {
+        **_instance(args, game),
+        "satisfied": sat,
+        "edges": game.edge_count,
+        "satisfies_all": sat == game.edge_count,
+    }, [f"satisfied = {sat} / {game.edge_count}"])
     return 0
 
 
@@ -354,7 +309,6 @@ def _cmd_bench(args) -> int:
         raise _UnreadableInput(f"corpus {args.corpus} is not a directory")
     paths = sorted(corpus.glob("*.lc"))
     sink = open(args.out, "w") if args.out else sys.stdout
-    close = args.out is not None
     worst: dict[str, Fraction | None] = {name: None for name in BENCH_ALGOS}
     worst_norm: dict[str, float | None] = {name: None for name in BENCH_ALGOS}
     try:
@@ -364,12 +318,9 @@ def _cmd_bench(args) -> int:
             st = compute_stats(game)
             # passing stats and sigma* in keeps them out of every elapsed
             best = approx.best_of(game, st, approx.compute_sigma_star(game, st))
-            reports = {rep.algorithm: rep for rep in best.parts}
-            reports["best"] = best
-            for name in BENCH_ALGOS:
-                rep = reports.get(name)
-                if rep is None:
-                    continue
+            # parts come in BENCH_ALGOS order, without any that did not run
+            for rep in (*best.parts, best):
+                name = "best" if rep is best else rep.algorithm
                 frac = (
                     Fraction(rep.satisfied, game.edge_count)
                     if game.edge_count
@@ -407,7 +358,7 @@ def _cmd_bench(args) -> int:
         }
         sink.write(json.dumps(summary) + "\n")
     finally:
-        if close:
+        if sink is not sys.stdout:
             sink.close()
     return 0
 

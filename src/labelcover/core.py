@@ -12,6 +12,7 @@ every solver shares live here too: ``_propagate``, ``_consistent_masks``,
 ``_extensions`` (the pruning walk over B-side labellings),
 ``_best_a_symbol`` and ``_majority_b_symbol``, and ``_adjacency`` gives
 the global-numbering neighbor lists that decompositions and BFS read.
+Every solver builds its ``SolveReport`` through ``_report``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import index
+from time import perf_counter
 
 
 class LabelCoverError(Exception):
@@ -572,7 +574,9 @@ class SolveReport:
     satisfiability).  ``guarantee_ratio_of_opt`` is set by solvers whose
     promise is relative to the unknown optimum (the planar scheme).
     ``breakdown`` carries per-subalgorithm values for combined solvers,
-    and ``parts`` the sub-reports themselves.
+    and ``parts`` the sub-reports themselves.  ``satisfied`` always equals
+    ``value(game, assignment)``, and ``elapsed`` is wall-clock seconds
+    from the solver's start to the report.
     """
 
     assignment: Assignment
@@ -584,3 +588,16 @@ class SolveReport:
     guarantee_ratio_of_opt: Fraction | None = None
     breakdown: tuple[tuple[str, int], ...] | None = None
     parts: tuple[SolveReport, ...] = ()
+
+
+def _report(game, phi, algorithm, guarantee, t0, **fields) -> SolveReport:
+    """The report for phi, timed from the solver's start ``t0`` (a
+    ``perf_counter`` reading); ``fields`` are SolveReport's optional ones."""
+    return SolveReport(
+        assignment=phi,
+        satisfied=value(game, phi),
+        algorithm=algorithm,
+        guarantee=guarantee,
+        elapsed=perf_counter() - t0,
+        **fields,
+    )

@@ -23,6 +23,7 @@ from .core import (
     ProjectionGame,
     SolveReport,
     _adjacency,
+    _report,
     build_game,
     connected_components,
     lift_assignment,
@@ -181,13 +182,12 @@ def ptas(
                 best_phi, best_val, best_dp = phi, full_val, dp_val
         winners.append(best_phi)
         certified += best_dp
-    phi = lift_assignment(game, comps, winners)
-    return SolveReport(
-        assignment=phi,
-        satisfied=value(game, phi),
-        algorithm="ptas",
-        guarantee=Fraction(certified),
-        elapsed=perf_counter() - t0,
+    return _report(
+        game,
+        lift_assignment(game, comps, winners),
+        "ptas",
+        Fraction(certified),
+        t0,
         guarantee_ratio_of_opt=Fraction(h - 1, h),
         breakdown=(("h", h),),
     )

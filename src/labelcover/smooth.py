@@ -27,6 +27,7 @@ from .core import (
     _extensions,
     _lowest_bit,
     _majority_b_symbol,
+    _report,
     value,
 )
 
@@ -172,14 +173,8 @@ def smooth_approx(
     guarantee = Fraction(m, 4)
 
     def report(phi, regime, extra=()):
-        return SolveReport(
-            assignment=phi,
-            satisfied=value(game, phi),
-            algorithm="smooth-approx",
-            guarantee=guarantee,
-            elapsed=perf_counter() - t0,
-            breakdown=(("regime", regime),) + tuple(extra),
-        )
+        breakdown = (("regime", regime),) + tuple(extra)
+        return _report(game, phi, "smooth-approx", guarantee, t0, breakdown=breakdown)
 
     if m == 0:
         return report(Assignment((0,) * n_a, (0,) * game.b_count), 0)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +230,43 @@ def test_sigma_star_equals_reference_on_sweep():
         assert cache == reference_sigma_star(g, st_), f"game {i}"
         unsat += g.a_count > 0 and not all(cache.sigma_star)
     assert unsat >= 100
+
+
+
+def _outcome(call):
+    """A report's visible fields, or the error a call raised."""
+    try:
+        rep = call()
+    except lc.LabelCoverError as exc:
+        return type(exc), str(exc)
+    return rep.assignment, rep.satisfied, rep.guarantee, rep.algorithm
+
+
+def test_default_anchors_equal_the_explicit_ones_on_sweep():
+    # kyn anchors the first vertex of largest e_n; kynn the first vertex of
+    # h_star_argmax (0 without one), or in the uniform variant the first
+    # vertex of largest h; the first index of a maximum is the tie rule
+    uniform = (planted(seed, k_a=4, uniform=True)[0] for seed in range(40))
+    seen = [0, 0, 0]
+    for i, g in enumerate(chain(sweep_games(320), uniform)):
+        st_ = lc.compute_stats(g)
+        cache = lc.compute_sigma_star(g, st_)
+        kyn_a0 = st_.e_n.index(max(st_.e_n)) if g.a_count else 0
+        kynn_a0 = cache.h_star_argmax[0] if cache.h_star_argmax else 0
+        uni_a0 = st_.h.index(max(st_.h)) if g.a_count else 0
+        pairs = [
+            (lambda: lc.know_your_neighbors(g),
+             lambda: lc.know_your_neighbors(g, kyn_a0, None)),
+            (lambda: lc.know_neighbors_neighbors(g),
+             lambda: lc.know_neighbors_neighbors(g, kynn_a0)),
+            (lambda: lc.know_neighbors_neighbors(g, uniform=True),
+             lambda: lc.know_neighbors_neighbors(g, uni_a0, uniform=True)),
+        ]
+        for j, (implicit, explicit) in enumerate(pairs):
+            want = _outcome(explicit)
+            assert _outcome(implicit) == want, f"game {i}"
+            seen[j] += not isinstance(want[0], type)
+    assert min(seen) >= 60
 
 
 def test_kyn_without_cache_tests_its_anchor_alone():

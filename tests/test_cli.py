@@ -270,6 +270,16 @@ def test_bench_corpus(capsys, tmp_path):
         assert rec["guarantee"] == str(direct.guarantee), rec
 
 
+
+def test_bench_empty_out_writes_to_stdout_and_leaves_it_open(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "tiny1.lc").write_text(Path(TINY1).read_text())
+    code, out, _ = run(capsys, "bench", str(corpus), "--out", "")
+    assert code == 0 and not sys.stdout.closed
+    assert out == run(capsys, "bench", str(corpus))[1]
+
+
 def _direct_run(game, name):
     """What one bench record reports, from a direct call of its algorithm."""
     st = lc.compute_stats(game)
@@ -305,6 +315,52 @@ def test_approx_anchor_out_of_range_exits_one_line(capsys, tmp_path):
             assert f"a{a0} out of range" in err
         code, out, err = run(capsys, "approx", algo, str(empty))
         _assert_one_line_error(code, out, err)
+
+
+
+UNIFORM = str(FIXTURES / "random_seed42_uniform.lc")
+
+
+@pytest.mark.parametrize("argv, anchor", [
+    (("kyn", TINY1), lambda st, cache: st.e_n.index(max(st.e_n))),
+    (("kynn", TINY1), lambda st, cache: cache.h_star_argmax[0]),
+    (("kynn", UNIFORM, "--uniform"), lambda st, cache: st.h.index(max(st.h))),
+], ids=["kyn", "kynn", "kynn-uniform"])
+def test_approx_default_anchor_prints_the_explicit_report(capsys, argv, anchor):
+    game = formats.parse_labelcover(Path(argv[1]).read_text())
+    st = lc.compute_stats(game)
+    a0 = anchor(st, lc.compute_sigma_star(game, st))
+    code, implicit, _ = run(capsys, "approx", *argv, "--json")
+    assert code == 0
+    code, explicit, _ = run(capsys, "approx", *argv, "--a0", str(a0), "--json")
+    assert code == 0
+    implicit, explicit = json.loads(implicit), json.loads(explicit)
+    assert implicit.pop("command") != explicit.pop("command")
+    assert implicit == explicit
+
+
+_REPORT_LEAVES = [
+    ("solve", "exact"),
+    ("solve", "dp"),
+    *(("approx", name) for name in BENCH_ALGOS),
+    ("smooth", "approx"),
+    ("ptas", "--eps", "1/2"),
+]
+
+
+@pytest.mark.parametrize("argv", _REPORT_LEAVES, ids=" ".join)
+def test_report_satisfied_is_the_value_of_its_assignment(capsys, argv):
+    argv = (*argv, TINY1)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    game = formats.parse_labelcover(Path(TINY1).read_text())
+    labels = payload["assignment"]
+    phi = lc.Assignment(tuple(labels["a_labels"]), tuple(labels["b_labels"]))
+    assert payload["satisfied"] == lc.value(game, phi)
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    assert f"satisfied = {payload['satisfied']} / {game.edge_count}\n" in text
 
 
 def test_ptas_bad_parameters_exit_one_line(capsys, tmp_path):
