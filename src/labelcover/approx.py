@@ -11,6 +11,7 @@ All tie-breaking is smallest-index-wins so runs are bit-reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,25 @@ class UniformAssumptionViolated(LabelCoverError):
     """A uniform-variant algorithm was run on a nonuniform instance."""
 
 
+class _GoodSets(Mapping):
+    """A read-only map from each admissible (a, s) to one of its good sets,
+    built on read by ``build`` from the key's blocks: per B neighbour b of
+    a, in order, the block (b, good edges, their A ends) of b's label.
+    ``index`` maps each key to its blocks' positions in ``blocks``."""
+
+    def __init__(self, index, blocks, build):
+        self.index, self.blocks, self._build = index, blocks, build
+
+    def __getitem__(self, key):
+        return self._build([self.blocks[i] for i in self.index[key]])
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self):
+        return len(self.index)
+
+
 @dataclass(frozen=True)
 class SigmaStarCache:
     """Admissible anchor symbols and their good-edge neighborhoods.
@@ -50,19 +70,26 @@ class SigmaStarCache:
     propagating to a's neighborhood leaves every two-hop vertex a
     consistent choice against every B vertex; on a satisfiable instance
     the all-satisfying label of a is always admissible.  For each
-    admissible (a, s) the cache stores the neighbors reachable through at
+    admissible (a, s) the cache holds the neighbors reachable through at
     least one good edge (preimage size at most ``threshold``, the exact
     2 * p_bar_max), the good two-hop set, the number of edges touching it
     (``h_star``), and the good-edge set itself (``e_star``, as edge
     indices).  ``compute_sigma_star`` says how it evaluates them.
+
+    ``threshold``, ``sigma_star``, ``h_star`` and its maximum are computed
+    up front.  ``n_star``, ``n2_star`` and ``e_star`` are read-only
+    ``Mapping`` views over the admissible keys, in the order of
+    ``h_star``: each value is built from the good-edge blocks when it is
+    read, and an inadmissible key raises KeyError.  A view equals a dict
+    with the same items, but is not a ``dict``.
     """
 
     threshold: Fraction
     sigma_star: tuple[tuple[int, ...], ...]
-    n_star: dict[tuple[int, int], tuple[int, ...]]
-    n2_star: dict[tuple[int, int], tuple[int, ...]]
+    n_star: Mapping[tuple[int, int], tuple[int, ...]]
+    n2_star: Mapping[tuple[int, int], tuple[int, ...]]
     h_star: dict[tuple[int, int], int]
-    e_star: dict[tuple[int, int], frozenset[int]]
+    e_star: Mapping[tuple[int, int], frozenset[int]]
     h_star_max: int
     h_star_argmax: tuple[int, int] | None
 
@@ -96,9 +123,10 @@ def compute_sigma_star(
       (vertex, candidates) for this call, are ANDed in too; they lie
       inside the summary terms, since reach is monotone.
     - Integer good-edge test: popcount * |E| <= 2 * sum(p_max_e) is
-      ``<= threshold`` without Fractions; each (b, t) keeps its good edges
-      and their A ends, so an anchor's good sets are unions of deg(a) of
-      them.
+      ``<= threshold`` without Fractions.  Each block (b, t) keeps the good
+      edges at b under symbol t and their A ends; an anchor's good edges
+      are the disjoint union of its deg(a) blocks (b, table_ab[s]), so the
+      cache keeps only the blocks and each key's block positions.
     """
     stats = stats if stats is not None else compute_stats(game)
     # finish the test first, so its memos are freed before the output grows
@@ -106,49 +134,48 @@ def compute_sigma_star(
                        _admissible(game, range(game.a_count))]
     pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
     m, cap = game.edge_count, 2 * sum(stats.p_max_e)
-    # per B vertex and symbol: its good edges and their A ends
-    good = []
-    for eids in game.b_edges:
-        per_symbol = [tuple(e for e in eids if pre[e][t].bit_count() * m <= cap)
-                      for t in range(kb)]
-        good.append([(hit, frozenset(edges[e][0] for e in hit)) for hit in per_symbol])
+    # block b * kb + t: B vertex b's good edges under symbol t, their A ends
+    blocks = []
+    for b, eids in enumerate(game.b_edges):
+        for t in range(kb):
+            hit = tuple(e for e in eids if pre[e][t].bit_count() * m <= cap)
+            blocks.append((b, hit, frozenset(edges[e][0] for e in hit)))
     degree = stats.a_degree.__getitem__
 
-    sigma_star: list[tuple[int, ...]] = []
-    n_star: dict[tuple[int, int], tuple[int, ...]] = {}
-    n2_star: dict[tuple[int, int], tuple[int, ...]] = {}
+    index: dict[tuple[int, int], tuple[int, ...]] = {}
     h_star: dict[tuple[int, int], int] = {}
-    e_star: dict[tuple[int, int], frozenset[int]] = {}
-
     for a, admissible in enumerate(admissible_sets):
         nbrs = game.a_neighbors[a]
         tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
         for sa in admissible:
-            hits = [good[b][table[sa]] for b, table in zip(nbrs, tables)]
-            good_two_hop = sorted(frozenset().union(*(ends for _, ends in hits)))
-            n_star[(a, sa)] = tuple(b for b, (hit, _) in zip(nbrs, hits) if hit)
-            n2_star[(a, sa)] = tuple(good_two_hop)
-            h_star[(a, sa)] = sum(map(degree, good_two_hop))
-            e_star[(a, sa)] = frozenset(chain.from_iterable(hit for hit, _ in hits))
-        sigma_star.append(admissible)
+            ids = index[(a, sa)] = tuple(b * kb + table[sa]
+                                         for b, table in zip(nbrs, tables))
+            ends = frozenset().union(*(blocks[i][2] for i in ids))
+            h_star[(a, sa)] = sum(map(degree, ends))
 
-    h_star_max = 0
-    argmax: tuple[int, int] | None = None
-    for a in range(game.a_count):
-        for sa in sigma_star[a]:
-            if argmax is None or h_star[(a, sa)] > h_star_max:
-                h_star_max = h_star[(a, sa)]
-                argmax = (a, sa)
+    argmax = max(h_star, key=h_star.__getitem__, default=None)  # first of the best
     return SigmaStarCache(
         threshold=2 * stats.p_bar_max,
-        sigma_star=tuple(sigma_star),
-        n_star=n_star,
-        n2_star=n2_star,
+        sigma_star=tuple(admissible_sets),
+        n_star=_GoodSets(index, blocks, _n_star),
+        n2_star=_GoodSets(index, blocks, _n2_star),
         h_star=h_star,
-        e_star=e_star,
-        h_star_max=h_star_max if argmax is not None else 0,
+        e_star=_GoodSets(index, blocks, _e_star),
+        h_star_max=h_star[argmax] if argmax is not None else 0,
         h_star_argmax=argmax,
     )
+
+
+def _n_star(blocks):
+    return tuple(b for b, hit, _ in blocks if hit)
+
+
+def _n2_star(blocks):
+    return tuple(sorted(frozenset().union(*(ends for _, _, ends in blocks))))
+
+
+def _e_star(blocks):
+    return frozenset(chain.from_iterable(hit for _, hit, _ in blocks))
 
 
 def _admissible(game: ProjectionGame, anchors, symbols=None):
@@ -506,13 +533,12 @@ def divide_and_conquer(
     if m == 0 or n_a == 0 or n_b == 0:
         return finish(Fraction(0))
 
+    # a key's region is the disjoint union of its blocks: in the uniform
+    # variant the B vertices of N(a) with all their edges, else the good
+    # blocks of compute_sigma_star
     if uniform:
         keys: list[tuple[int, int | None]] = [(a, None) for a in range(n_a)]
-        regions = {}
-        for a in range(n_a):
-            regions[(a, None)] = frozenset(
-                e for b in game.a_neighbors[a] for e in game.b_edges[b]
-            )
+        key_blocks, block_edges = game.a_neighbors, game.b_edges
         factor = 4
         guarantee = (
             Fraction(m**3, 8 * n_a * n_b * stats.h_max)
@@ -521,19 +547,18 @@ def divide_and_conquer(
         )
     else:
         cache = cache if cache is not None else compute_sigma_star(game, stats)
-        keys = [
-            (a, sa) for a in range(n_a) for sa in cache.sigma_star[a]
-        ]
-        regions = {(a, sa): cache.e_star[(a, sa)] for a, sa in keys}
+        index = cache.e_star.index
+        keys, key_blocks = list(index), list(index.values())
+        block_edges = [hit for _, hit, _ in cache.e_star.blocks]
         factor = 16
         denom = cache.h_star_max + stats.e_n_max
         guarantee = Fraction(m**3, 64 * n_a * n_b * denom) if denom else Fraction(0)
 
-    owners: list[list[int]] = [[] for _ in range(m)]
-    for ki, key in enumerate(keys):
-        for e in regions[key]:
-            owners[e].append(ki)
-    live = [len(regions[key]) for key in keys]
+    edge_blocks: list[list[int]] = [[] for _ in range(m)]
+    for i, eids in enumerate(block_edges):
+        for e in eids:
+            edge_blocks[e].append(i)
+    live = [len(eids) for eids in block_edges]  # live edges per block
     edge_alive = [True] * m
     in_vp = [False] * (n_a + n_b)
     incident = game.a_edges + game.b_edges  # by global vertex
@@ -546,16 +571,17 @@ def divide_and_conquer(
             for e in incident[v]:
                 if edge_alive[e]:
                     edge_alive[e] = False
-                    for ki in owners[e]:
-                        live[ki] -= 1
+                    for i in edge_blocks[e]:
+                        live[i] -= 1
 
     # live counts only fall, so a key the scan has passed stays ineligible
     # and each round's scan resumes at the last chosen key
-    pos = 0
+    pos, scale, need = 0, factor * n_a * n_b, m * m
     while True:
-        while pos < len(keys) and not (
-            factor * n_a * n_b * live[pos] >= m * m and live[pos] > 0
-        ):
+        while pos < len(keys):
+            count = sum(map(live.__getitem__, key_blocks[pos]))
+            if count > 0 and scale * count >= need:
+                break
             pos += 1
         if pos == len(keys):
             break

@@ -1,7 +1,9 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import chain
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +11,14 @@ from hypothesis import given, settings, strategies as st
 import labelcover as lc
 from labelcover.approx import SigmaStarCache
 from labelcover.core import (
+    Assignment,
     InstanceStats,
     ProjectionGame,
+    SolveReport,
     _consistent_masks,
+    _lowest_bit,
     _propagate,
+    _report,
     compute_stats,
 )
 
@@ -532,6 +538,37 @@ def test_sigma_star_good_sets_consistent():
                 )
 
 
+_VIEWS = ("n_star", "n2_star", "e_star")
+
+
+def test_good_set_views_equal_the_reference_dicts_on_sweep():
+    # each view has the reference dict's keys in its order and its values,
+    # builds equal values on every read, refuses keys outside sigma*, and
+    # survives a pickle round trip
+    refused = 0
+    for i, g in enumerate(sweep_games(320)):
+        st_ = lc.compute_stats(g)
+        cache = lc.compute_sigma_star(g, st_)
+        ref = reference_sigma_star(g, st_)
+        assert pickle.loads(pickle.dumps(cache)) == ref, f"game {i}"
+        inadmissible = [(a, s) for a in range(g.a_count) for s in range(g.sigma_a)
+                        if s not in cache.sigma_star[a]]
+        outside = [(g.a_count, 0), (0, g.sigma_a), (-1, 0)]
+        for name in _VIEWS:
+            view, want = getattr(cache, name), getattr(ref, name)
+            assert not isinstance(view, dict)
+            assert len(view) == len(want) and list(view) == list(want), (i, name)
+            assert dict(view) == want, (i, name)
+            for key in want:
+                assert view[key] == view[key] == want[key], (i, name, key)
+            for key in inadmissible + outside:
+                assert key not in view
+                with pytest.raises(KeyError):
+                    view[key]
+                refused += 1
+    assert refused > 3000
+
+
 # --- satisfy one neighbor ---------------------------------------------------
 
 def test_one_neighbor_star():
@@ -712,6 +749,176 @@ def test_dnc_uniform_bound_sweep():
         m, na, nb = g.edge_count, g.a_count, g.b_count
         assert rep.guarantee == Fraction(m**3, 8 * na * nb * st.h_max)
         assert Fraction(rep.satisfied) >= rep.guarantee
+
+
+def oracle_divide_and_conquer(
+    game: ProjectionGame,
+    stats: InstanceStats | None = None,
+    cache: SigmaStarCache | None = None,
+    uniform: bool = False,
+) -> SolveReport:
+    """The previous divide_and_conquer, kept verbatim apart from its name as
+    a differential oracle: it lists, per edge, every key whose region holds
+    it, and decrements each of those keys' live counts when the edge dies."""
+    t0 = perf_counter()
+    stats = stats if stats is not None else compute_stats(game)
+    n_a, n_b, m = game.a_count, game.b_count, game.edge_count
+    a_labels = [0] * n_a
+    b_labels = [0] * n_b
+
+    def finish(guarantee: Fraction) -> SolveReport:
+        phi = Assignment(tuple(a_labels), tuple(b_labels))
+        return _report(game, phi, "dnc-uniform" if uniform else "dnc", guarantee, t0)
+
+    if m == 0 or n_a == 0 or n_b == 0:
+        return finish(Fraction(0))
+
+    if uniform:
+        keys: list[tuple[int, int | None]] = [(a, None) for a in range(n_a)]
+        regions = {}
+        for a in range(n_a):
+            regions[(a, None)] = frozenset(
+                e for b in game.a_neighbors[a] for e in game.b_edges[b]
+            )
+        factor = 4
+        guarantee = (
+            Fraction(m**3, 8 * n_a * n_b * stats.h_max)
+            if stats.h_max
+            else Fraction(0)
+        )
+    else:
+        cache = cache if cache is not None else lc.compute_sigma_star(game, stats)
+        keys = [
+            (a, sa) for a in range(n_a) for sa in cache.sigma_star[a]
+        ]
+        regions = {(a, sa): cache.e_star[(a, sa)] for a, sa in keys}
+        factor = 16
+        denom = cache.h_star_max + stats.e_n_max
+        guarantee = Fraction(m**3, 64 * n_a * n_b * denom) if denom else Fraction(0)
+
+    owners: list[list[int]] = [[] for _ in range(m)]
+    for ki, key in enumerate(keys):
+        for e in regions[key]:
+            owners[e].append(ki)
+    live = [len(regions[key]) for key in keys]
+    edge_alive = [True] * m
+    in_vp = [False] * (n_a + n_b)
+    incident = game.a_edges + game.b_edges  # by global vertex
+
+    def retire(vertices_global):
+        for v in vertices_global:
+            if in_vp[v]:
+                continue
+            in_vp[v] = True
+            for e in incident[v]:
+                if edge_alive[e]:
+                    edge_alive[e] = False
+                    for ki in owners[e]:
+                        live[ki] -= 1
+
+    # live counts only fall, so a key the scan has passed stays ineligible
+    # and each round's scan resumes at the last chosen key
+    pos = 0
+    while True:
+        while pos < len(keys) and not (
+            factor * n_a * n_b * live[pos] >= m * m and live[pos] > 0
+        ):
+            pos += 1
+        if pos == len(keys):
+            break
+        a, sa = keys[pos]
+
+        if uniform:
+            p_b = [b for b in game.a_neighbors[a] if not in_vp[n_a + b]]
+            p_a = [ap for ap in stats.n2[a] if not in_vp[ap]]
+            others = [ap for ap in p_a if ap != a]
+            # try anchors until the whole region propagates; an
+            # unsatisfiable region just keeps its default labels
+            for try_sa in range(game.sigma_a):
+                blab = _propagate(game, a, try_sa)
+                for b in game.a_neighbors[a]:
+                    if in_vp[n_a + b]:
+                        blab[b] = None
+                masks = _consistent_masks(game, blab, others)
+                if all(masks):
+                    for b in p_b:
+                        b_labels[b] = blab[b]
+                    for ap, mask in zip(others, masks):
+                        a_labels[ap] = _lowest_bit(mask)
+                    if not in_vp[a]:
+                        a_labels[a] = try_sa
+                    break
+        else:
+            p_b = [b for b in cache.n_star[(a, sa)] if not in_vp[n_a + b]]
+            p_a = [ap for ap in cache.n2_star[(a, sa)] if not in_vp[ap]]
+            propagated = _propagate(game, a, sa)
+            for b in p_b:
+                b_labels[b] = propagated[b]
+            if not in_vp[a]:
+                a_labels[a] = sa
+            others = [ap for ap in p_a if ap != a]
+            for ap, mask in zip(others, _consistent_masks(game, propagated, others)):
+                if mask:
+                    a_labels[ap] = _lowest_bit(mask)
+
+        retire([n_a + b for b in p_b] + list(p_a))
+
+    return finish(guarantee)
+
+
+def _dnc_fields(rep):
+    return rep.assignment, rep.satisfied, rep.guarantee, rep.algorithm
+
+
+def test_dnc_equals_owner_list_oracle_on_sweep():
+    # canonical on every sweep game, the unsatisfiable and edgeless ones
+    # too, with and without a cache; a cache dnc and best_of have read
+    # stays equal to a fresh one
+    games = list(sweep_games(320))
+    assert len(games) == 322
+    claimed = 0
+    for i, g in enumerate(games):
+        st_ = lc.compute_stats(g)
+        cache = lc.compute_sigma_star(g, st_)
+        want = _dnc_fields(oracle_divide_and_conquer(g, st_, cache))
+        assert _dnc_fields(lc.divide_and_conquer(g, st_, cache)) == want, f"game {i}"
+        assert _dnc_fields(lc.divide_and_conquer(g)) == want, f"game {i}"
+        lc.best_of(g, st_, cache)
+        assert cache == lc.compute_sigma_star(g, st_), f"game {i}"
+        claimed += any(want[0].b_labels)
+    assert claimed >= 100
+
+
+def test_dnc_uniform_equals_owner_list_oracle():
+    claimed = 0
+    for seed in range(40):
+        g, _ = planted(seed, k_a=4, uniform=True)
+        st_ = lc.compute_stats(g)
+        want = _dnc_fields(oracle_divide_and_conquer(g, st_, uniform=True))
+        got = lc.divide_and_conquer(g, st_, uniform=True)
+        assert _dnc_fields(got) == want, f"seed {seed}"
+        claimed += got.satisfied > 0
+    assert claimed == 40
+
+
+def test_sigma_star_and_best_of_memory_is_a_few_blocks():
+    # on a dense game the per-key good sets come to 266,417 edge entries
+    # over 400 keys; sigma* keeps only the per-(B vertex, symbol) blocks,
+    # at most kB * |E| = 16,000 entries, and dnc counts over them
+    import tracemalloc
+
+    g, _ = lc.gen_random_satisfiable(400, 60, 10, 4, 10, seed=11)
+    st_ = lc.compute_stats(g)
+    tracemalloc.start()
+    try:
+        cache = lc.compute_sigma_star(g, st_)
+        rep = lc.best_of(g, st_, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.satisfied >= rep.guarantee
+    assert sum(map(len, cache.e_star.values())) > 200_000
+    assert peak < 4_000_000
 
 
 # --- best of -------------------------------------------------------------------

@@ -599,7 +599,13 @@ _TIMED = [
 ]
 
 
-@pytest.mark.parametrize("argv", _TIMED, ids=lambda argv: " ".join(argv[:2]))
+def _timed_id(argv):
+    """The command words and the fixture's file name, the same in any checkout."""
+    i = next(i for i, word in enumerate(argv) if word in (TINY1, SMOOTH1, GRID))
+    return " ".join([*argv[:i], Path(argv[i]).name])
+
+
+@pytest.mark.parametrize("argv", _TIMED, ids=_timed_id)
 def test_timings_flag_adds_elapsed_and_nothing_else(capsys, argv):
     code, text, _ = run(capsys, *argv)
     assert code == 0 and "elapsed" not in text
