@@ -413,7 +413,6 @@ def _kynn_single(game, stats, a0, s0, scope, pinned_empty_skips):
     and ``pinned_empty_skips`` asks to skip this anchor.
     """
     pre = game.preimage_masks
-    eidx = game.edge_index
     full = (1 << game.sigma_a) - 1
 
     n2 = stats.n2[a0]
@@ -425,16 +424,14 @@ def _kynn_single(game, stats, a0, s0, scope, pinned_empty_skips):
 
     scope_set = set(scope)
     b_labels = []
-    for b in range(game.b_count):
-        members = [ap for ap in game.b_neighbors[b] if ap in scope_set]
-        best_s, best_score = 0, -1
-        for sb in range(game.sigma_b):
-            score = 0
-            for ap in members:
-                score += (pre[eidx[(ap, b)]][sb] & s_mask[ap]).bit_count()
-            if score > best_score:
-                best_s, best_score = sb, score
-        b_labels.append(best_s)
+    edges = game.edges
+    for eids in game.b_edges:
+        rows = [(pre[e], s_mask[edges[e][0]]) for e in eids if edges[e][0] in scope_set]
+        scores = [
+            sum((row[sb] & mask).bit_count() for row, mask in rows)
+            for sb in range(game.sigma_b)
+        ]
+        b_labels.append(scores.index(max(scores)))
 
     a_labels = tuple(
         _best_a_symbol(game, a, b_labels, s_mask[a] or full)

@@ -12,7 +12,8 @@ every solver shares live here too: ``_propagate``, ``_consistent_masks``,
 ``_extensions`` (the pruning walk over B-side labellings),
 ``_best_a_symbol`` and ``_majority_b_symbol``, and ``_adjacency`` gives
 the global-numbering neighbor lists that decompositions and BFS read.
-Every solver builds its ``SolveReport`` through ``_report``.
+Every solver builds its ``SolveReport`` through ``_report``, and every
+sub-game (a component or a planar residual) is carved by ``_subgame``.
 """
 
 from __future__ import annotations
@@ -525,27 +526,36 @@ def connected_components(game: ProjectionGame) -> list[Component]:
                     stack.append(v)
         comps += 1
 
-    out = []
-    for c in range(comps):
-        a_verts = [a for a in range(game.a_count) if comp_of[a] == c]
-        b_verts = [
-            b for b in range(game.b_count) if comp_of[game.a_count + b] == c
-        ]
+    a_verts, b_verts, eids = ([[] for _ in range(comps)] for _ in range(3))
+    for a in range(game.a_count):
+        a_verts[comp_of[a]].append(a)
+    for b in range(game.b_count):
+        b_verts[comp_of[game.a_count + b]].append(b)
+    for i, (a, _) in enumerate(game.edges):
+        eids[comp_of[a]].append(i)
+    return [
+        Component(_subgame(game, es, av, bv), tuple(av), tuple(bv), tuple(es))
+        for av, bv, es in zip(a_verts, b_verts, eids)
+    ]
+
+
+def _subgame(game: ProjectionGame, eids, a_verts=None, b_verts=None) -> ProjectionGame:
+    """The game on the edges ``eids``, in that order, through ``build_game``:
+    over all of game's vertices, or over ``a_verts`` and ``b_verts`` (which
+    hold both ends of every such edge) renumbered in their order."""
+    edges = [game.edges[i] for i in eids]
+    if a_verts is not None:
         a_local = {a: i for i, a in enumerate(a_verts)}
         b_local = {b: i for i, b in enumerate(b_verts)}
-        eids = [i for i, (a, _) in enumerate(game.edges) if comp_of[a] == c]
-        sub = build_game(
-            len(a_verts),
-            len(b_verts),
-            game.sigma_a,
-            game.sigma_b,
-            [(a_local[game.edges[i][0]], b_local[game.edges[i][1]]) for i in eids],
-            [game.projections[i] for i in eids],
-        )
-        out.append(
-            Component(sub, tuple(a_verts), tuple(b_verts), tuple(eids))
-        )
-    return out
+        edges = [(a_local[a], b_local[b]) for a, b in edges]
+    return build_game(
+        game.a_count if a_verts is None else len(a_verts),
+        game.b_count if b_verts is None else len(b_verts),
+        game.sigma_a,
+        game.sigma_b,
+        edges,
+        [game.projections[i] for i in eids],
+    )
 
 
 def lift_assignment(

@@ -24,7 +24,7 @@ from .core import (
     SolveReport,
     _adjacency,
     _report,
-    build_game,
+    _subgame,
     connected_components,
     lift_assignment,
     value,
@@ -90,15 +90,7 @@ def _bfs_levels(game: ProjectionGame) -> list[int]:
 
 def residual_game(game: ProjectionGame, removed: frozenset[int]) -> ProjectionGame:
     """The game with the given edge indices deleted, order preserved."""
-    keep = [i for i in range(game.edge_count) if i not in removed]
-    return build_game(
-        game.a_count,
-        game.b_count,
-        game.sigma_a,
-        game.sigma_b,
-        [game.edges[i] for i in keep],
-        [game.projections[i] for i in keep],
-    )
+    return _subgame(game, [i for i in range(game.edge_count) if i not in removed])
 
 
 def baker_partition(game: ProjectionGame, h: int) -> BakerPartition:
@@ -137,7 +129,6 @@ def ptas(
     epsilon: Fraction,
     force_nonplanar: bool = False,
     h_override: int | None = None,
-    state_cap: int | None = None,
 ) -> SolveReport:
     """Approximation scheme: best thinned-exact assignment over h classes.
 
@@ -176,7 +167,7 @@ def ptas(
         part = baker_partition(sub, h)
         best_phi, best_val, best_dp = None, -1, 0
         for res, td in zip(part.residuals, part.decompositions):
-            phi, dp_val = tree_dp_solve(res, td, state_cap)
+            phi, dp_val = tree_dp_solve(res, td)
             full_val = value(sub, phi)
             if full_val > best_val:
                 best_phi, best_val, best_dp = phi, full_val, dp_val

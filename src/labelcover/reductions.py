@@ -18,6 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import eq
 
 from .core import (
     Assignment,
@@ -325,26 +327,18 @@ def extract_tiling(
     """
     check_assignment(game, phi)
     maps, _ = _tiling_layout(t)
-    k = t.grid_size
-    sat = [
-        table[phi.a_labels[a]] == phi.b_labels[b]
-        for (a, b), table in zip(game.edges, game.projections)
-    ]
     bad_connectors = {
-        game.edges[e][1] for e in range(game.edge_count) if not sat[e]
+        b
+        for (a, b), table in zip(game.edges, game.projections)
+        if table[phi.a_labels[a]] != phi.b_labels[b]
     }
-    cells: list[tuple[int, int] | None] = []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            cell_idx = maps.cell_vertex[(2 * i, 2 * j)]
-            nbr_connectors = {
-                game.edges[e][1] for e in game.a_edges[cell_idx]
-            }
-            if nbr_connectors & bad_connectors:
-                cells.append(None)
-            else:
-                cells.append(maps.symbol_pair(phi.a_labels[cell_idx]))
-    return TilingSolution(tuple(cells))
+    # cell i (row-major) is A vertex i
+    return TilingSolution(tuple(
+        None
+        if any(game.edges[e][1] in bad_connectors for e in eids)
+        else maps.symbol_pair(sa)
+        for eids, sa in zip(game.a_edges, phi.a_labels)
+    ))
 
 
 def brute_force_tiling(
@@ -428,6 +422,31 @@ def _bipartite_graph(rng, n_a, n_b, degree):
     return edges
 
 
+def _planted(rng, n_a, n_b, k_a, k_b, edges, uniform=False):
+    """Draw a planted labelling, then one table per edge that it satisfies,
+    as ``(tables, plant)``.  A table is uniform random with the planted
+    entry overridden, or with ``uniform`` a shuffled balanced many-to-one
+    map (k_b | k_a) with the planted entry inserted at the planted A symbol.
+    """
+    plant = Assignment(
+        tuple(rng.randrange(k_a) for _ in range(n_a)),
+        tuple(rng.randrange(k_b) for _ in range(n_b)),
+    )
+    tables = []
+    for a, b in edges:
+        sa, sb = plant.a_labels[a], plant.b_labels[b]
+        if uniform:
+            table = [s for s in range(k_b) for _ in range(k_a // k_b)]
+            table.remove(sb)
+            rng.shuffle(table)
+            table.insert(sa, sb)
+        else:
+            table = [rng.randrange(k_b) for _ in range(k_a)]
+            table[sa] = sb
+        tables.append(tuple(table))
+    return tables, plant
+
+
 def gen_random_satisfiable(
     n_a: int,
     n_b: int,
@@ -450,21 +469,8 @@ def gen_random_satisfiable(
         raise InfeasibleParams("uniform tables need k_b to divide k_a")
     rng = random.Random(seed)
     edges = _bipartite_graph(rng, n_a, n_b, degree)
-    a_opt = [rng.randrange(k_a) for _ in range(n_a)]
-    b_opt = [rng.randrange(k_b) for _ in range(n_b)]
-    tables = []
-    for a, b in edges:
-        if uniform:
-            pool = [s for s in range(k_b) for _ in range(k_a // k_b)]
-            pool.remove(b_opt[b])
-            rng.shuffle(pool)
-            table = pool[: a_opt[a]] + [b_opt[b]] + pool[a_opt[a]:]
-        else:
-            table = [rng.randrange(k_b) for _ in range(k_a)]
-            table[a_opt[a]] = b_opt[b]
-        tables.append(tuple(table))
-    game = build_game(n_a, n_b, k_a, k_b, edges, tables)
-    return game, Assignment(tuple(a_opt), tuple(b_opt))
+    tables, plant = _planted(rng, n_a, n_b, k_a, k_b, edges, uniform)
+    return build_game(n_a, n_b, k_a, k_b, edges, tables), plant
 
 
 def gen_smooth(
@@ -491,49 +497,27 @@ def gen_smooth(
     a_nbrs = [[] for _ in range(n_a)]
     for a, b in edges:
         a_nbrs[a].append(b)
-    a_opt = [rng.randrange(k_a) for _ in range(n_a)]
-    b_opt = [rng.randrange(k_b) for _ in range(n_b)]
-
-    rows_per_a = []
-    for a in range(n_a):
-        nbrs = a_nbrs[a]
-        d = len(nbrs)
-        limit = mu_target * d
-        planted_row = [b_opt[b] for b in nbrs]
+    _, plant = _planted(rng, n_a, n_b, k_a, k_b, ())
+    columns = []
+    for a, nbrs in enumerate(a_nbrs):
+        limit = mu_target * len(nbrs)
+        planted_row = [plant.b_labels[b] for b in nbrs]
         for _ in range(max_tries):
-            rows = [
-                [rng.randrange(k_b) for _ in range(d)] for _ in range(k_a)
-            ]
-            rows[a_opt[a]] = planted_row
-            ok = True
-            for s in range(k_a):
-                for s2 in range(s + 1, k_a):
-                    coll = sum(1 for p in range(d) if rows[s][p] == rows[s2][p])
-                    if coll > limit:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            rows = [[rng.randrange(k_b) for _ in nbrs] for _ in range(k_a)]
+            rows[plant.a_labels[a]] = planted_row
+            if not any(
+                sum(map(eq, r, r2)) > limit for r, r2 in combinations(rows, 2)
+            ):
                 break
         else:
             raise GenerationFailed(
                 f"vertex a{a}: no row set under mu = {mu_target} in {max_tries} tries"
             )
-        rows_per_a.append(rows)
-
-    pos_in_a = {}
-    counters = [0] * n_a
-    for e, (a, b) in enumerate(edges):
-        pos_in_a[e] = counters[a]
-        counters[a] += 1
-    tables = [
-        tuple(rows_per_a[a][s][pos_in_a[e]] for s in range(k_a))
-        for e, (a, b) in enumerate(edges)
-    ]
+        columns.append(zip(*rows))
+    # a's p-th edge in edge order reads the p-th entry of every row
+    tables = [next(columns[a]) for a, _ in edges]
     game = build_game(n_a, n_b, k_a, k_b, edges, tables)
-    report = measure_smoothness(game)
-    return game, report, Assignment(tuple(a_opt), tuple(b_opt))
+    return game, measure_smoothness(game), plant
 
 
 def gen_planar_grid(
@@ -549,33 +533,18 @@ def gen_planar_grid(
     if k_a < 1 or k_b < 1:
         raise InfeasibleParams("alphabets must be nonempty")
     rng = random.Random(seed)
-    a_index = {}
-    b_index = {}
-    for r in range(rows):
-        for c in range(cols):
-            if (r + c) % 2 == 0:
-                a_index[(r, c)] = len(a_index)
-            else:
-                b_index[(r, c)] = len(b_index)
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if (r, c) not in a_index:
-                continue
-            a = a_index[(r, c)]
-            for rr, cc in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c)):
-                if (rr, cc) in b_index:
-                    edges.append((a, b_index[(rr, cc)]))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    a_index = {rc: i for i, rc in enumerate(rc for rc in cells if sum(rc) % 2 == 0)}
+    b_index = {rc: i for i, rc in enumerate(rc for rc in cells if sum(rc) % 2)}
+    edges = [
+        (a, b_index[nb])
+        for (r, c), a in a_index.items()
+        for nb in ((r - 1, c), (r, c - 1), (r, c + 1), (r + 1, c))
+        if nb in b_index
+    ]
     n_a, n_b = len(a_index), len(b_index)
-    a_opt = [rng.randrange(k_a) for _ in range(n_a)]
-    b_opt = [rng.randrange(k_b) for _ in range(n_b)]
-    tables = []
-    for a, b in edges:
-        table = [rng.randrange(k_b) for _ in range(k_a)]
-        table[a_opt[a]] = b_opt[b]
-        tables.append(tuple(table))
-    game = build_game(n_a, n_b, k_a, k_b, edges, tables)
-    return game, Assignment(tuple(a_opt), tuple(b_opt))
+    tables, plant = _planted(rng, n_a, n_b, k_a, k_b, edges)
+    return build_game(n_a, n_b, k_a, k_b, edges, tables), plant
 
 
 def gen_coloring_graph(

@@ -42,17 +42,14 @@ class SmoothnessReport:
 
     mu: Fraction
     witness: tuple[int, int, int] | None
-    per_a: tuple[Fraction, ...]
 
 
 def measure_smoothness(game: ProjectionGame) -> SmoothnessReport:
     """Exact maximum collision fraction by full triple loop."""
     mu = Fraction(0)
     witness = None
-    per_a = []
     for a in range(game.a_count):
         eids = game.a_edges[a]
-        worst = Fraction(0)
         if eids and game.sigma_a >= 2:
             d = len(eids)
             for s in range(game.sigma_a):
@@ -63,13 +60,17 @@ def measure_smoothness(game: ProjectionGame) -> SmoothnessReport:
                         if game.projections[e][s] == game.projections[e][s2]
                     )
                     frac = Fraction(coll, d)
-                    if frac > worst:
-                        worst = frac
                     if frac > mu:
                         mu = frac
                         witness = (a, s, s2)
-        per_a.append(worst)
-    return SmoothnessReport(mu=mu, witness=witness, per_a=tuple(per_a))
+    return SmoothnessReport(mu=mu, witness=witness)
+
+
+def _check_enum_cap(game: ProjectionGame, n: int, what: str, enum_cap: int) -> None:
+    """Raise BudgetExceeded when labelling n B vertices, ``what`` in the
+    message, gives more than enum_cap assignments."""
+    if game.sigma_b ** n > enum_cap:
+        raise BudgetExceeded(f"{game.sigma_b}^{n} {what} exceed cap {enum_cap}")
 
 
 def default_mu(game: ProjectionGame, report: SmoothnessReport | None = None) -> Fraction:
@@ -114,11 +115,7 @@ def smooth_exact(
     cut = _draw_threshold(p)
     bstar = [b for b in range(game.b_count) if rng.random() < cut]
 
-    total = game.sigma_b ** len(bstar)
-    if total > enum_cap:
-        raise BudgetExceeded(
-            f"{game.sigma_b}^{len(bstar)} sampled-side assignments exceed cap {enum_cap}"
-        )
+    _check_enum_cap(game, len(bstar), "sampled-side assignments", enum_cap)
 
     m = game.edge_count
     for bstar_labels, masks in _extensions(game, bstar):
@@ -180,11 +177,7 @@ def smooth_approx(
         return report(Assignment((0,) * n_a, (0,) * game.b_count), 0)
 
     if mu >= Fraction(1, 4):
-        total = game.sigma_b ** game.b_count
-        if total > enum_cap:
-            raise BudgetExceeded(
-                f"{game.sigma_b}^{game.b_count} B assignments exceed cap {enum_cap}"
-            )
+        _check_enum_cap(game, game.b_count, "B assignments", enum_cap)
         # A labelling satisfies every edge exactly when every A vertex keeps
         # a consistent symbol, so the walk's first leaf is where the product
         # loop below would stop; that loop is left for unsatisfiable games.
@@ -244,11 +237,7 @@ def smooth_approx(
                 saturated[ap] = True
                 sat_degree_sum += deg[ap]
 
-    total = game.sigma_b ** len(bstar)
-    if total > enum_cap:
-        raise BudgetExceeded(
-            f"{game.sigma_b}^{len(bstar)} B* assignments exceed cap {enum_cap}"
-        )
+    _check_enum_cap(game, len(bstar), "B* assignments", enum_cap)
 
     sat_list = [a for a in range(n_a) if saturated[a]]
     best_phi, best_val = None, -1
