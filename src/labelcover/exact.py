@@ -7,9 +7,9 @@ a min-fill heuristic or, on very small graphs, an exact elimination-order
 search.  Both run through one elimination routine, ``_eliminate``, which
 emits each vertex's bag as it eliminates it; only the rule that picks the
 next vertex differs.  Min-fill picks the vertex needing the fewest fill
-edges, the smallest index on ties, from a lazily invalidated heap; after
-each elimination it rescores only the eliminated vertex's neighbors and
-their neighbors.  ``tree_dp_solve`` reuses the vertex-to-bags index
+edges, the smallest index on ties, from a lazily invalidated heap;
+``_eliminate`` keeps every fill exact and incremental through triangle
+counts.  ``tree_dp_solve`` reuses the vertex-to-bags index
 (``_bag_index``) and the rooted walk of the bag tree (``_rooted_walk``)
 that its validation built.  The DP counts each edge once, at the bag
 nearest the root that holds both endpoints.  It codes a bag state
@@ -181,40 +181,51 @@ def _validated(game: ProjectionGame, td: TreeDecomposition):
 def _eliminate(game: ProjectionGame, pick) -> TreeDecomposition:
     """Eliminate every vertex, emitting its bag and linking the bags.
 
-    ``pick(work, touched)`` names the next vertex to eliminate; ``work[v]``
-    holds v's alive neighbors in the filled graph, and ``touched`` the
-    alive vertices whose neighborhood changed since the last call (every
-    vertex at the first).  Each vertex's bag is itself plus those
-    neighbors, which then become a clique; the bag's parent is the bag of
-    the member eliminated earliest after it.  Bags with no later members
-    are chained so the result is a single tree.
+    ``work[v]`` holds v's alive neighbors in the filled graph and ``tri[v]``
+    the edges among them (the triangles through v), so v's fill is
+    C(deg v, 2) - tri[v].  The constraint graph is bipartite: every ``tri``
+    starts at 0.  Eliminating x drops x from each neighbor u, with the
+    |N(u) & N(x)| triangles through both, then adds each missing pair
+    (u, w) of N(x) in turn, one triangle at u, w and each common neighbor.
+    No other count moves.  ``pick(fills)`` names the next vertex; ``fills``
+    yields (fill, v) for every vertex whose counts moved at the last
+    elimination (all at the first).  A bag is its vertex plus the vertex's
+    neighbors; its parent is the bag of the member eliminated earliest
+    after it.  Bags with no later members are chained into a single tree.
     """
     n = game.vertex_count
     if n == 0:
         return TreeDecomposition((frozenset(),), ())
     work = [set(s) for s in _adjacency(game)]
-    touched = range(n)
+    tri = [0] * n
+    changed = range(n)
     pos = [0] * n
     bags: list[frozenset[int]] = []
     higher: list[set[int]] = []
     for step in range(n):
-        v = pick(work, touched)
-        pos[v] = step
-        nbrs = touched = work[v]
+        x = pick((len(work[u]) * (len(work[u]) - 1) // 2 - tri[u], u) for u in changed)
+        pos[x] = step
+        nbrs = work[x]
+        changed = set(nbrs)
         for u in nbrs:
-            work[u].discard(v)
-            work[u] |= nbrs
-            work[u].discard(u)
-        bags.append(frozenset(nbrs | {v}))
+            work[u].discard(x)
+            tri[u] -= len(work[u] & nbrs)
+        for u in nbrs if len(nbrs) * (len(nbrs) - 1) > 2 * tri[x] else ():  # x has fill
+            wu = work[u]
+            for w in nbrs - wu - {u}:
+                common = wu & work[w]
+                tri[u] += len(common)
+                tri[w] += len(common)
+                for z in common:
+                    tri[z] += 1
+                changed |= common
+                wu.add(w)
+                work[w].add(u)
+        bags.append(frozenset(nbrs | {x}))
         higher.append(nbrs)
 
-    edges = []
-    roots = []
-    for i, nbrs in enumerate(higher):
-        if nbrs:
-            edges.append((i, min(pos[u] for u in nbrs)))
-        else:
-            roots.append(i)
+    edges = [(i, min(map(pos.__getitem__, nbrs))) for i, nbrs in enumerate(higher) if nbrs]
+    roots = [i for i, nbrs in enumerate(higher) if not nbrs]
     edges += zip(roots, roots[1:])
     return TreeDecomposition(tuple(bags), tuple(edges))
 
@@ -293,22 +304,18 @@ def heuristic_decomposition(game: ProjectionGame) -> TreeDecomposition:
     """Min-fill decomposition of the game's constraint graph.
 
     Each step eliminates the alive vertex whose neighbors miss the fewest
-    edges of a clique (its fill), the smallest index on ties.  The fills
-    sit in a heap of (fill, vertex) with lazy invalidation: after an
-    elimination only the touched vertices and their neighbors are
-    rescored, and an entry is pushed only for a fill that changed.  No
-    other fill can move: only touched vertices lose or gain neighbors, and
-    each new edge joins two touched vertices, so a vertex that sees both
-    ends is a neighbor of one.  Always valid; no width optimality promised.
+    edges of a clique (its fill), the smallest index on ties.  Fills are
+    exact: ``_eliminate`` keeps each as C(deg v, 2) minus the triangles
+    through v (all 0 at the start: the graph is bipartite) and hands over
+    those that moved.  A heap of (fill, vertex) with lazy invalidation gets
+    an entry only for a fill that changed.  Always valid; no width
+    optimality promised.
     """
     fill = [-1] * game.vertex_count  # current count, -1 once eliminated
     heap: list[tuple[int, int]] = []
 
-    def pick(work: list[set[int]], touched) -> int:
-        for v in set(touched).union(*(work[u] for u in touched)):
-            nbrs = work[v]
-            d = len(nbrs)
-            f = (d * (d - 1) - sum(len(nbrs & work[u]) for u in nbrs)) // 2
+    def pick(fills) -> int:
+        for f, v in fills:
             if f != fill[v]:
                 fill[v] = f
                 heappush(heap, (f, v))
@@ -330,7 +337,7 @@ def exact_decomposition(game: ProjectionGame) -> TreeDecomposition:
         )
     bound = heuristic_decomposition(game).width
     order = iter(_exact_order(n, _adjacency(game), bound))
-    return _eliminate(game, lambda work, touched: next(order))
+    return _eliminate(game, lambda fills: next(order))
 
 
 def brute_force_opt(

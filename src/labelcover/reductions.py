@@ -494,6 +494,8 @@ def gen_smooth(
         raise InfeasibleParams("needs degree >= k_b >= 2")
     rng = random.Random(seed)
     edges = _bipartite_graph(rng, n_a, n_b, degree)
+    if k_a < 1:
+        raise InfeasibleParams("alphabets must be nonempty")
     a_nbrs = [[] for _ in range(n_a)]
     for a, b in edges:
         a_nbrs[a].append(b)

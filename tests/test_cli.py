@@ -363,6 +363,34 @@ def test_report_satisfied_is_the_value_of_its_assignment(capsys, argv):
     assert f"satisfied = {payload['satisfied']} / {game.edge_count}\n" in text
 
 
+@pytest.mark.parametrize("argv", [("solve", "dp"), ("ptas", "--eps", "1/2")], ids=" ".join)
+def test_star_with_2000_leaves_solves(capsys, tmp_path, argv):
+    # min-fill once rescored the centre against every remaining leaf
+    n = 2000
+    game = lc.build_game(
+        1, n, 2, 2, [(0, b) for b in range(n)], [(b % 2, b // 2 % 2) for b in range(n)]
+    )
+    path = tmp_path / "star.lc"
+    path.write_text(formats.emit_labelcover(game))
+    code, out, _ = run(capsys, *argv, str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    labels = payload["assignment"]
+    phi = lc.Assignment(tuple(labels["a_labels"]), tuple(labels["b_labels"]))
+    assert payload["satisfied"] == lc.value(game, phi) == n
+
+
+def test_gen_smooth_empty_a_alphabet_exits_one_line(capsys):
+    # gen smooth once ended in a randrange traceback here; gen random
+    # reports the same parameters the same way
+    for kind in ("smooth", "random"):
+        extra = ("--mu", "1/2") if kind == "smooth" else ()
+        code, out, err = run(capsys, "gen", kind, "--na", "4", "--nb", "7", "--ka", "0",
+                             "--kb", "2", "--degree", "5", *extra)
+        _assert_one_line_error(code, out, err)
+        assert err == "error: alphabets must be nonempty\n"
+
+
 def test_ptas_bad_parameters_exit_one_line(capsys, tmp_path):
     grid, _ = lc.gen_planar_grid(2, 3, 2, 2, seed=3)
     edgeless = lc.build_game(2, 2, 2, 2, [], [])

@@ -443,7 +443,7 @@ def test_capped_exact_order_matches_oracle_on_seeded_graphs():
 
     def oracle_decomposition(g):
         order = iter(oracle_exact_order(g.vertex_count, _adjacency(g)))
-        return _eliminate(g, lambda work, touched: next(order))
+        return _eliminate(g, lambda fills: next(order))
 
     games = []
     for seed in range(60):
@@ -552,6 +552,19 @@ def min_fill_oracle_games():
             yield g
         for h in (2, 3, 4, 5):
             yield from lc.baker_partition(g, h).residuals
+    # unthinned grids, a hub on every B vertex of a grid, and double stars
+    # (each leaf also on one or two of three more A vertices): here fill
+    # edges close triangles at vertices outside the eliminated neighborhood
+    for r in (10, 20):
+        yield lc.gen_planar_grid(r, r, 3, 2, seed=r)[0]
+    grid = lc.gen_planar_grid(12, 12, 3, 2, seed=12)[0]
+    hub = tuple((grid.a_count, b) for b in range(grid.b_count))
+    yield lc.build_game(grid.a_count + 1, grid.b_count, 3, 2, grid.edges + hub,
+                        grid.projections + ((0, 1, 0),) * len(hub))
+    for leaves, shares in ((30, 1), (24, 2)):
+        edges = [(0, b) for b in range(leaves)]
+        edges += [(1 + (b + j) % 3, b) for b in range(leaves) for j in range(shares)]
+        yield lc.build_game(4, leaves, 2, 2, edges, [(0, 1)] * len(edges))
     yield lc.build_game(3, 4, 2, 2, [], [])
     yield lc.build_game(1, 0, 1, 1, [], [])
     yield lc.build_game(0, 1, 1, 1, [], [])
@@ -566,6 +579,20 @@ def test_min_fill_matches_oracle_sweep():
         assert lc.validate_decomposition(g, td) == []
         count += 1
     assert count > 400
+
+
+def test_min_fill_on_a_hub_is_not_quadratic():
+    # each leaf elimination changes the centre's neighborhood; rescoring
+    # the centre against its remaining leaves from scratch took about 20 s
+    import time
+
+    n = 5000
+    g = lc.build_game(1, n, 2, 2, [(0, b) for b in range(n)], [(b % 2, 1) for b in range(n)])
+    start = time.process_time()
+    td = lc.heuristic_decomposition(g)
+    spent = time.process_time() - start
+    assert td.width == 1 and len(td.bags) == n + 1
+    assert spent < 1.0
 
 
 # --- tree DP ----------------------------------------------------------------
