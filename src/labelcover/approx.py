@@ -15,7 +15,9 @@ from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
+from operator import and_, or_
 from time import perf_counter
 
 from .core import (
@@ -27,6 +29,7 @@ from .core import (
     SolveReport,
     _best_a_symbol,
     _consistent_masks,
+    _degree_sum,
     _lowest_bit,
     _propagate,
     _report,
@@ -116,31 +119,33 @@ def compute_sigma_star(
     - Summaries: a member sharing one B vertex b with a has its preimage of
       b's label as its candidates.  So each B vertex keeps, per symbol t,
       the AND of its A neighbours' reach fields at their preimages of t (0
-      when one is empty), built on first use; a trial ANDs deg(a) of them.
-    - Multi-shared correction: a member sharing two or more B vertices
-      with a has the AND of those preimages as its candidates.  An empty
-      one drops the anchor, and a nonempty one's reach fields, memoised per
-      (vertex, candidates) for this call, are ANDed in too; they lie
-      inside the summary terms, since reach is monotone.
-    - Integer good-edge test: popcount * |E| <= 2 * sum(p_max_e) is
+      when one is empty), all kB built in one sweep when b is first met; a
+      trial ANDs deg(a) of them and runs the carry test.
+    - Multi-shared correction, for a trial that passes: a member sharing
+      two or more B vertices with a has the AND of those preimages as its
+      candidates.  An empty one drops the anchor, and a nonempty one's
+      reach fields, memoised per (vertex, candidates) for this call, are
+      ANDed in too; they lie inside the summary terms (reach is monotone).
+    - Integer good-edge test: popcount <= 2 * sum(p_max_e) // |E| is
       ``<= threshold`` without Fractions.  Each block (b, t) keeps the good
-      edges at b under symbol t and their A ends; an anchor's good edges
-      are the disjoint union of its deg(a) blocks (b, table_ab[s]), so the
-      cache keeps only the blocks and each key's block positions.
+      edges at b under symbol t and the bitset of their A ends; an anchor's
+      good edges are the disjoint union of its deg(a) blocks (b, table_ab[s]),
+      so the cache keeps only the blocks and each key's block positions, and
+      ``h_star`` sums degrees over the OR of the ends by bit planes.
     """
     stats = stats if stats is not None else compute_stats(game)
     # finish the test first, so its memos are freed before the output grows
     admissible_sets = [tuple(symbols) for symbols in
                        _admissible(game, range(game.a_count))]
     pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
-    m, cap = game.edge_count, 2 * sum(stats.p_max_e)
+    limit = 2 * sum(stats.p_max_e) // max(game.edge_count, 1)
     # block b * kb + t: B vertex b's good edges under symbol t, their A ends
     blocks = []
     for b, eids in enumerate(game.b_edges):
         for t in range(kb):
-            hit = tuple(e for e in eids if pre[e][t].bit_count() * m <= cap)
-            blocks.append((b, hit, frozenset(edges[e][0] for e in hit)))
-    degree = stats.a_degree.__getitem__
+            hit = tuple(e for e in eids if pre[e][t].bit_count() <= limit)
+            blocks.append((b, hit, sum(1 << edges[e][0] for e in hit)))
+    degree_sum = _degree_sum(stats.a_degree)
 
     index: dict[tuple[int, int], tuple[int, ...]] = {}
     h_star: dict[tuple[int, int], int] = {}
@@ -150,8 +155,7 @@ def compute_sigma_star(
         for sa in admissible:
             ids = index[(a, sa)] = tuple(b * kb + table[sa]
                                          for b, table in zip(nbrs, tables))
-            ends = frozenset().union(*(blocks[i][2] for i in ids))
-            h_star[(a, sa)] = sum(map(degree, ends))
+            h_star[(a, sa)] = degree_sum(reduce(or_, (blocks[i][2] for i in ids), 0))
 
     argmax = max(h_star, key=h_star.__getitem__, default=None)  # first of the best
     return SigmaStarCache(
@@ -171,7 +175,11 @@ def _n_star(blocks):
 
 
 def _n2_star(blocks):
-    return tuple(sorted(frozenset().union(*(ends for _, _, ends in blocks))))
+    ends, out = reduce(or_, (ends for _, _, ends in blocks), 0), []
+    while ends:  # the lowest set bit first, so in increasing order
+        out.append(_lowest_bit(ends))
+        ends &= ends - 1
+    return tuple(out)
 
 
 def _e_star(blocks):
@@ -183,15 +191,15 @@ def _admissible(game: ProjectionGame, anchors, symbols=None):
     admissible symbols among ``symbols`` (default: all), in increasing
     order; a symbol is tested when the iterator reaches it.
 
-    A summary entry (b, t) is built when a trial first needs it, so a call
-    for one anchor touches only N(a) and the neighbours of N(a).  Entries
-    hold the whole test of a two-hop vertex that shares one B vertex with
-    the anchor.  One that shares more has the AND of its preimages there
-    as its mask (``_joint_fields``); the mask lies inside each of them, so
-    by monotonicity of reach the entry terms it is ANDed with change
-    nothing.  The anchor needs no correction: its mask holds sa, and all
-    its fields lie on N(a), where each of its preimages reaches the
-    propagated label alone.
+    A B vertex's summary is built, all kB entries at once, when a call
+    first meets it, so a call for one anchor touches only N(a) and the
+    neighbours of N(a).  Entries hold the whole test of a two-hop vertex
+    that shares one B vertex with the anchor.  A trial that passes their
+    carry test is corrected for each one that shares more (``_joint_fields``):
+    its mask there, the AND of its preimages, lies inside each of them, so
+    by monotonicity of reach the entry terms it is ANDed with change nothing.
+    The anchor needs no correction: its mask holds sa, and all its fields lie
+    on N(a), where each of its preimages reaches the propagated label alone.
     """
     tried = range(game.sigma_a) if symbols is None else symbols
     full_b = (1 << game.sigma_b) - 1
@@ -204,7 +212,7 @@ def _admissible(game: ProjectionGame, anchors, symbols=None):
     def trials(a):
         nbrs = game.a_neighbors[a]
         tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
-        hood = [hoods.get(b) or _hood(game, b, hoods) for b in nbrs]
+        hood = [hoods.get(b) or _hood(game, b, hoods, every, singles) for b in nbrs]
         once = twice = 0  # A vertices next to one, and to two or more, of N(a)
         for _, members, _ in hood:
             twice |= once & members
@@ -213,34 +221,31 @@ def _admissible(game: ProjectionGame, anchors, symbols=None):
         shared = None
         for sa in tried:
             fields = every
-            for (summary, _, rows), table in zip(hood, tables):
-                t = table[sa]
-                g = summary[t]
-                if g is None:
-                    g = summary[t] = _summary_entry(game, rows, t, every, singles)
-                fields &= g
+            for (summary, _, _), table in zip(hood, tables):
+                fields &= summary[table[sa]]
                 if not fields:
                     break
-            if fields and twice:
+            # adding ``low`` carries into a field's top bit iff a lower bit is set
+            ok = (fields & low) + low | fields | low == every
+            if ok and twice:
                 if shared is None:
                     flags = f"{twice:0{game.a_count}b}"[::-1]  # flags[ap] is bit ap
                     shared = [[(ap, row) for ap, row in rows if flags[ap] == "1"]
                               for _, _, rows in hood]
-                fields = _joint_fields(game, shared, tables, sa, fields, every,
-                                       singles, reach)
-            # adding ``low`` carries into a field's top bit iff a lower bit is set
-            if (fields & low) + low | fields | low == every:
+                fields = _joint_fields(game, shared, tables, sa, fields, singles, reach)
+                ok = (fields & low) + low | fields | low == every
+            if ok:
                 yield sa
 
     for a in anchors:
         yield trials(a)
 
 
-def _joint_fields(game, shared, tables, sa, fields, every, singles, reach) -> int:
+def _joint_fields(game, shared, tables, sa, fields, singles, reach) -> int:
     """``fields`` ANDed with the reach fields of each two-hop vertex's mask
     over the B vertices it shares with the anchor (``shared``: per B
     neighbour of the anchor, its (vertex, preimages) rows); 0 as soon as a
-    mask empties."""
+    mask empties.  Reach fields are ORs of ``_hood``'s one-symbol fields."""
     ka = game.sigma_a
     masks: dict[int, int] = {}
     for rows, table in zip(shared, tables):
@@ -254,63 +259,40 @@ def _joint_fields(game, shared, tables, sa, fields, every, singles, reach) -> in
         key = ap << ka | mask
         r = reach.get(key)
         if r is None:
-            r = reach[key] = _reach_fields(game, ap, mask, every, singles)
+            one, r, rest = singles[ap], 0, mask
+            while rest:
+                r |= one[_lowest_bit(rest)]
+                rest &= rest - 1
+            reach[key] = r
         fields &= r
     return fields
 
 
-def _hood(game: ProjectionGame, b: int, hoods):
+def _hood(game: ProjectionGame, b: int, hoods, every: int, singles):
     """B vertex b's summary, its A neighbours as a bitset and its (A end,
-    preimages) rows; stored in ``hoods``.  The summary holds, per B symbol,
-    0 when the symbol has an empty preimage on some edge at b, else None
-    until ``_summary_entry`` builds it."""
-    pre, kb = game.preimage_masks, game.sigma_b
-    rows = [(game.edges[e][0], pre[e]) for e in game.b_edges[b]]
-    members = 0
-    for ap, _ in rows:
+    preimages) rows; stored in ``hoods``.  Entry t ANDs over b's edges (ap, b)
+    the OR of ap's one-symbol fields (``every`` cut to what s maps to on each
+    edge of ap, per symbol s; kept in ``singles``) over ap's preimage of t."""
+    pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
+    summary, rows, members = [every] * kb, [], 0
+    for e in game.b_edges[b]:
+        ap = edges[e][0]
+        rows.append((ap, pre[e]))
         members |= 1 << ap
-    summary = [None if all(row[t] for _, row in rows) else 0 for t in range(kb)]
-    hood = hoods[b] = summary, members, rows
-    return hood
-
-
-def _summary_entry(game: ProjectionGame, rows, t: int, every: int, singles) -> int:
-    """The AND over a B vertex's (A end ap, preimages) ``rows`` of the reach
-    fields of ap's preimage of t, each nonempty."""
-    g = every
-    for ap, row in rows:
-        g &= _reach_fields(game, ap, row[t], every, singles)
-    return g
-
-
-def _reach_fields(game: ProjectionGame, ap: int, mask: int, every: int, singles) -> int:
-    """``every`` with the field of each B neighbor b of ap cut down to the
-    B symbols that the symbols in the nonempty ``mask`` map to across edge
-    (ap, b).  That is the OR of the fields of the one-symbol masks inside
-    ``mask``, each built on first use and kept in ``singles``."""
-    entry = singles.get(ap)
-    if entry is None:
-        kb, edges = game.sigma_b, game.edges
-        full_b = (1 << kb) - 1
-        base, cuts = every, []
-        for e in game.a_edges[ap]:
-            shift = kb * edges[e][1]
-            base ^= full_b << shift
-            cuts.append((shift, game.projections[e]))
-        entry = singles[ap] = base, cuts, [None] * game.sigma_a
-    base, cuts, one = entry
-    r = 0
-    while mask:
-        s = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        x = one[s]
-        if x is None:
-            x = base
-            for shift, table in cuts:
-                x |= 1 << shift + table[s]
-            one[s] = x
-        r |= x
-    return r
+        if (one := singles.get(ap)) is None:
+            cuts = [(kb * edges[x][1], game.projections[x]) for x in game.a_edges[ap]]
+            base = every ^ sum(((1 << kb) - 1) << shift for shift, _ in cuts)
+            one = singles[ap] = []
+            for s in range(game.sigma_a):  # faster than a sum over a generator
+                x = base
+                for shift, table in cuts:
+                    x |= 1 << shift + table[s]
+                one.append(x)
+        r = [0] * kb
+        for s, t in enumerate(game.projections[e]):
+            r[t] |= one[s]
+        summary = list(map(and_, summary, r))
+    return hoods.setdefault(b, (summary, members, rows))
 
 
 def _check_anchor(game: ProjectionGame, a0: int) -> None:

@@ -19,11 +19,12 @@ sub-game (a component or a planar residual) is carved by ``_subgame``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
-from operator import index
+from operator import index, or_
 from time import perf_counter
 
 
@@ -398,25 +399,62 @@ def _adjacency(game: ProjectionGame) -> list[list[int]]:
     return adj
 
 
+def _degree_sum(degrees):
+    """A function from a bitset of vertices to the sum of their ``degrees``:
+    over k, 2**k times its popcount in plane k, the vertices with bit k set."""
+    planes = [(k, int("".join(str(d >> k & 1) for d in reversed(degrees)), 2))
+              for k in range(max(degrees, default=0).bit_length())]
+    return lambda members: sum((members & p).bit_count() << k for k, p in planes)
+
+
+class _TwoHop(Sequence):
+    """``InstanceStats.n2``, each entry built on first read and kept."""
+
+    def __init__(self, a_neighbors, b_neighbors):
+        self._a, self._b = a_neighbors, b_neighbors
+        self._memo = [None] * len(a_neighbors)
+
+    def __len__(self):
+        return len(self._memo)
+
+    def __getitem__(self, a):
+        if isinstance(a, slice):
+            return tuple(map(self.__getitem__, range(len(self))[a]))
+        if self._memo[a] is None:
+            union = set().union(*map(self._b.__getitem__, self._a[a]))
+            self._memo[a] = tuple(sorted(union))
+        return self._memo[a]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _TwoHop)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class InstanceStats:
     """Every derived quantity the solvers consume.
 
     ``n2`` holds the two-hop A neighborhood of each A vertex (neighbors of
-    neighbors, which includes the vertex itself whenever it has an edge).
-    ``h`` counts the edges touching that set; ``e_n`` counts the edges
-    touching the direct neighborhood.  ``sigma_b_max`` is the B symbol with
-    the largest total preimage over incident edges (smallest index on
-    ties), ``p_max_e`` the per-edge preimage size under it, ``p_bar_max``
-    the exact mean of those sizes.  ``uniform_p`` is the common preimage
-    size when every table splits its alphabet evenly, else None.
+    neighbors, which includes the vertex itself whenever it has an edge) as
+    a sorted tuple; it is a read-only ``Sequence`` view that builds each
+    entry on first read and keeps it, ``==`` to the tuple of those tuples,
+    and hashes and pickles like it.  ``h`` counts the edges touching that
+    set; ``e_n`` those touching the direct neighborhood.  ``sigma_b_max`` is
+    the B symbol with the largest total preimage over incident edges
+    (smallest index on ties), ``p_max_e`` the per-edge preimage size under
+    it, ``p_bar_max`` the exact mean of those sizes.  ``uniform_p`` is the
+    common preimage size when every table splits its alphabet evenly, else None.
     """
 
     a_degree: tuple[int, ...]
     b_degree: tuple[int, ...]
     a_neighbors: tuple[tuple[int, ...], ...]
     b_neighbors: tuple[tuple[int, ...], ...]
-    n2: tuple[tuple[int, ...], ...]
+    n2: Sequence[tuple[int, ...]]
     sigma_b_max: tuple[int, ...]
     p_max_e: tuple[int, ...]
     p_bar_max: Fraction
@@ -433,10 +471,6 @@ def compute_stats(game: ProjectionGame) -> InstanceStats:
     b_deg = tuple(len(x) for x in game.b_edges)
 
     a_nbrs, b_nbrs = game.a_neighbors, game.b_neighbors
-    n2 = tuple(
-        tuple(sorted(set().union(*map(b_nbrs.__getitem__, nbrs))))
-        for nbrs in a_nbrs
-    )
 
     # the B symbol with the most table entries over b's edges
     tables = game.projections
@@ -456,7 +490,9 @@ def compute_stats(game: ProjectionGame) -> InstanceStats:
     p_bar_max = Fraction(sum(p_max_e), m) if m else Fraction(0)
 
     e_n = tuple(sum(map(b_deg.__getitem__, nbrs)) for nbrs in a_nbrs)
-    h = tuple(sum(map(a_deg.__getitem__, two_hop)) for two_hop in n2)
+    members = [sum(1 << a for a in nbrs) for nbrs in b_nbrs]  # A bitset per B vertex
+    two_hop = (reduce(or_, map(members.__getitem__, nbrs), 0) for nbrs in a_nbrs)
+    h = tuple(map(_degree_sum(a_deg), two_hop))
     h_max = max(h, default=0)
     e_n_max = max(e_n, default=0)
 
@@ -475,7 +511,7 @@ def compute_stats(game: ProjectionGame) -> InstanceStats:
         b_degree=b_deg,
         a_neighbors=game.a_neighbors,
         b_neighbors=game.b_neighbors,
-        n2=n2,
+        n2=_TwoHop(a_nbrs, b_nbrs),
         sigma_b_max=sigma_b_max,
         p_max_e=p_max_e,
         p_bar_max=p_bar_max,
@@ -540,22 +576,19 @@ def connected_components(game: ProjectionGame) -> list[Component]:
 
 
 def _subgame(game: ProjectionGame, eids, a_verts=None, b_verts=None) -> ProjectionGame:
-    """The game on the edges ``eids``, in that order, through ``build_game``:
-    over all of game's vertices, or over ``a_verts`` and ``b_verts`` (which
-    hold both ends of every such edge) renumbered in their order."""
-    edges = [game.edges[i] for i in eids]
+    """The game on the distinct edges ``eids`` of the valid ``game``, in that
+    order: over all of game's vertices, or over ``a_verts`` and ``b_verts``
+    (which hold both ends of every such edge) renumbered in their order.
+    Those preconditions keep it valid, so it skips ``build_game``'s checks."""
+    edges = tuple(game.edges[i] for i in eids)
     if a_verts is not None:
         a_local = {a: i for i, a in enumerate(a_verts)}
         b_local = {b: i for i, b in enumerate(b_verts)}
-        edges = [(a_local[a], b_local[b]) for a, b in edges]
-    return build_game(
-        game.a_count if a_verts is None else len(a_verts),
-        game.b_count if b_verts is None else len(b_verts),
-        game.sigma_a,
-        game.sigma_b,
-        edges,
-        [game.projections[i] for i in eids],
-    )
+        edges = tuple((a_local[a], b_local[b]) for a, b in edges)
+    counts = ((game.a_count, game.b_count) if a_verts is None
+              else (len(a_verts), len(b_verts)))
+    tables = tuple(game.projections[i] for i in eids)
+    return ProjectionGame(*counts, game.sigma_a, game.sigma_b, edges, tables)
 
 
 def lift_assignment(

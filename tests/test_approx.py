@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import labelcover as lc
+from labelcover import approx
 from labelcover.approx import SigmaStarCache
 from labelcover.core import (
     Assignment,
@@ -439,6 +440,88 @@ def test_sigma_star_equals_shared_mask_oracle_on_sweep():
         assert lc.compute_sigma_star(g, st_) == shared_mask_sigma_star(g, st_), (
             f"game {i}"
         )
+
+
+# --- the lazy summaries (the previous _hood) as an oracle --------------------
+
+def lazy_hood(game: ProjectionGame, b: int, hoods):
+    """The previous ``_hood``, kept verbatim as a differential oracle: B
+    vertex b's summary, its A neighbours as a bitset and its (A end,
+    preimages) rows; stored in ``hoods``.  The summary holds, per B symbol,
+    0 when the symbol has an empty preimage on some edge at b, else None
+    until ``lazy_summary_entry`` builds it."""
+    pre, kb = game.preimage_masks, game.sigma_b
+    rows = [(game.edges[e][0], pre[e]) for e in game.b_edges[b]]
+    members = 0
+    for ap, _ in rows:
+        members |= 1 << ap
+    summary = [None if all(row[t] for _, row in rows) else 0 for t in range(kb)]
+    hood = hoods[b] = summary, members, rows
+    return hood
+
+
+def lazy_summary_entry(game: ProjectionGame, rows, t: int, every: int, singles) -> int:
+    """The previous ``_summary_entry``, verbatim: the AND over a B vertex's
+    (A end ap, preimages) ``rows`` of the reach fields of ap's preimage of
+    t, each nonempty."""
+    g = every
+    for ap, row in rows:
+        g &= lazy_reach_fields(game, ap, row[t], every, singles)
+    return g
+
+
+def lazy_reach_fields(game: ProjectionGame, ap: int, mask: int, every: int, singles) -> int:
+    """The previous ``_reach_fields``, verbatim: ``every`` with the field of
+    each B neighbor b of ap cut down to the B symbols that the symbols in
+    the nonempty ``mask`` map to across edge (ap, b).  That is the OR of the
+    fields of the one-symbol masks inside ``mask``, each built on first use
+    and kept in ``singles``."""
+    entry = singles.get(ap)
+    if entry is None:
+        kb, edges = game.sigma_b, game.edges
+        full_b = (1 << kb) - 1
+        base, cuts = every, []
+        for e in game.a_edges[ap]:
+            shift = kb * edges[e][1]
+            base ^= full_b << shift
+            cuts.append((shift, game.projections[e]))
+        entry = singles[ap] = base, cuts, [None] * game.sigma_a
+    base, cuts, one = entry
+    r = 0
+    while mask:
+        s = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        x = one[s]
+        if x is None:
+            x = base
+            for shift, table in cuts:
+                x |= 1 << shift + table[s]
+            one[s] = x
+        r |= x
+    return r
+
+
+def test_summary_sweep_equals_the_lazy_summaries_on_sweep():
+    # every B vertex's summary, members and rows, and every one-symbol
+    # field, equal the lazy ones with every entry built
+    dead = built = 0
+    for i, g in enumerate(chain(sweep_games(320), dense_games(600))):
+        every = (1 << g.sigma_b * g.b_count) - 1
+        hoods, singles, lazy, lazy_singles = {}, {}, {}, {}
+        for b in range(g.b_count):
+            summary, members, rows = approx._hood(g, b, hoods, every, singles)
+            want, want_members, want_rows = lazy_hood(g, b, lazy)
+            dead += want.count(0)  # a symbol with an empty preimage at b
+            want = [lazy_summary_entry(g, want_rows, t, every, lazy_singles)
+                    if entry is None else entry for t, entry in enumerate(want)]
+            assert hoods[b] == (summary, members, rows), (i, b)
+            assert (summary, members, rows) == (want, want_members, want_rows), (i, b)
+            built += len(summary)
+        assert singles.keys() == {a for a in range(g.a_count) if g.a_edges[a]}
+        for ap, one in singles.items():
+            assert one == [lazy_reach_fields(g, ap, 1 << s, every, lazy_singles)
+                           for s in range(g.sigma_a)], (i, ap)
+    assert dead > 4000 and built > 9000
 
 
 def test_sigma_star_drops_empty_joint_mask():

@@ -1,9 +1,13 @@
+import dataclasses
+import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 import labelcover as lc
+from test_approx import sweep_games
 
 
 def identity_edge_game():
@@ -193,6 +197,72 @@ def test_stats_against_naive_set_expansion(tiny1):
             assert st.e_n[a] == naive_edges_touching(g, set(), na[a])
         assert st.h_max == max(st.h, default=0)
         assert st.e_n_max == max(st.e_n, default=0)
+
+
+def set_stats(game):
+    """(h, h_max, n2) by the set definition: each two-hop set as a set of
+    A vertices, h as the sum of A degrees over it."""
+    na, nb = naive_neighbor_sets(game)
+    degree = [len(bs) for bs in na]
+    n2 = tuple(
+        tuple(sorted(set().union(*(nb[b] for b in na[a]))))
+        for a in range(game.a_count)
+    )
+    h = tuple(sum(degree[ap] for ap in two_hop) for two_hop in n2)
+    return h, max(h, default=0), n2
+
+
+def test_stats_h_and_n2_equal_the_set_definition_on_sweep():
+    # the sweep's A degrees fit in three bit planes, so dense random games
+    # (A degrees up to 38) and a hub are added, and the games without edges
+    games = list(sweep_games(320))
+    games += [random_game(s, n_a=30, n_b=40, k_a=3, k_b=2, p=0.3 + s / 20)
+              for s in range(12)]
+    games += [
+        lc.build_game(1, 70, 2, 2, [(0, b) for b in range(70)], [(0, 1)] * 70),
+        lc.build_game(3, 2, 2, 2, [], []),  # edgeless
+        lc.build_game(0, 3, 2, 2, [], []),  # no A vertices
+        lc.build_game(3, 0, 2, 2, [], []),  # no B vertices
+        lc.build_game(0, 0, 1, 1, [], []),
+        # A vertices 1 and 3 and B vertices 1 and 2 are isolated
+        lc.build_game(4, 3, 2, 2, [(0, 0), (2, 0)], [(0, 1)] * 2),
+    ]
+    assert len(games) == 340
+    for i, g in enumerate(games):
+        st = lc.compute_stats(g)
+        h, h_max, n2 = set_stats(g)
+        assert (st.h, st.h_max) == (h, h_max), f"game {i}"
+        assert st.n2 == n2 and n2 == st.n2 and tuple(st.n2) == n2, f"game {i}"
+    assert max(max(lc.compute_stats(g).a_degree, default=0) for g in games) == 70
+
+
+def test_n2_view_reads_like_the_tuple():
+    g = random_game(3, n_a=9, n_b=7, p=0.3)
+    want = set_stats(g)[2]
+    st = lc.compute_stats(g)
+    view = st.n2
+    assert not isinstance(view, tuple) and len(view) == len(want) == 9
+    for a in range(-len(want), len(want)):
+        assert view[a] == want[a]
+    assert view[2] is view[2]  # built once, then kept
+    for cut in (slice(None), slice(1, 4), slice(None, None, -1),
+                slice(-3, None, 2), slice(5, 1), slice(-100, 100)):
+        assert view[cut] == want[cut]
+    for bad in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    assert list(view) == list(want) and tuple(reversed(view)) == want[::-1]
+    assert view == want and want == view and not view != want
+    assert view != list(want) and view != want[:-1]
+    assert view == lc.compute_stats(g).n2
+    assert want[4] in view and view.index(want[4]) == want.index(want[4])
+    assert hash(view) == hash(want)
+    assert st == dataclasses.replace(st, n2=want)
+    assert hash(st) == hash(dataclasses.replace(st, n2=want))
+    unread = lc.compute_stats(g)
+    for copy in (pickle.loads(pickle.dumps(view)), pickle.loads(pickle.dumps(unread)).n2):
+        assert copy == want and tuple(copy) == want
+    assert json.dumps(list(view)) == json.dumps([list(x) for x in want])
 
 
 def test_stats_identities_random_sweep():
