@@ -388,6 +388,7 @@ _A0 = ("--a0", {"type": int, "default": None, "help": "anchor vertex"})
 _UNIFORM = ("--uniform", {**_FLAG, "help": "uniform variants"})
 # listed after each command's own rows, so they come last in usage and --help
 _JSON = ("--json", {**_FLAG, "help": "machine readable output"})
+_QUIET = ("--json", {**_FLAG, "help": "omit the stderr '# measured smoothness' line"})
 _SEED = ("--seed", {"type": int, "default": 0, "help": "generator/solver seed"})
 _ENUM_CAP = ("--enum-cap", {
     "type": int,
@@ -404,7 +405,7 @@ _COMMANDS = (
          (*_SIZES, ("--uniform", _FLAG), _OUT, _PLANT_OUT, _SEED)),
         ("smooth", "planted smooth instance",
          (*_SIZES, ("--mu", {"type": _rational, "required": True}),
-          _OUT, _PLANT_OUT, _JSON, _SEED)),
+          _OUT, _PLANT_OUT, _QUIET, _SEED)),
         ("grid", "planted planar grid instance",
          (*_GRID, *_required_ints("--ka", "--kb"), _OUT, _PLANT_OUT, _SEED)),
         ("3col", "random planar 3-colorable graph",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import eq
 
 from .core import (
@@ -30,6 +30,7 @@ from .core import (
     LabelCoverError,
     ProjectionGame,
     _draw_threshold,
+    _validated_game,
     build_game,
     check_assignment,
 )
@@ -396,29 +397,37 @@ def brute_force_tiling(
 # ---------------------------------------------------------------------------
 # Planted generators
 
+def _draws(rng, bounds):
+    """``[rng.randrange(n) for n in bounds]`` word for word (every n >= 1):
+    CPython 3.11's ``Random._randbelow`` written out, which draws
+    ``getrandbits(n.bit_length())`` and redraws while the value is >= n."""
+    getrandbits, out = rng.getrandbits, []
+    for n in bounds:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
+def _shuffle(rng, x):
+    """``rng.shuffle(x)``: the same swaps from the same words."""
+    for i, j in zip(range(len(x) - 1, 0, -1), _draws(rng, range(len(x), 1, -1))):
+        x[i], x[j] = x[j], x[i]
+
+
 def _bipartite_graph(rng, n_a, n_b, degree):
-    """Each A vertex samples ``degree`` distinct B vertices; B vertices
-    left isolated get one extra edge so every vertex has an edge."""
+    """Each A vertex samples ``degree`` distinct B vertices; each isolated B
+    vertex then gets one edge to a uniform A vertex.  (No A vertex is joined
+    to every B vertex while an isolated one is left, so all are eligible.)"""
     if n_a < 1 or n_b < 1:
         raise InfeasibleParams("both sides need at least one vertex")
     if not 1 <= degree <= n_b:
         raise InfeasibleParams(f"degree must be in [1, {n_b}]")
-    edges = []
-    adjacent = [set() for _ in range(n_a)]
-    for a in range(n_a):
-        for b in sorted(rng.sample(range(n_b), degree)):
-            edges.append((a, b))
-            adjacent[a].add(b)
-    b_deg = [0] * n_b
-    for _, b in edges:
-        b_deg[b] += 1
-    for b in range(n_b):
-        if b_deg[b]:
-            continue
-        free = [a for a in range(n_a) if len(adjacent[a]) < n_b]
-        a = free[rng.randrange(len(free))]
-        edges.append((a, b))
-        adjacent[a].add(b)
+    edges = [(a, b) for a in range(n_a) for b in sorted(rng.sample(range(n_b), degree))]
+    isolated = sorted(set(range(n_b)).difference(b for _, b in edges))
+    edges += zip(_draws(rng, repeat(n_a, len(isolated))), isolated)
     return edges
 
 
@@ -428,23 +437,22 @@ def _planted(rng, n_a, n_b, k_a, k_b, edges, uniform=False):
     entry overridden, or with ``uniform`` a shuffled balanced many-to-one
     map (k_b | k_a) with the planted entry inserted at the planted A symbol.
     """
-    plant = Assignment(
-        tuple(rng.randrange(k_a) for _ in range(n_a)),
-        tuple(rng.randrange(k_b) for _ in range(n_b)),
-    )
+    a_labels = tuple(_draws(rng, repeat(k_a, n_a)))
+    b_labels = tuple(_draws(rng, repeat(k_b, n_b)))
+    if not uniform:
+        # the tables' draws follow one another, so they are drawn at once
+        flat = _draws(rng, repeat(k_b, k_a * len(edges)))
+        for e, (a, b) in enumerate(edges):
+            flat[e * k_a + a_labels[a]] = b_labels[b]
+        return tuple(zip(*[iter(flat)] * k_a)), Assignment(a_labels, b_labels)
     tables = []
     for a, b in edges:
-        sa, sb = plant.a_labels[a], plant.b_labels[b]
-        if uniform:
-            table = [s for s in range(k_b) for _ in range(k_a // k_b)]
-            table.remove(sb)
-            rng.shuffle(table)
-            table.insert(sa, sb)
-        else:
-            table = [rng.randrange(k_b) for _ in range(k_a)]
-            table[sa] = sb
+        table = [s for s in range(k_b) for _ in range(k_a // k_b)]
+        table.remove(b_labels[b])
+        _shuffle(rng, table)
+        table.insert(a_labels[a], b_labels[b])
         tables.append(tuple(table))
-    return tables, plant
+    return tuple(tables), Assignment(a_labels, b_labels)
 
 
 def gen_random_satisfiable(
@@ -462,6 +470,10 @@ def gen_random_satisfiable(
     satisfy every edge.  With ``uniform`` set, every table is a balanced
     many-to-one map (requires k_b | k_a) and the plant is inserted inside
     the balanced layout, so preimage sizes stay equal everywhere.
+
+    The same seed gives the same game: ``randrange`` and ``shuffle`` draws
+    come from ``getrandbits`` rejection (``_draws``), which is their stream
+    on CPython 3.11; ``sample`` and ``random()`` are the stdlib's.
     """
     if k_a < 1 or k_b < 1:
         raise InfeasibleParams("alphabets must be nonempty")
@@ -470,7 +482,7 @@ def gen_random_satisfiable(
     rng = random.Random(seed)
     edges = _bipartite_graph(rng, n_a, n_b, degree)
     tables, plant = _planted(rng, n_a, n_b, k_a, k_b, edges, uniform)
-    return build_game(n_a, n_b, k_a, k_b, edges, tables), plant
+    return _validated_game(n_a, n_b, k_a, k_b, tuple(edges), tables), plant
 
 
 def gen_smooth(
@@ -489,6 +501,7 @@ def gen_smooth(
     projection rows until every pair of rows agrees on at most a
     mu_target fraction of its edges, with the planted symbol's row pinned
     to the planted B labels.  Rejection failure raises GenerationFailed.
+    Seeded draws as in ``gen_random_satisfiable``: same seed, same game.
     """
     if k_b < 2 or degree < k_b:
         raise InfeasibleParams("needs degree >= k_b >= 2")
@@ -502,10 +515,11 @@ def gen_smooth(
     _, plant = _planted(rng, n_a, n_b, k_a, k_b, ())
     columns = []
     for a, nbrs in enumerate(a_nbrs):
-        limit = mu_target * len(nbrs)
+        d = len(nbrs)
+        limit = mu_target * d
         planted_row = [plant.b_labels[b] for b in nbrs]
         for _ in range(max_tries):
-            rows = [[rng.randrange(k_b) for _ in nbrs] for _ in range(k_a)]
+            rows = list(zip(*[iter(_draws(rng, repeat(k_b, k_a * d)))] * d))
             rows[plant.a_labels[a]] = planted_row
             if not any(
                 sum(map(eq, r, r2)) > limit for r, r2 in combinations(rows, 2)
@@ -517,8 +531,8 @@ def gen_smooth(
             )
         columns.append(zip(*rows))
     # a's p-th edge in edge order reads the p-th entry of every row
-    tables = [next(columns[a]) for a, _ in edges]
-    game = build_game(n_a, n_b, k_a, k_b, edges, tables)
+    tables = tuple(next(columns[a]) for a, _ in edges)
+    game = _validated_game(n_a, n_b, k_a, k_b, tuple(edges), tables)
     return game, measure_smoothness(game), plant
 
 
@@ -528,7 +542,7 @@ def gen_planar_grid(
     """Planted game on a grid graph, A and B cells alternating by parity.
 
     Grid graphs are planar, so the result always passes the edge-count
-    sanity bound.
+    sanity bound.  Seeded draws as in ``gen_random_satisfiable``.
     """
     if rows < 1 or cols < 1:
         raise InfeasibleParams("grid needs positive dimensions")
@@ -546,7 +560,7 @@ def gen_planar_grid(
     ]
     n_a, n_b = len(a_index), len(b_index)
     tables, plant = _planted(rng, n_a, n_b, k_a, k_b, edges)
-    return build_game(n_a, n_b, k_a, k_b, edges, tables), plant
+    return _validated_game(n_a, n_b, k_a, k_b, tuple(edges), tables), plant
 
 
 def gen_coloring_graph(
@@ -593,8 +607,9 @@ def gen_matrix_tiling(
     rng = random.Random(seed)
     density = _draw_threshold(density)
     cells = []
-    row_val = [rng.randrange(1, coord_max + 1) for _ in range(grid_size)]
-    col_val = [rng.randrange(1, coord_max + 1) for _ in range(grid_size)]
+    # randrange(1, coord_max + 1) is 1 + randrange(coord_max)
+    row_val = [1 + r for r in _draws(rng, repeat(coord_max, grid_size))]
+    col_val = [1 + r for r in _draws(rng, repeat(coord_max, grid_size))]
     for i in range(grid_size):
         for j in range(grid_size):
             members = {

@@ -4,14 +4,20 @@ The ``oracle_*`` functions below are ``connected_components``,
 ``residual_game``, ``gen_random_satisfiable``, ``gen_planar_grid``,
 ``gen_smooth`` and ``extract_tiling`` as they stood before components and
 residuals were carved by one ``core._subgame`` and the generators drew
-their plants through one ``reductions._planted``.  On seeded sweeps the
-current code must return an ``==`` result or raise the same error (class
-and message).
+their plants through one ``reductions._planted``.  The generator oracles
+draw with ``random.Random.randrange`` and ``shuffle``, so they also pin the
+current code's ``getrandbits`` draws (``reductions._draws``) to the stdlib
+stream.  ``oracle_bipartite_graph`` is ``_bipartite_graph`` before its
+isolated-B repair became one draw per isolated B vertex, and
+``oracle_gen_matrix_tiling`` is ``gen_matrix_tiling`` before it drew
+through ``_draws``.  On seeded sweeps the current code must return an
+``==`` result or raise the same error (class and message).
 """
 
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import labelcover as lc
 from labelcover import planar, reductions
@@ -20,6 +26,7 @@ from labelcover.core import (
     Component,
     InfeasibleParams,
     _adjacency,
+    _draw_threshold,
     _majority_b_symbol,
     build_game,
     check_assignment,
@@ -84,6 +91,52 @@ def oracle_residual_game(game, removed):
         [game.edges[i] for i in keep],
         [game.projections[i] for i in keep],
     )
+
+
+def oracle_bipartite_graph(rng, n_a, n_b, degree):
+    if n_a < 1 or n_b < 1:
+        raise InfeasibleParams("both sides need at least one vertex")
+    if not 1 <= degree <= n_b:
+        raise InfeasibleParams(f"degree must be in [1, {n_b}]")
+    edges = []
+    adjacent = [set() for _ in range(n_a)]
+    for a in range(n_a):
+        for b in sorted(rng.sample(range(n_b), degree)):
+            edges.append((a, b))
+            adjacent[a].add(b)
+    b_deg = [0] * n_b
+    for _, b in edges:
+        b_deg[b] += 1
+    for b in range(n_b):
+        if b_deg[b]:
+            continue
+        free = [a for a in range(n_a) if len(adjacent[a]) < n_b]
+        a = free[rng.randrange(len(free))]
+        edges.append((a, b))
+        adjacent[a].add(b)
+    return edges
+
+
+def oracle_gen_matrix_tiling(grid_size, coord_max, density, seed, solvable=False):
+    if grid_size < 1 or coord_max < 1:
+        raise InfeasibleParams("grid size and coordinate range must be positive")
+    rng = random.Random(seed)
+    density = _draw_threshold(density)
+    cells = []
+    row_val = [rng.randrange(1, coord_max + 1) for _ in range(grid_size)]
+    col_val = [rng.randrange(1, coord_max + 1) for _ in range(grid_size)]
+    for i in range(grid_size):
+        for j in range(grid_size):
+            members = {
+                (x, y)
+                for x in range(1, coord_max + 1)
+                for y in range(1, coord_max + 1)
+                if rng.random() < density
+            }
+            if solvable:
+                members.add((row_val[i], col_val[j]))
+            cells.append(members)
+    return lc.build_matrix_tiling(grid_size, coord_max, cells)
 
 
 def oracle_gen_random_satisfiable(n_a, n_b, k_a, k_b, degree, seed, uniform=False):
@@ -312,6 +365,95 @@ def test_gen_smooth_matches_oracle():
         assert got == want
         kinds.add(got[0] if isinstance(got[0], type) else lc.ProjectionGame)
     assert {lc.ProjectionGame, GenerationFailed, InfeasibleParams} <= kinds
+
+
+#: alphabet sizes at and past a power of two, so that draws reject one
+#: value or many (kB = 16 draws 5 bits and keeps about half of them)
+WIDE = (5, 7, 8, 9, 16, 17)
+
+
+def test_gen_random_satisfiable_wide_alphabets_match_oracle():
+    rng = random.Random(5)
+    uniform_games = 0
+    for seed, (k_a, k_b) in enumerate(product(WIDE, repeat=2)):
+        n_a, n_b = rng.randint(1, 12), rng.randint(1, 12)
+        args = n_a, n_b, k_a, k_b, rng.randint(1, n_b)
+        for uniform in (False, True):
+            got = outcome(lc.gen_random_satisfiable, *args, seed=seed, uniform=uniform)
+            assert got == outcome(oracle_gen_random_satisfiable, *args, seed=seed, uniform=uniform)
+            uniform_games += uniform and isinstance(got[0], lc.ProjectionGame)
+    assert uniform_games >= 6
+
+
+def test_gen_planar_grid_wide_alphabets_match_oracle():
+    rng = random.Random(6)
+    for seed, (k_a, k_b) in enumerate(product(WIDE, repeat=2)):
+        args = rng.randint(1, 7), rng.randint(1, 7), k_a, k_b
+        assert outcome(lc.gen_planar_grid, *args, seed=seed) == outcome(
+            oracle_gen_planar_grid, *args, seed=seed
+        )
+
+
+def test_gen_smooth_wide_alphabets_match_oracle():
+    rng = random.Random(7)
+    kinds = set()
+    for seed, (k_a, k_b) in enumerate(product(WIDE, repeat=2)):
+        degree = rng.randint(k_b, k_b + 3)
+        args = rng.randint(1, 4), rng.randint(degree, degree + 4), k_a, k_b, degree
+        mu = Fraction(rng.randint(1, 3), 4)
+        tries = rng.choice([5, 50])
+        got = outcome(lc.gen_smooth, *args, mu, seed=seed, max_tries=tries)
+        assert got == outcome(oracle_gen_smooth, *args, mu, seed=seed, max_tries=tries)
+        kinds.add(got[0] if isinstance(got[0], type) else lc.ProjectionGame)
+    assert {lc.ProjectionGame, GenerationFailed} <= kinds
+
+
+def test_gen_matrix_tiling_matches_oracle():
+    rng = random.Random(8)
+    for seed in range(120):
+        args = rng.randint(-1, 4), rng.choice((-1, 0, 1, 2, 3) + WIDE)
+        density = rng.choice([Fraction(1, 3), 0.5, 1])
+        solvable = seed % 2 == 1
+        assert outcome(lc.gen_matrix_tiling, *args, density, seed, solvable) == outcome(
+            oracle_gen_matrix_tiling, *args, density, seed, solvable
+        )
+
+
+def test_bipartite_graph_matches_oracle():
+    """Edges and the generator's state after them, on sweeps with many
+    isolated B vertices and with games where the repair fills an A vertex
+    (the oracle's ``free`` then drops it, but only after the last draw)."""
+    rng = random.Random(9)
+    filled = isolated = 0
+    shapes = [(rng.randint(0, 4), rng.randint(0, 8), rng.randint(0, 6)) for _ in range(400)]
+    shapes += [(rng.randint(1, 30), rng.randint(50, 400), rng.randint(1, 2)) for _ in range(60)]
+    for seed, shape in enumerate(shapes):
+        mine, ref = random.Random(seed), random.Random(seed)
+        got = outcome(_bipartite_graph, mine, *shape)
+        assert got == outcome(oracle_bipartite_graph, ref, *shape), shape
+        assert mine.getstate() == ref.getstate()
+        if isinstance(got, list):
+            n_a, n_b, degree = shape
+            isolated += len(got) - n_a * degree
+            a_deg = [a for a, _ in got]
+            filled += degree < n_b and any(a_deg.count(a) == n_b for a in range(n_a))
+    assert filled >= 10 and isolated >= 5000
+
+
+def test_gen_random_satisfiable_many_isolated_b_matches_oracle():
+    args = 200, 4000, 2, 2, 1
+    got = lc.gen_random_satisfiable(*args, seed=0)
+    assert got == oracle_gen_random_satisfiable(*args, seed=0)
+    assert oracle_bipartite_graph(random.Random(0), 200, 4000, 1) == list(got[0].edges)
+    assert got[0].edge_count > 3700
+
+
+def test_isolated_b_repair_linear():
+    start = time.process_time()
+    game, plant = lc.gen_random_satisfiable(2000, 40000, 2, 2, 1, seed=0)
+    spent = time.process_time() - start
+    assert all(game.b_edges) and lc.value(game, plant) == game.edge_count
+    assert spent < 1.0, f"{spent:.2f} s of CPU for 40,000 B vertices"
 
 
 def test_extract_tiling_matches_oracle():

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 import pytest
 
 import labelcover as lc
 from labelcover import formats
+from labelcover.reductions import _draws, _shuffle
 
 from conftest import fixture_text
 
@@ -262,6 +263,41 @@ def test_extract_tiling_random_assignments_valid():
         assert lc.validate_tiling_solution(t, sol) == []
         unsat = game.edge_count - lc.value(game, phi)
         assert 9 - sol.chosen_count() <= 2 * unsat
+
+
+# --- the draw helper against the stdlib -------------------------------------------
+
+def draw_bounds():
+    """1..300, and 2^k - 1, 2^k, 2^k + 1 up to 2^40: draws of one 32-bit
+    word and of two, accepted with every rate from about one half to 1."""
+    yield from range(1, 301)
+    for k in range(9, 41):
+        yield from (2 ** k - 1, 2 ** k, 2 ** k + 1)
+
+
+def test_draws_equal_randrange_word_for_word():
+    bounds = list(draw_bounds())
+    for seed in (0, 1, 7, 2 ** 40 + 3):
+        for n in bounds:
+            mine, ref = random.Random(seed * 1000 + n), random.Random(seed * 1000 + n)
+            assert _draws(mine, repeat(n, 50)) == [ref.randrange(n) for _ in range(50)], n
+            assert mine.getstate() == ref.getstate(), n
+        # mixed bounds, as a shuffle draws them
+        mixed = random.Random(seed).choices(bounds, k=2000)
+        mine, ref = random.Random(seed), random.Random(seed)
+        assert _draws(mine, mixed) == [ref.randrange(n) for n in mixed]
+        assert mine.getstate() == ref.getstate()
+        assert _draws(mine, ()) == [] and mine.getstate() == ref.getstate()
+
+
+def test_shuffle_equals_stdlib_shuffle():
+    for seed in range(12):
+        for length in range(0, 70):
+            mine, ref = random.Random(seed), random.Random(seed)
+            x, y = list(range(length)), list(range(length))
+            _shuffle(mine, x)
+            ref.shuffle(y)
+            assert x == y and mine.getstate() == ref.getstate(), (seed, length)
 
 
 # --- generators -------------------------------------------------------------------
