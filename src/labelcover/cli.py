@@ -2,8 +2,9 @@
 
 Every command is deterministic byte for byte (per seed where seeded);
 wall-clock timings are only emitted under --timings so default output
-stays reproducible.  Exit codes: 0 success, 2 parse error or unreadable
-input, 3 budget exceeded, 1 other errors (an unwritable output included).
+stays reproducible.  Exit codes: 0 success, 2 usage error, parse error or
+unreadable input, 3 budget exceeded, 1 other errors (an unwritable output
+included).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
+from typing import Callable
 
 from . import __version__
 from .core import (
@@ -38,10 +40,6 @@ def _frac_str(x: Fraction | None):
     return None if x is None else str(Fraction(x))
 
 
-def _digest(game: ProjectionGame) -> str:
-    return hashlib.sha256(formats.emit_labelcover(game).encode()).hexdigest()
-
-
 class _UnreadableInput(Exception):
     """An input file or corpus could not be read (exit code 2)."""
 
@@ -53,8 +51,19 @@ def _read_text(path) -> str:
         raise _UnreadableInput(exc) from exc
 
 
-def _load_game(path: str) -> ProjectionGame:
-    return formats.parse_labelcover(_read_text(path))
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _load_game(path) -> tuple[ProjectionGame, Callable[[], str]]:
+    """Read a `labelcover v1` file: its game, and a function giving the
+    game's digest, the sha256 of its canonical text.  A file read in bulk
+    is that text, so its own bytes are hashed; any other is re-emitted."""
+    text = _read_text(path)
+    game, canonical = formats._read_labelcover(text)
+    if canonical:
+        return game, lambda: _sha256(text)
+    return game, lambda: _sha256(formats.emit_labelcover(game))
 
 
 def _write_or_print(text: str, out: str | None):
@@ -64,8 +73,8 @@ def _write_or_print(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _instance(args, game) -> dict:
-    return {"instance": args.instance, "instance_digest": _digest(game)}
+def _instance(args, digest) -> dict:
+    return {"instance": args.instance, "instance_digest": digest()}
 
 
 def _labels(phi) -> dict:
@@ -81,7 +90,7 @@ def _emit(args, payload, lines):
         print("\n".join(lines))
 
 
-def _emit_report(args, game, rep):
+def _emit_report(args, game, digest, rep):
     lines = [
         f"algorithm: {rep.algorithm}",
         f"satisfied = {rep.satisfied} / {game.edge_count}",
@@ -96,7 +105,7 @@ def _emit_report(args, game, rep):
         "tool": "labelcover",
         "version": __version__,
         "command": list(args.argv),
-        **_instance(args, game),
+        **_instance(args, digest),
         "algorithm": rep.algorithm,
         "satisfied": rep.satisfied,
         "edges": game.edge_count,
@@ -145,10 +154,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    game = _load_game(args.instance)
+    game, digest = _load_game(args.instance)
     st = compute_stats(game)
     payload = {
-        **_instance(args, game),
+        **_instance(args, digest),
         "a_count": game.a_count,
         "b_count": game.b_count,
         "sigma_a": game.sigma_a,
@@ -164,7 +173,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    game = _load_game(args.instance)
+    game, digest = _load_game(args.instance)
     t0 = perf_counter()
     if args.method == "exact":
         phi, val = exact.brute_force_opt(game, args.budget)
@@ -177,12 +186,12 @@ def _cmd_solve(args) -> int:
         )
         phi, val = exact.tree_dp_solve(game, td)
         name = "tree-dp"
-    _emit_report(args, game, _report(game, phi, name, Fraction(val), t0))
+    _emit_report(args, game, digest, _report(game, phi, name, Fraction(val), t0))
     return 0
 
 
 def _cmd_approx(args) -> int:
-    game = _load_game(args.instance)
+    game, digest = _load_game(args.instance)
     st = None if args.algorithm == "one-neighbor" else compute_stats(game)
     if args.algorithm == "one-neighbor":
         rep = approx.satisfy_one_neighbor(game)
@@ -196,19 +205,19 @@ def _cmd_approx(args) -> int:
         rep = approx.divide_and_conquer(game, st, uniform=args.uniform)
     else:
         rep = approx.best_of(game, st)
-    _emit_report(args, game, rep)
+    _emit_report(args, game, digest, rep)
     return 0
 
 
 def _cmd_smooth(args) -> int:
-    game = _load_game(args.instance)
+    game, digest = _load_game(args.instance)
     if args.method == "measure":
         report = smooth_mod.measure_smoothness(game)
         lines = [f"mu = {report.mu}"]
         if report.witness:
             lines.append("witness: a{} symbols {}, {}".format(*report.witness))
         _emit(args, lambda: {
-            **_instance(args, game),
+            **_instance(args, digest),
             "mu": _frac_str(report.mu),
             "witness": list(report.witness) if report.witness else None,
         }, lines)
@@ -219,7 +228,7 @@ def _cmd_smooth(args) -> int:
         )
         found = phi is not None
         _emit(args, lambda: {
-            **_instance(args, game),
+            **_instance(args, digest),
             "found": found,
             "seed": args.seed,
             **({"assignment": _labels(phi)} if found else {}),
@@ -229,23 +238,25 @@ def _cmd_smooth(args) -> int:
         ])
         return 0
     rep = smooth_mod.smooth_approx(game, mu=args.mu, enum_cap=args.enum_cap)
-    _emit_report(args, game, rep)
+    _emit_report(args, game, digest, rep)
     return 0
 
 
 def _cmd_ptas(args) -> int:
-    game = _load_game(args.instance)
+    game, digest = _load_game(args.instance)
     rep = planar_mod.ptas(
         game,
         args.eps,
         force_nonplanar=args.force_nonplanar,
         h_override=args.h_override,
     )
-    _emit_report(args, game, rep)
+    _emit_report(args, game, digest, rep)
     return 0
 
 
 def _cmd_reduce(args) -> int:
+    if args.json and not args.extract:
+        args.usage_error("argument --json: only allowed with argument --extract")
     if args.kind == "3col":
         graph = formats.parse_coloring_graph(_read_text(args.input))
         game, _ = reductions.from_planar_3col(graph)
@@ -288,11 +299,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    game = _load_game(args.instance)
+    game, digest = _load_game(args.instance)
     phi = formats.parse_assignment(_read_text(args.assignment))
     sat = value(game, phi)
     _emit(args, lambda: {
-        **_instance(args, game),
+        **_instance(args, digest),
         "satisfied": sat,
         "edges": game.edge_count,
         "satisfies_all": sat == game.edge_count,
@@ -313,8 +324,8 @@ def _cmd_bench(args) -> int:
     worst_norm: dict[str, float | None] = {name: None for name in BENCH_ALGOS}
     try:
         for path in paths:
-            game = formats.parse_labelcover(_read_text(path))
-            digest = _digest(game)
+            game, digest = _load_game(path)
+            instance_digest = digest()
             st = compute_stats(game)
             # passing stats and sigma* in keeps them out of every elapsed
             best = approx.best_of(game, st, approx.compute_sigma_star(game, st))
@@ -335,7 +346,7 @@ def _cmd_bench(args) -> int:
                 record = {
                     "record": "run",
                     "instance": str(path),
-                    "instance_digest": digest,
+                    "instance_digest": instance_digest,
                     "algorithm": name,
                     "satisfied": rep.satisfied,
                     "edges": game.edge_count,
@@ -494,7 +505,10 @@ def _parser() -> argparse.ArgumentParser:
             continue
         subs = command.add_subparsers(dest=dest, required=True)
         for sub_name, sub_help, sub_rows in rows:
-            _add_rows(subs.add_parser(sub_name, help=sub_help), sub_rows)
+            leaf = subs.add_parser(sub_name, help=sub_help)
+            # a usage error a handler finds exits 2 like argparse's own
+            leaf.set_defaults(usage_error=leaf.error)
+            _add_rows(leaf, sub_rows)
     return parser
 
 

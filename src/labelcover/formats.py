@@ -5,6 +5,15 @@ All formats are line oriented, whitespace separated, and diff friendly.
 Lines starting with '#' and blank lines are ignored on input and never
 produced on output, so emit(parse(text)) is byte identical for canonical
 files.
+
+A `labelcover v1` text is read one of two ways, to the same game or the
+same ParseError.  A canonical text, exactly the bytes emit_labelcover
+writes, is read in bulk: whole rows are turned into ints through a table
+of decimal strings bounded by the file's own field count.  Any other text
+(comments, blank lines, CR or tab, other spacing, leading zeros or signs,
+no final newline) takes the line-by-line path.  The CLI's instance_digest
+is the sha256 of the canonical text either way; for a canonical file it is
+taken from the file's own bytes.
 """
 
 from __future__ import annotations
@@ -102,6 +111,42 @@ def parse_labelcover(text: str) -> ProjectionGame:
     Line 1: header.  Line 2: nA nB kA kB m.  Then m lines, each
     ``a b t_0 .. t_{kA-1}`` giving an edge and its full projection table.
     """
+    return _read_labelcover(text)[0]
+
+
+_CANONICAL_SIZES = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*)){4}")
+
+
+def _read_labelcover(text: str) -> tuple[ProjectionGame, bool]:
+    """parse_labelcover's game, and whether the text was read in bulk, in
+    which case it is canonical: ``emit_labelcover(game) == text``."""
+    parts = text.split("\n", 2) if text.isascii() else ()
+    if (
+        len(parts) < 3
+        or parts[0] != "labelcover v1"
+        or not _CANONICAL_SIZES.fullmatch(parts[1])
+    ):
+        return _parse_lines(text), False
+    _, sizes, body = parts
+    n_a, n_b, k_a, k_b, m = map(int, sizes.split(" "))
+    lines = body.split("\n")
+    if len(lines) != m + 1 or lines.pop():
+        return _parse_lines(text), False
+    # the decimals below the largest bound any field can meet, cut at the
+    # file's field count so that huge declared counts build no huge table
+    size = min(max(n_a, n_b, k_b), body.count(" ") + m)
+    get = dict(zip(map(str, range(size)), range(size))).__getitem__
+    try:
+        rows = [tuple(map(get, line.split(" "))) for line in lines]
+    except KeyError:  # not a canonical decimal below the table's size
+        return _parse_lines(text), False
+    if rows and set(map(len, rows)) != {2 + k_a}:
+        return _parse_lines(text), False
+    return _game(n_a, n_b, k_a, k_b, rows, range(2, m + 3)), True
+
+
+def _parse_lines(text: str) -> ProjectionGame:
+    """Read any `labelcover v1` text line by line."""
     lines = _content_lines(text)
     _header(lines, "labelcover v1")
     num, (n_a, n_b, k_a, k_b, m) = _size_line(lines, 5)
@@ -115,6 +160,12 @@ def parse_labelcover(text: str) -> ProjectionGame:
             )
         rows.append(row)
         at.append(num)
+    return _game(n_a, n_b, k_a, k_b, rows, at)
+
+
+def _game(n_a, n_b, k_a, k_b, rows, at) -> ProjectionGame:
+    """The validated game of edge rows ``a b t_0 ..``, row i from line
+    ``at[i + 1]`` and the size line at ``at[0]``."""
     edges = tuple([row[:2] for row in rows])
     tables = tuple([row[2:] for row in rows])
     return _built(

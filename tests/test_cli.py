@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shlex
@@ -244,6 +245,63 @@ def test_reduce_extract_writes_to_out(capsys, tmp_path, kind, text, json_flag):
     code, out, err = run(capsys, *argv, "--out", str(out_path))
     assert (code, out, err) == (0, "", "")
     assert out_path.read_text() == printed
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("3col", "colgraph v1\n3 3 1\n0 1\n0 2\n1 2\n"),
+    ("tiling", formats.emit_matrix_tiling(
+        lc.gen_matrix_tiling(2, 2, 0.5, seed=3, solvable=True))),
+], ids=["3col", "tiling"])
+def test_reduce_json_without_extract_is_a_usage_error(capsys, tmp_path, kind, text):
+    src = tmp_path / "source"
+    src.write_text(text)
+    out_path = tmp_path / "game.lc"
+    for out in ((), ("--out", str(out_path))):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", kind, str(src), "--json", *out])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_path.exists()
+        assert captured.err.endswith(
+            f"labelcover reduce {kind}: error: "
+            "argument --json: only allowed with argument --extract\n"
+        )
+
+
+def _variants(text):
+    """The same game as a canonical text and as four other texts."""
+    header, rest = text.split("\n", 1)
+    return {
+        "canonical": text.encode(),
+        "comments": ("# a game\n" + text.replace("\n", "\n# row\n", 2)).encode(),
+        "crlf": text.replace("\n", "\r\n").encode(),
+        "tabs": (header + "\n" + rest.replace(" ", "\t")).encode(),
+        "no-final-newline": text[:-1].encode(),
+    }
+
+
+def test_instance_digest_is_the_canonical_text_s_for_every_spelling(capsys, tmp_path):
+    text = Path(TINY1).read_text()
+    game = formats.parse_labelcover(text)
+    want = hashlib.sha256(formats.emit_labelcover(game).encode()).hexdigest()
+    for name, data in _variants(text).items():
+        folder = tmp_path / name
+        folder.mkdir()
+        path = folder / "game.lc"
+        path.write_bytes(data)
+        # files are read with universal newlines, so CRLF reads as canonical
+        read, bulk = formats._read_labelcover(path.read_text())
+        assert read == game and bulk == (name in ("canonical", "crlf")), name
+        for argv in (("stats", str(path), "--json"),
+                     ("verify", str(path), TINY1_ASSIGN, "--json"),
+                     ("approx", "best", str(path), "--json")):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["instance_digest"] == want, (name, argv)
+        code, out, _ = run(capsys, "bench", str(folder))
+        runs = [json.loads(line) for line in out.splitlines()][:-1]
+        assert code == 0 and len(runs) == len(BENCH_ALGOS)
+        assert {rec["instance_digest"] for rec in runs} == {want}, name
 
 
 def test_bench_corpus(capsys, tmp_path):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import labelcover as lc
 from labelcover import formats
@@ -168,3 +169,87 @@ def test_builder_error_names_offending_line(parse, text, line, words):
     assert err.value.line == line
     assert str(err.value).startswith(f"line {line}: invalid ")
     assert words in str(err.value)
+
+
+def _canonical_texts():
+    """Canonical texts of the four other formats, as their emitters write
+    them: (parse, emit, texts)."""
+    assigns = [lc.Assignment((0, 2, 1), (1, 0)), lc.Assignment((), (0, 1)),
+               lc.Assignment((3,), ()), lc.Assignment((), ())]
+    games = [lc.gen_random_satisfiable(6, 4, 3, 2, 2, seed=s)[0] for s in range(2)]
+    games.append(lc.gen_planar_grid(3, 3, 3, 2, seed=1)[0])
+    graphs = [lc.gen_coloring_graph(r, c, Fraction(3, 4), seed=r)[0]
+              for r, c in ((2, 2), (3, 2), (1, 1))]
+    tilings = [lc.gen_matrix_tiling(k, n, 0.5, seed=k, solvable=k > 1)
+               for k, n in ((1, 1), (2, 2), (3, 2))]
+    return [
+        (formats.parse_assignment, formats.emit_assignment,
+         [formats.emit_assignment(phi) for phi in assigns]),
+        (formats.parse_td, formats.emit_td,
+         [formats.emit_td(lc.heuristic_decomposition(g)) for g in games]),
+        (formats.parse_coloring_graph, formats.emit_coloring_graph,
+         [formats.emit_coloring_graph(g) for g in graphs]),
+        (formats.parse_matrix_tiling, formats.emit_matrix_tiling,
+         [formats.emit_matrix_tiling(t) for t in tilings]),
+    ]
+
+
+OTHER_FORMATS = _canonical_texts()
+OTHER_IDS = ["assign", "td", "colgraph", "matrixtiling"]
+
+
+@pytest.mark.parametrize("parse, emit, texts", OTHER_FORMATS, ids=OTHER_IDS)
+def test_other_formats_round_trip_canonical_texts(parse, emit, texts):
+    for text in texts:
+        assert emit(parse(text)) == text
+
+
+# pieces a mutation puts into a text: separators, comment and sign marks,
+# numbers at and past every bound, a number too long for int(), and
+# characters that int(), split() or splitlines() treat specially
+PIECES = [" ", "  ", "\t", "\n", "\r\n", "\r", "#", "# c\n", "-", "+", "0", "1",
+          "-1", "9", "100", "1_0", "1" * 5000, "bag", "link", "x", "\u0663",
+          "\x0b", "\x0c", "\x1c", "\u00a0", "\u2028", "\x85"]
+
+
+def _mutate(text, data):
+    """Apply a few drawn character or line edits to a text."""
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["insert", "replace", "delete", "lines"]))
+        at = data.draw(st.integers(0, len(text)))
+        if kind == "lines":
+            lines = text.split("\n")
+            i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            lines.insert(i, lines[j])
+            if data.draw(st.booleans()):
+                del lines[j + (i <= j)]
+            text = "\n".join(lines)
+            continue
+        end = at + data.draw(st.integers(0, 3)) if kind != "insert" else at
+        piece = "" if kind == "delete" else data.draw(st.sampled_from(PIECES))
+        text = text[:at] + piece + text[end:]
+    return text
+
+
+@pytest.mark.parametrize("parse, emit, texts", OTHER_FORMATS, ids=OTHER_IDS)
+def test_other_formats_mutated_inputs_raise_only_parse_error(parse, emit, texts):
+    """Any mutation of a canonical text is read or is a ParseError, and what
+    is read emits a text that reads back to the same value."""
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        text = _mutate(data.draw(st.sampled_from(texts)), data)
+        try:
+            value = parse(text)
+        except formats.ParseError:
+            outcomes.add("error")
+            return
+        outcomes.add("read")
+        again = emit(value)
+        assert parse(again) == value
+        assert emit(parse(again)) == again
+
+    check()
+    assert outcomes == {"read", "error"}

@@ -6,9 +6,14 @@ they stood before parsing built each row once and validation ran in a few
 whole-input passes.  On canonical games and on hypothesis mutations of
 them, the current code must return an ``==`` game or raise the same error
 (class, message and line), and emit must give the same bytes.
+
+The bulk read of canonical texts (``formats._read_labelcover``) is held to
+the same oracle on mutations aimed at it, and a text it reads must be what
+emit writes for the game.
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -137,6 +142,13 @@ def test_canonical_games_round_trip_like_the_oracle(text):
     assert formats.emit_labelcover(game) == oracle_emit_labelcover(game) == text
 
 
+@pytest.mark.parametrize("text", CANONICAL)
+def test_canonical_games_are_read_in_bulk(text):
+    game, bulk = formats._read_labelcover(text)
+    assert bulk
+    assert game == oracle_parse_labelcover(text)
+
+
 def test_emit_matches_oracle_on_single_symbol_and_edgeless_games():
     games = [
         lc.build_game(2, 2, 1, 3, [(0, 1), (1, 0)], [(2,), (0,)]),
@@ -237,6 +249,118 @@ def test_mutations_reach_every_kind_of_outcome():
 
     collect()
     assert seen == {"game", *ERROR_WORDS}
+
+
+# characters the bulk read must send to the line parser: int() takes the
+# Arabic-Indic three, str.split() or splitlines() take the whitespace as
+# separators, and the rest make comments, signs, leading zeros or gaps
+STRAY = ["\u0663", "\x0b", "\x0c", "\x1c", "\u00a0", "\u2028", "\t", "\r",
+         " ", "\n", "#", "-", "+", "0"]
+HUGE = 10**9
+
+
+def mutate_canonical(text, data):
+    """Apply one drawn edit, aimed at the bulk read, to a canonical text."""
+    head, sizes, body = text.split("\n", 2)
+    sizes = sizes.split(" ")
+    rows = [row.split(" ") for row in body.split("\n")[:-1]]
+    n_a, n_b, _, k_b, _ = map(int, sizes)
+    bound = max(n_a, n_b, k_b)
+    fields = sum(map(len, rows))
+    kind = data.draw(st.sampled_from(
+        ["stray", "separator", "size-form", "size-value", "bound", "huge-count",
+         "digit"]
+    ))
+    if kind == "stray":
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 1))
+        return text[:at] + data.draw(st.sampled_from(STRAY)) + text[at + cut:]
+    if kind in ("separator", "digit"):
+        wanted = " \n" if kind == "separator" else "0123456789"
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c in wanted]))
+        if kind == "separator":
+            return text[:at] + data.draw(st.sampled_from(STRAY)) + text[at + 1:]
+        return text[:at] + chr(0x0660 + int(text[at])) + text[at + 1:]
+    if kind in ("size-form", "size-value", "huge-count"):
+        at = data.draw(st.integers(0, 4))
+        if kind == "size-form":
+            sizes[at] = data.draw(st.sampled_from(["0", "+"])) + sizes[at]
+        elif kind == "size-value":
+            sizes[at] = str(max(int(sizes[at]) + data.draw(st.integers(-1, 1)), 0))
+        else:
+            sizes[at] = str(data.draw(st.sampled_from([HUGE, HUGE**3])))
+    elif rows:  # a value at or past the lookup table's bound
+        row = data.draw(st.integers(0, len(rows) - 1))
+        col = data.draw(st.integers(0, len(rows[row]) - 1))
+        value = data.draw(st.sampled_from([bound, fields, n_a, n_b, k_b]))
+        rows[row][col] = str(max(value + data.draw(st.integers(-1, 1)), 0))
+    return "\n".join(
+        [head, " ".join(sizes), *[" ".join(row) for row in rows], ""]
+    )
+
+
+def bulk_outcome(text):
+    """The outcome of the two-path read, checked against the oracle: the
+    same game or error, and a game read in bulk is emitted as the text."""
+    got = outcome(formats._read_labelcover, text)
+    want = outcome(oracle_parse_labelcover, text)
+    if got[0] == "error":
+        assert got == want
+        return "error"
+    game, bulk = got[1]
+    assert ("ok", game) == want
+    assert formats.emit_labelcover(game) == oracle_emit_labelcover(game)
+    if bulk:
+        assert formats.emit_labelcover(game) == text
+    return "bulk" if bulk else "lines"
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_bulk_read_matches_oracle_on_mutated_canonical_inputs(data):
+    bulk_outcome(mutate_canonical(data.draw(st.sampled_from(CANONICAL)), data))
+
+
+def test_bulk_mutations_reach_both_paths(monkeypatch):
+    """The mutations above are read in bulk to a game and to an error, and
+    sent to the line path, so neither path is tested only by luck."""
+    seen = set()
+    line_reads = []
+    parse_lines = formats._parse_lines
+    monkeypatch.setattr(
+        formats, "_parse_lines", lambda text: line_reads.append(text) or parse_lines(text)
+    )
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def collect(data):
+        text = mutate_canonical(data.draw(st.sampled_from(CANONICAL)), data)
+        line_reads.clear()
+        kind = bulk_outcome(text)
+        seen.add((kind, bool(line_reads)))
+
+    collect()
+    assert seen == {
+        ("bulk", False), ("lines", True), ("error", False), ("error", True)
+    }
+
+
+@pytest.mark.parametrize("text", [
+    f"labelcover v1\n{HUGE} {HUGE} 1 1 1\n0 0 0\n",
+    f"labelcover v1\n1 1 1 {HUGE} 1\n0 0 0\n",
+    f"labelcover v1\n{HUGE} 1 1 {HUGE} 0\n",
+])
+def test_bulk_read_table_is_bounded_by_the_file(text):
+    """Huge declared counts cost nothing: the lookup table is cut at the
+    file's field count."""
+    tracemalloc.start()
+    try:
+        game, bulk = formats._read_labelcover(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bulk and game == oracle_parse_labelcover(text)
+    assert peak < 1_000_000
 
 
 ROW_VALUES = [0, 1, 2, 3, -1, 0.5, True, Fraction(1), "1", None]
