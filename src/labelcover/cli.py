@@ -45,8 +45,9 @@ class _UnreadableInput(Exception):
 
 
 def _read_text(path) -> str:
+    """A file's text, as UTF-8 whatever the locale, with universal newlines."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UnreadableInput(exc) from exc
 
@@ -68,7 +69,7 @@ def _load_game(path) -> tuple[ProjectionGame, Callable[[], str]]:
 
 def _write_or_print(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -149,7 +150,7 @@ def _cmd_gen(args) -> int:
         return 0
     _write_or_print(formats.emit_labelcover(game), args.out)
     if args.plant_out:
-        Path(args.plant_out).write_text(formats.emit_assignment(plant))
+        Path(args.plant_out).write_text(formats.emit_assignment(plant), encoding="utf-8")
     return 0
 
 
@@ -319,7 +320,7 @@ def _cmd_bench(args) -> int:
     if not corpus.is_dir():
         raise _UnreadableInput(f"corpus {args.corpus} is not a directory")
     paths = sorted(corpus.glob("*.lc"))
-    sink = open(args.out, "w") if args.out else sys.stdout
+    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     worst: dict[str, Fraction | None] = {name: None for name in BENCH_ALGOS}
     worst_norm: dict[str, float | None] = {name: None for name in BENCH_ALGOS}
     try:

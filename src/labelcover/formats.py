@@ -1,24 +1,34 @@
-"""Versioned text formats for instances, assignments, decompositions,
+r"""Versioned text formats for instances, assignments, decompositions,
 tilings and coloring graphs.
 
-All formats are line oriented, whitespace separated, and diff friendly.
-Lines starting with '#' and blank lines are ignored on input and never
-produced on output, so emit(parse(text)) is byte identical for canonical
-files.
+All five formats are line oriented, diff friendly, and read with one
+grammar.  A line ends at '\n', and one '\r' just before it is dropped.
+Fields are separated by runs of ASCII space or tab, which may also pad a
+line.  A field is one or more ASCII digits 0-9 (leading zeros read as
+usual); the only other words are each format's header and td's `bag` and
+`link`.  Blank lines and comment lines, whose first character after
+padding is '#', are skipped, except that an `assign v1` label line may be
+blank for an empty side.
 
-A `labelcover v1` text is read one of two ways, to the same game or the
-same ParseError.  A canonical text, exactly the bytes emit_labelcover
-writes, is read in bulk: whole rows are turned into ints through a table
-of decimal strings bounded by the file's own field count.  Any other text
-(comments, blank lines, CR or tab, other spacing, leading zeros or signs,
-no final newline) takes the line-by-line path.  The CLI's instance_digest
-is the sha256 of the canonical text either way; for a canonical file it is
-taken from the file's own bytes.
+Anything else is a ParseError at its line: a sign ('+1', '-1'), an
+underscore ('1_0'), a non-ASCII digit ('\u0663'), other whitespace as a
+separator or line end ('\x0b', '\x0c', '\x1c' to '\x1f', '\x85',
+'\u00a0', '\u2028'), a lone '\r', or more digits than int() reads
+(4300 by default).  No emitter writes these, so emit(parse(text)) is byte
+identical for canonical files.  The CLI reads files as UTF-8 with
+universal newlines, so there a lone '\r' reaches the parser as '\n'.
+
+A `labelcover v1` row is first looked up in a table of the decimal
+strings below the game's largest bound, cut at the file's field count,
+and only a row that misses the table is tokenized.  When all rows hit and
+the text holds nothing else, it is what emit_labelcover writes, and the
+CLI hashes its own bytes for instance_digest.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .core import Assignment, LabelCoverError, ProjectionGame, _validated_game
 from .exact import TreeDecomposition
@@ -38,60 +48,83 @@ class ParseError(LabelCoverError):
         self.line = line
 
 
-def _content_lines(text: str):
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield num, line
+# a line of numbers, already stripped of its padding
+_NUMBERS = re.compile(r"[0-9 \t]*")
+
+
+def _split(text: str) -> list[str]:
+    r"""The lines of a text: each ends at '\n', one '\r' just before it is
+    dropped, and the empty piece after a final '\n' is not a line."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _content(line: str, blank: bool = False) -> str | None:
+    """A line with its space and tab padding stripped, or None for a
+    comment line, and for a blank line unless ``blank``."""
+    line = line.strip(" \t")
+    return line if line[:1] != "#" and (line or blank) else None
+
+
+def _content_lines(lines: list[str], start: int = 0, blank: bool = False):
+    """Yield ``(number, line)`` for the content of each of ``lines[start:]``
+    that has some, numbered from 1."""
+    for num, line in enumerate(islice(lines, start, None), start + 1):
+        line = _content(line, blank)
+        if line is not None:
+            yield num, line
 
 
 def _ints(num: int, line: str, expected: int | None = None) -> tuple[int, ...]:
+    """The numbers on a content line, which holds nothing else."""
     try:
+        if not _NUMBERS.fullmatch(line):
+            raise ValueError
         values = tuple(map(int, line.split()))
-    except ValueError:
-        raise ParseError(num, f"expected integers, got {line!r}")
+    except ValueError:  # a stray character, or more digits than int() reads
+        raise ParseError(num, f"expected nonnegative integers, got {line!r}") from None
     if expected is not None and len(values) != expected:
         raise ParseError(num, f"expected {expected} fields, got {len(values)}")
     return values
 
 
-def _header(lines, want: str):
+def _read(text: str, want: str, sizes: int):
+    """Start reading a text whose header is ``want``: its lines, its content
+    lines after the header (a generator), and the number and ``sizes``
+    values of the size line after the header (the header's number and no
+    values when ``sizes`` is 0)."""
+    lines = _split(text)
+    content = _content_lines(lines)
     try:
-        num, line = next(lines)
+        num, line = next(content)
     except StopIteration:
         raise ParseError(1, f"empty file, expected {want!r} header")
     if line != want:
         raise ParseError(num, f"expected {want!r} header, got {line!r}")
-
-
-def _size_line(lines, expected: int) -> tuple[int, list[int]]:
-    """The size line after the header: its number and its fields, every
-    one a nonnegative integer."""
+    if not sizes:
+        return lines, content, num, ()
     try:
-        num, line = next(lines)
+        num, line = next(content)
     except StopIteration:
         raise ParseError(2, "missing size line")
-    values = _ints(num, line, expected)
-    if min(values) < 0:
-        raise ParseError(num, f"size line values must be nonnegative, got {line!r}")
-    return num, values
+    return lines, content, num, _ints(num, line, sizes)
 
 
-def _rows(lines, num: int, *sections: tuple[int, str]):
-    """Yield ``(kind, number, line)`` for the counted rows after line
-    ``num``: ``count`` rows of each ``(count, kind)`` section in turn.  A
-    row missing at the end, or any content after the last row, is a
-    ParseError."""
+def _end(lines, num: int, read: int, *sections: tuple[int, str]):
+    """Check that the counted rows, ``count`` rows of each ``(count, kind)``
+    section in turn, are all there: ``read`` rows were read, the last on
+    line ``num``.  A row missing at the end, or any content left in
+    ``lines``, is a ParseError.  Readers take rows with ``zip(range(count),
+    lines)``, which, unlike islice, takes any declared count."""
     for count, kind in sections:
-        for _ in range(count):
-            try:
-                num, line = next(lines)
-            except StopIteration:
-                raise ParseError(num + 1, f"expected {count} {kind} lines, file ended early")
-            yield kind, num, line
-    for num, _ in lines:
-        raise ParseError(num, "trailing content after the declared lines")
+        if read < count:
+            raise ParseError(num + 1, f"expected {count} {kind} lines, file ended early")
+        read -= count
+    for num, line in lines:
+        if line:
+            raise ParseError(num, "trailing content after the declared lines")
 
 
 def _built(build, what: str, at: list[int]):
@@ -114,63 +147,47 @@ def parse_labelcover(text: str) -> ProjectionGame:
     return _read_labelcover(text)[0]
 
 
-_CANONICAL_SIZES = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*)){4}")
-
-
 def _read_labelcover(text: str) -> tuple[ProjectionGame, bool]:
-    """parse_labelcover's game, and whether the text was read in bulk, in
-    which case it is canonical: ``emit_labelcover(game) == text``."""
-    parts = text.split("\n", 2) if text.isascii() else ()
-    if (
-        len(parts) < 3
-        or parts[0] != "labelcover v1"
-        or not _CANONICAL_SIZES.fullmatch(parts[1])
-    ):
-        return _parse_lines(text), False
-    _, sizes, body = parts
-    n_a, n_b, k_a, k_b, m = map(int, sizes.split(" "))
-    lines = body.split("\n")
-    if len(lines) != m + 1 or lines.pop():
-        return _parse_lines(text), False
+    """parse_labelcover's game, and whether the text is canonical:
+    ``emit_labelcover(game) == text``."""
+    lines, _, num, (n_a, n_b, k_a, k_b, m) = _read(text, "labelcover v1", 5)
     # the decimals below the largest bound any field can meet, cut at the
     # file's field count so that huge declared counts build no huge table
-    size = min(max(n_a, n_b, k_b), body.count(" ") + m)
+    size = min(max(n_a, n_b, k_b), text.count(" ") + len(lines))
     get = dict(zip(map(str, range(size)), range(size))).__getitem__
-    try:
-        rows = [tuple(map(get, line.split(" "))) for line in lines]
-    except KeyError:  # not a canonical decimal below the table's size
-        return _parse_lines(text), False
-    if rows and set(map(len, rows)) != {2 + k_a}:
-        return _parse_lines(text), False
-    return _game(n_a, n_b, k_a, k_b, rows, range(2, m + 3)), True
-
-
-def _parse_lines(text: str) -> ProjectionGame:
-    """Read any `labelcover v1` text line by line."""
-    lines = _content_lines(text)
-    _header(lines, "labelcover v1")
-    num, (n_a, n_b, k_a, k_b, m) = _size_line(lines, 5)
+    # canonical rows hit the table as they stand, and fill lines 3 .. m + 2
+    canonical = (
+        text.startswith(f"labelcover v1\n{n_a} {n_b} {k_a} {k_b} {m}\n")
+        and len(lines) == m + 2
+        and text.endswith("\n")
+        and "\r" not in text
+    )
     at = [num]
     rows = []
-    for _, num, line in _rows(lines, num, (m, "edge")):
-        row = _ints(num, line)
+    for num, line in enumerate(islice(lines, num, None), num + 1):
+        if len(rows) == m:
+            break
+        try:
+            row = tuple(map(get, line.split(" ")))
+        except KeyError:  # a field not in the table: tokenize the line
+            canonical = False
+            line = _content(line)
+            if line is None:
+                continue
+            row = _ints(num, line)
         if len(row) != 2 + k_a:
             raise ParseError(
                 num, f"edge line needs {2 + k_a} fields, got {len(row)}"
             )
         rows.append(row)
         at.append(num)
-    return _game(n_a, n_b, k_a, k_b, rows, at)
-
-
-def _game(n_a, n_b, k_a, k_b, rows, at) -> ProjectionGame:
-    """The validated game of edge rows ``a b t_0 ..``, row i from line
-    ``at[i + 1]`` and the size line at ``at[0]``."""
+    _end(_content_lines(lines, at[-1]), at[-1], len(rows), (m, "edge"))
     edges = tuple([row[:2] for row in rows])
     tables = tuple([row[2:] for row in rows])
-    return _built(
+    game = _built(
         lambda: _validated_game(n_a, n_b, k_a, k_b, edges, tables), "instance", at
     )
+    return game, canonical
 
 
 def emit_labelcover(game: ProjectionGame) -> str:
@@ -194,32 +211,13 @@ def parse_assignment(text: str) -> Assignment:
     Either label line may be empty for an empty side, but both lines must
     be present, and only blank or comment lines may follow them.
     """
-    rows = text.splitlines()
-    idx = 0
-    while idx < len(rows) and (not rows[idx].strip() or rows[idx].lstrip().startswith("#")):
-        idx += 1
-    if idx >= len(rows) or rows[idx].strip() != "assign v1":
-        raise ParseError(idx + 1, "expected 'assign v1' header")
-    data = []
-    for off, raw in enumerate(rows[idx + 1:], start=idx + 2):
-        if raw.lstrip().startswith("#"):
-            continue
-        if len(data) < 2:
-            data.append((off, raw))
-        elif raw.strip():
-            raise ParseError(off, "trailing content after the declared lines")
-    if len(data) < 2:
-        raise ParseError(len(rows), "expected two label lines")
-    a_line, b_line = data
-
-    def labels(entry):
-        num, raw = entry
-        raw = raw.strip()
-        if not raw:
-            return ()
-        return _ints(num, raw)
-
-    return Assignment(labels(a_line), labels(b_line))
+    lines, _, num, _ = _read(text, "assign v1", 0)
+    content = _content_lines(lines, num, blank=True)
+    labels = []
+    for _, (num, line) in zip(range(2), content):
+        labels.append(_ints(num, line))
+    _end(content, num, len(labels), (2, "label"))
+    return Assignment(*labels)
 
 
 def emit_assignment(phi: Assignment) -> str:
@@ -230,23 +228,24 @@ def emit_assignment(phi: Assignment) -> str:
 
 def parse_td(text: str) -> TreeDecomposition:
     """`td v1`: header; `B T` counts; B ``bag ...`` lines; T ``link i j``."""
-    lines = _content_lines(text)
-    _header(lines, "td v1")
-    num, (nbags, nlinks) = _size_line(lines, 2)
+    _, content, num, (nbags, nlinks) = _read(text, "td v1", 2)
     bags = []
     links = []
-    for kind, num, line in _rows(lines, num, (nbags, "bag"), (nlinks, "link")):
-        word, *fields = line.split()
+    for _, (num, line) in zip(range(nbags + nlinks), content):
+        kind = "bag" if len(bags) < nbags else "link"
+        word, _, fields = line.replace("\t", " ").partition(" ")
         if word != kind:
             raise ParseError(num, f"expected {kind!r}, got {word!r}")
         if kind == "bag":
-            bags.append(frozenset(_ints(num, " ".join(fields))))
+            bags.append(frozenset(_ints(num, fields)))
         else:
-            links.append(_ints(num, " ".join(fields), 2))
+            links.append(_ints(num, fields, 2))
+    _end(content, num, len(bags) + len(links), (nbags, "bag"), (nlinks, "link"))
     return TreeDecomposition(tuple(bags), tuple(links))
 
 
 def emit_td(td: TreeDecomposition) -> str:
+    """The `td v1` text of a decomposition, the files `solve dp --td` reads."""
     out = ["td v1", f"{len(td.bags)} {len(td.tree)}"]
     for bag in td.bags:
         out.append(" ".join(["bag"] + [str(v) for v in sorted(bag)]))
@@ -258,12 +257,10 @@ def emit_td(td: TreeDecomposition) -> str:
 def parse_matrix_tiling(text: str) -> MatrixTiling:
     """`matrixtiling v1`: header; `k n`; then k*k row-major cell lines
     ``i j count x1 y1 .. x_count y_count`` with 1-based coordinates."""
-    lines = _content_lines(text)
-    _header(lines, "matrixtiling v1")
-    num, (k, n) = _size_line(lines, 2)
+    _, content, num, (k, n) = _read(text, "matrixtiling v1", 2)
     at = [num]
     cells = []
-    for want, (_, num, line) in enumerate(_rows(lines, num, (k * k, "cell"))):
+    for want, (num, line) in zip(range(k * k), content):
         vals = _ints(num, line)
         if len(vals) < 3:
             raise ParseError(num, "cell line needs i j count")
@@ -275,6 +272,7 @@ def parse_matrix_tiling(text: str) -> MatrixTiling:
         pairs = [(vals[3 + 2 * p], vals[4 + 2 * p]) for p in range(count)]
         cells.append(pairs)
         at.append(num)
+    _end(content, num, len(cells), (k * k, "cell"))
     return _built(lambda: build_matrix_tiling(k, n, cells), "tiling", at)
 
 
@@ -291,15 +289,13 @@ def emit_matrix_tiling(t: MatrixTiling) -> str:
 
 def parse_coloring_graph(text: str) -> ColoringGraph:
     """`colgraph v1`: header; `n m planar_flag`; then m ``u v`` lines."""
-    lines = _content_lines(text)
-    _header(lines, "colgraph v1")
-    num, (n, m, planar) = _size_line(lines, 3)
+    _, content, num, (n, m, planar) = _read(text, "colgraph v1", 3)
     at = [num]
     edges = []
-    for _, num, line in _rows(lines, num, (m, "edge")):
-        u, v = _ints(num, line, 2)
-        edges.append((u, v))
+    for _, (num, line) in zip(range(m), content):
+        edges.append(_ints(num, line, 2))
         at.append(num)
+    _end(content, num, len(edges), (m, "edge"))
     return _built(
         lambda: build_coloring_graph(n, edges, bool(planar)), "graph", at
     )

@@ -117,6 +117,23 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["edges"] == 6
 
 
+def test_input_is_read_as_utf8_under_the_c_locale(tmp_path):
+    """A non-ASCII comment reads the same whatever the locale's encoding."""
+    path = tmp_path / "cafe.lc"
+    path.write_bytes(("# caf\u00e9\n" + fixture_text("tiny1.lc")).encode("utf-8"))
+    digests = []
+    for extra in ({}, {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}):
+        env = {**os.environ, "PYTHONPATH": str(SRC), **extra}
+        proc = subprocess.run(
+            [sys.executable, "-m", "labelcover", "stats", str(path), "--json"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout)["instance_digest"])
+    want = hashlib.sha256(fixture_text("tiny1.lc").encode()).hexdigest()
+    assert digests == [want, want]
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "stats", "/nonexistent/file.lc")
     assert code == 2
@@ -216,12 +233,19 @@ def test_reduce_extract_misshapen_assignment_exits_one_line(capsys, tmp_path, ki
     assign_path = tmp_path / "bad.assign"
     game = formats.parse_labelcover(run(capsys, "reduce", kind, str(src))[1])
     a, b = (0,) * game.a_count, (0,) * game.b_count
-    for phi in (lc.Assignment(a[1:], b), lc.Assignment((-1, *a[1:]), b)):
+    for phi in (lc.Assignment(a[1:], b), lc.Assignment((game.sigma_a, *a[1:]), b)):
         assign_path.write_text(formats.emit_assignment(phi))
         code, out, err = run(
             capsys, "reduce", kind, str(src), "--extract", str(assign_path), "--json"
         )
         _assert_one_line_error(code, out, err)
+    # a negative label is not a number of the grammar: a parse error
+    assign_path.write_text(formats.emit_assignment(lc.Assignment((-1, *a[1:]), b)))
+    code, out, err = run(
+        capsys, "reduce", kind, str(src), "--extract", str(assign_path), "--json"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 2: expected nonnegative integers")
 
 
 @pytest.mark.parametrize("kind, text", [
@@ -486,13 +510,17 @@ def test_gen_smooth_cli_writes_plant(capsys, tmp_path):
 
 
 def test_solve_dp_td_vertex_outside_game_exits_one_line(capsys, tmp_path):
-    # tiny1 has 6 vertices (0..5); -1 and 6 are not in the game
-    for bag in ("-1 0 1 2 3 4 5", "0 1 2 3 4 5 6"):
-        td_path = tmp_path / "bad.td"
-        td_path.write_text(f"td v1\n1 0\nbag {bag}\n")
-        code, out, err = run(capsys, "solve", "dp", TINY1, "--td", str(td_path))
-        _assert_one_line_error(code, out, err)
-        assert "is not in the game" in err
+    # tiny1 has 6 vertices (0..5); 6 is not in the game, and -1 is not a
+    # number of the grammar
+    td_path = tmp_path / "bad.td"
+    td_path.write_text("td v1\n1 0\nbag 0 1 2 3 4 5 6\n")
+    code, out, err = run(capsys, "solve", "dp", TINY1, "--td", str(td_path))
+    _assert_one_line_error(code, out, err)
+    assert "is not in the game" in err
+    td_path.write_text("td v1\n1 0\nbag -1 0 1 2 3 4 5\n")
+    code, out, err = run(capsys, "solve", "dp", TINY1, "--td", str(td_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 3: expected nonnegative integers")
 
 
 def test_trailing_content_exits_two(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -253,3 +254,63 @@ def test_other_formats_mutated_inputs_raise_only_parse_error(parse, emit, texts)
 
     check()
     assert outcomes == {"read", "error"}
+
+
+# one text per format, and the line whose last field or separator the
+# grammar tests below replace
+GRAMMAR_TEXTS = [
+    (formats.parse_labelcover, "labelcover v1\n2 2 2 2 2\n0 0 0 1\n1 1 1 0\n", 4),
+    (formats.parse_assignment, "assign v1\n0 1\n1 0\n", 3),
+    (formats.parse_td, "td v1\n2 1\nbag 0 1\nbag 1 2\nlink 0 1\n", 4),
+    (formats.parse_coloring_graph, "colgraph v1\n3 2 0\n0 1\n1 2\n", 4),
+    (formats.parse_matrix_tiling, "matrixtiling v1\n1 2\n1 1 1 2 1\n", 3),
+]
+GRAMMAR_IDS = ["labelcover", "assign", "td", "colgraph", "matrixtiling"]
+# fields that int() read and separators that str.split() or splitlines()
+# took, which the one grammar rejects
+REJECTED_FIELDS = ["+1", "-1", "1_0", "\u0663"]
+REJECTED_SEPARATORS = ["\u00a0", "\u2028", "\x0b", "\x0c", "\x1c", "\x85", "\r"]
+
+
+@pytest.mark.parametrize("parse, text, line", GRAMMAR_TEXTS, ids=GRAMMAR_IDS)
+@pytest.mark.parametrize("piece", REJECTED_FIELDS + REJECTED_SEPARATORS)
+def test_grammar_rejects_what_no_emitter_writes(parse, text, line, piece):
+    lines = text.split("\n")
+    head, _, last = lines[line - 1].rpartition(" ")
+    if piece in REJECTED_FIELDS:
+        lines[line - 1] = f"{head} {piece}"
+    else:
+        lines[line - 1] = f"{head}{piece}{last}"
+    with pytest.raises(formats.ParseError) as err:
+        parse("\n".join(lines))
+    assert err.value.line == line
+    assert "nonnegative integers" in str(err.value)
+
+
+def _body(edit):
+    """An edit of a text's lines after its header."""
+    def apply(text):
+        head, _, rest = text.partition("\n")
+        return f"{head}\n{edit(rest)}"
+    return apply
+
+
+ACCEPTED_FORMS = {
+    "tabs": _body(lambda t: t.replace(" ", "\t")),
+    "space-runs": _body(lambda t: t.replace(" ", "   ").replace("\n", " \n\t ")),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "comments": lambda t: "# a\n" + t.replace("\n", "\n  # b 1 2\n", 2) + "#",
+    "blank-lines": lambda t: "\n \t\n" + t + "\n\t\n",
+    "leading-zeros": _body(lambda t: re.sub(r"\b([0-9])", r"00\1", t)),
+    "no-final-newline": lambda t: t[:-1],
+}
+
+
+@pytest.mark.parametrize("parse, text, line", GRAMMAR_TEXTS, ids=GRAMMAR_IDS)
+@pytest.mark.parametrize("form", ACCEPTED_FORMS)
+def test_grammar_reads_every_accepted_form_like_the_canonical_text(parse, text, line, form):
+    variant = ACCEPTED_FORMS[form](text)
+    assert variant != text
+    assert parse(variant) == parse(text)
+    if parse is formats.parse_labelcover:
+        assert formats._read_labelcover(variant) == (parse(text), False)

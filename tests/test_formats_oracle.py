@@ -3,16 +3,21 @@
 ``oracle_parse_labelcover``, ``oracle_build_game`` and
 ``oracle_emit_labelcover`` below are the parser, builder and emitter as
 they stood before parsing built each row once and validation ran in a few
-whole-input passes.  On canonical games and on hypothesis mutations of
-them, the current code must return an ``==`` game or raise the same error
-(class, message and line), and emit must give the same bytes.
+whole-input passes.  The oracle reads fields with the earlier grammar
+(``int()``, ``str.split()`` and ``splitlines()``), kept below.  On
+canonical games and on hypothesis mutations of them, the current code must
+return an ``==`` game or raise the same error (class, message and line),
+and emit must give the same bytes.  Where the text holds something the one
+grammar of ``formats`` rejects and the earlier one read, the current code
+must instead raise a ParseError at that line (``first_rejected``).
 
-The bulk read of canonical texts (``formats._read_labelcover``) is held to
-the same oracle on mutations aimed at it, and a text it reads must be what
-emit writes for the game.
+The table-first read of canonical rows (``formats._read_labelcover``) is
+held to the same oracle on mutations aimed at it, and a text it calls
+canonical must be what emit writes for the game.
 """
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -29,15 +34,60 @@ from labelcover.core import (
     TableLengthMismatch,
     _int_rows,
 )
-from labelcover.formats import (
-    ParseError,
-    _built,
-    _content_lines,
-    _header,
-    _ints,
-    _rows,
-    _size_line,
-)
+from labelcover.formats import ParseError, _built
+
+
+# the earlier grammar's line helpers, as they stood before formats read
+# every format with one grammar
+
+def _content_lines(text: str):
+    for num, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield num, line
+
+
+def _ints(num: int, line: str, expected: int | None = None) -> tuple[int, ...]:
+    try:
+        values = tuple(map(int, line.split()))
+    except ValueError:
+        raise ParseError(num, f"expected integers, got {line!r}")
+    if expected is not None and len(values) != expected:
+        raise ParseError(num, f"expected {expected} fields, got {len(values)}")
+    return values
+
+
+def _header(lines, want: str):
+    try:
+        num, line = next(lines)
+    except StopIteration:
+        raise ParseError(1, f"empty file, expected {want!r} header")
+    if line != want:
+        raise ParseError(num, f"expected {want!r} header, got {line!r}")
+
+
+def _size_line(lines, expected: int) -> tuple[int, list[int]]:
+    try:
+        num, line = next(lines)
+    except StopIteration:
+        raise ParseError(2, "missing size line")
+    values = _ints(num, line, expected)
+    if min(values) < 0:
+        raise ParseError(num, f"size line values must be nonnegative, got {line!r}")
+    return num, values
+
+
+def _rows(lines, num: int, *sections: tuple[int, str]):
+    for count, kind in sections:
+        for _ in range(count):
+            try:
+                num, line = next(lines)
+            except StopIteration:
+                raise ParseError(num + 1, f"expected {count} {kind} lines, file ended early")
+            yield kind, num, line
+    for num, _ in lines:
+        raise ParseError(num, "trailing content after the declared lines")
 
 
 def oracle_build_game(a_count, b_count, sigma_a, sigma_b, edges, projections):
@@ -109,6 +159,62 @@ def outcome(fn, *args):
         return "error", (type(exc), str(exc), getattr(exc, "line", None))
 
 
+# the one grammar, written apart from formats: lines end at "\n" after
+# at most one "\r", and a number is ASCII digits that int() reads
+LINE_END = re.compile(r"\r?\n")
+NUMBERS = re.compile(r"[0-9]+(?:[ \t]+[0-9]+)*")
+
+
+def first_rejected(text):
+    """The first line, if any, where the one grammar rejects a text that
+    the earlier grammar may read, with the words of the error it gives:
+    a header or numbers line holding a character outside the grammar or a
+    number too long for int(), or content past the declared rows (which
+    the earlier grammar may read as a blank line)."""
+    lines = LINE_END.split(text)
+    content = [
+        (num, line.strip(" \t"))
+        for num, line in enumerate(lines, 1)
+        if line.strip(" \t") and not line.strip(" \t").startswith("#")
+    ]
+    if not content:
+        return None
+    if content[0][1] != "labelcover v1":
+        return content[0][0], "header"
+    numbers = []
+    for num, line in content[1:]:
+        if numbers and len(numbers) == 1 + numbers[0][4]:
+            return num, "trailing content"
+        if not NUMBERS.fullmatch(line):
+            return num, "nonnegative integers"
+        try:
+            numbers.append(tuple(map(int, line.split())))
+        except ValueError:  # more digits than int() reads
+            return num, "nonnegative integers"
+        if len(numbers[0]) != 5:
+            return None  # both read the size line's wrong field count
+    return None
+
+
+def matches_oracle(got, text):
+    """Check a parse outcome against the oracle: the oracle's own outcome
+    where both grammars read the text alike, else a ParseError at the first
+    line the one grammar rejects, unless the oracle stops at an earlier
+    line before it builds the game.  Returns "rejected" for the latter."""
+    want = outcome(oracle_parse_labelcover, text)
+    bad = first_rejected(text)
+    if bad is None or (
+        want[0] == "error" and want[1][2] < bad[0] and "invalid instance" not in want[1][1]
+    ):
+        assert got == want
+        return None
+    assert got[0] == "error"
+    kind, message, line = got[1]
+    assert (kind, line) == (ParseError, bad[0])
+    assert bad[1] in message
+    return "rejected"
+
+
 # (nA, nB, kA, kB, degree); kA == 1 and an edgeless game included
 SHAPES = [
     (1, 1, 1, 1, 1),
@@ -160,7 +266,8 @@ def test_emit_matches_oracle_on_single_symbol_and_edgeless_games():
         assert formats.emit_labelcover(game) == oracle_emit_labelcover(game)
 
 
-TOKENS = ["+1", "01", "1_0", "-1", "x", "0.5", "9", "100", "", "0 0", "\t0"]
+TOKENS = ["+1", "01", "1_0", "-1", "x", "0.5", "9", "100", "", "0 0", "\t0",
+          "1" * 5000]
 
 
 def mutate(text, data):
@@ -223,8 +330,7 @@ def mutate(text, data):
 def test_parse_matches_oracle_on_mutated_inputs(data):
     text = mutate(data.draw(st.sampled_from(CANONICAL)), data)
     got = outcome(formats.parse_labelcover, text)
-    want = outcome(oracle_parse_labelcover, text)
-    assert got == want
+    matches_oracle(got, text)
     if got[0] == "ok":
         assert formats.emit_labelcover(got[1]) == oracle_emit_labelcover(got[1])
 
@@ -251,9 +357,10 @@ def test_mutations_reach_every_kind_of_outcome():
     assert seen == {"game", *ERROR_WORDS}
 
 
-# characters the bulk read must send to the line parser: int() takes the
-# Arabic-Indic three, str.split() or splitlines() take the whitespace as
-# separators, and the rest make comments, signs, leading zeros or gaps
+# characters the table-first read must send to the tokenizer: the one
+# grammar rejects the Arabic-Indic three, the other whitespace and a lone
+# CR, and reads the rest as comments, leading zeros, padding or separators
+# (or rejects them as signs)
 STRAY = ["\u0663", "\x0b", "\x0c", "\x1c", "\u00a0", "\u2028", "\t", "\r",
          " ", "\n", "#", "-", "+", "0"]
 HUGE = 10**9
@@ -300,19 +407,19 @@ def mutate_canonical(text, data):
 
 
 def bulk_outcome(text):
-    """The outcome of the two-path read, checked against the oracle: the
-    same game or error, and a game read in bulk is emitted as the text."""
+    """The outcome of the table-first read, checked against the oracle, and
+    a game it calls canonical must be emitted as the text: "canonical",
+    "game" or ("error", message, line)."""
     got = outcome(formats._read_labelcover, text)
-    want = outcome(oracle_parse_labelcover, text)
     if got[0] == "error":
-        assert got == want
-        return "error"
-    game, bulk = got[1]
-    assert ("ok", game) == want
+        matches_oracle(got, text)
+        return "error", *got[1][1:]
+    game, canonical = got[1]
+    matches_oracle(("ok", game), text)
     assert formats.emit_labelcover(game) == oracle_emit_labelcover(game)
-    if bulk:
+    if canonical:
         assert formats.emit_labelcover(game) == text
-    return "bulk" if bulk else "lines"
+    return "canonical" if canonical else "game"
 
 
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
@@ -322,27 +429,35 @@ def test_bulk_read_matches_oracle_on_mutated_canonical_inputs(data):
 
 
 def test_bulk_mutations_reach_both_paths(monkeypatch):
-    """The mutations above are read in bulk to a game and to an error, and
-    sent to the line path, so neither path is tested only by luck."""
+    """The mutations above are read to a canonical game and to one that is
+    not, and they fail at a row read through the table (the game's
+    validation names it) and at a row tokenized, so neither row path is
+    tested only by luck."""
     seen = set()
-    line_reads = []
-    parse_lines = formats._parse_lines
+    tokenized = []
+    ints = formats._ints
     monkeypatch.setattr(
-        formats, "_parse_lines", lambda text: line_reads.append(text) or parse_lines(text)
+        formats, "_ints", lambda num, *rest: tokenized.append(num) or ints(num, *rest)
     )
 
     @settings(max_examples=400, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
     def collect(data):
         text = mutate_canonical(data.draw(st.sampled_from(CANONICAL)), data)
-        line_reads.clear()
+        tokenized.clear()
         kind = bulk_outcome(text)
-        seen.add((kind, bool(line_reads)))
+        if kind[0] == "error":
+            _, message, line = kind
+            if line in tokenized[1:]:  # the first call reads the size line
+                kind = "tokenized row"
+            elif "invalid instance" in message:
+                kind = "table row"
+            else:
+                kind = "other error"
+        seen.add(kind)
 
     collect()
-    assert seen == {
-        ("bulk", False), ("lines", True), ("error", False), ("error", True)
-    }
+    assert seen == {"canonical", "game", "tokenized row", "table row", "other error"}
 
 
 @pytest.mark.parametrize("text", [
