@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -74,8 +75,14 @@ def _write_or_print(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _path_text(path) -> str:
+    """A path as reports print it: its bytes read as UTF-8, whatever
+    encoding the locale decoded argv with."""
+    return os.fsencode(path).decode("utf-8", "surrogateescape")
+
+
 def _instance(args, digest) -> dict:
-    return {"instance": args.instance, "instance_digest": digest()}
+    return {"instance": _path_text(args.instance), "instance_digest": digest()}
 
 
 def _labels(phi) -> dict:
@@ -346,7 +353,7 @@ def _cmd_bench(args) -> int:
                     worst_norm[name] = norm
                 record = {
                     "record": "run",
-                    "instance": str(path),
+                    "instance": _path_text(path),
                     "instance_digest": instance_digest,
                     "algorithm": name,
                     "satisfied": rep.satisfied,

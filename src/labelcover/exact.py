@@ -9,13 +9,14 @@ emits each vertex's bag as it eliminates it; only the rule that picks the
 next vertex differs.  Min-fill picks the vertex needing the fewest fill
 edges, the smallest index on ties, from a lazily invalidated heap;
 ``_eliminate`` keeps every fill exact and incremental through triangle
-counts.  ``tree_dp_solve`` reuses the vertex-to-bags index
-(``_bag_index``) and the rooted walk of the bag tree (``_rooted_walk``)
-that its validation built.  The DP counts each edge once, at the bag
-nearest the root that holds both endpoints.  It codes a bag state
-as an integer, its mixed-radix index, and builds a bag's values as sums of
-factors, lists read at the codes of the digits at fixed positions; a
-bounded per-call memo keeps the code lists of each (radix, positions) shape.
+counts.  Validation is one preorder walk of the bag tree
+(``_rooted_walk``) that finds each vertex's top bag; ``tree_dp_solve``
+reuses the walk and the edge owners that validation read off the tops.
+The DP counts each edge once, at the bag nearest the root that holds both
+endpoints.  It codes a bag state as an integer, its mixed-radix index,
+and builds a bag's values as sums of factors, lists read at the codes of
+the digits at fixed positions; bounded per-call memos keep the code lists
+of each (radix, positions) shape and each bag's summed owned-edge list.
 The exact search caps its subset costs at the min-fill width.
 """
 
@@ -67,21 +68,6 @@ def _vertex_name(game: ProjectionGame, v: int) -> str:
     return f"b{v - game.a_count}"
 
 
-def _bag_index(game: ProjectionGame, td: TreeDecomposition):
-    """The bags holding each game vertex, in one pass over the bags, plus
-    the sorted (bag, vertex) pairs naming a vertex outside the game."""
-    n = game.vertex_count
-    holders: list[set[int]] = [set() for _ in range(n)]
-    outside = []
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            if 0 <= v < n:
-                holders[v].add(i)
-            else:
-                outside.append((i, v))
-    return holders, sorted(outside)
-
-
 def _rooted_walk(nbags: int, tree: tuple[tuple[int, int], ...]):
     """Link lists, DFS parents (-1 at the root and off the tree) and DFS
     preorder of the bags reachable from bag 0."""
@@ -112,15 +98,27 @@ def validate_decomposition(game: ProjectionGame, td: TreeDecomposition) -> list[
     itself is checked first (indices, edge count, connectivity), then
     every bag vertex must be a game vertex; the three decomposition
     conditions are reported as conditions 1 to 3.
+
+    One preorder walk of the bags from bag 0 checks all three.  A bag is a
+    top of vertex v when it holds v and its parent does not; v's holders
+    are connected in a tree iff v has exactly one top, and then the first
+    holder in preorder, ``top[v]``, is it.  For two vertices whose holders
+    are connected, some bag holds both iff the later of their tops in
+    preorder does (two subtrees meet iff one's top lies in the other).
+    Vertices with two or more tops, and all of condition 3 when the links
+    close a cycle, are settled by a scan of their holders.
     """
     return _validated(game, td)[0]
 
 
 def _validated(game: ProjectionGame, td: TreeDecomposition):
-    """``validate_decomposition``'s violations, plus the rooted walk and the
-    bag index built for them (None where the checks stopped first)."""
+    """``validate_decomposition``'s violations, plus the rooted walk and,
+    per edge, the bag that owns it: its first holder in the walk's
+    preorder, read only when there are no violations (None where the
+    checks stopped first)."""
     violations: list[str] = []
-    nbags = len(td.bags)
+    bags = td.bags
+    nbags = len(bags)
     if nbags == 0:
         if game.vertex_count > 0:
             violations.append("tree: no bags but graph has vertices")
@@ -129,53 +127,84 @@ def _validated(game: ProjectionGame, td: TreeDecomposition):
         if not (0 <= i < nbags and 0 <= j < nbags):
             violations.append(f"tree: edge ({i}, {j}) references a missing bag")
             return violations, None, None
-    if len(td.tree) != nbags - 1:
+    cyclic = len(td.tree) != nbags - 1
+    if cyclic:
         violations.append(
             f"tree: {len(td.tree)} edges on {nbags} bags, expected {nbags - 1}"
         )
     walk = _rooted_walk(nbags, td.tree)
-    tadj, _, order = walk
+    tadj, parent, order = walk
     if len(order) < nbags:
         first = min(set(range(nbags)).difference(order))
         violations.append(f"tree: bag {first} not reachable from bag 0")
         return violations, walk, None
 
-    holders, outside = _bag_index(game, td)
-    for i, v in outside:
-        violations.append(f"bag {i}: vertex {v} is not in the game")
+    n = game.vertex_count
+    named = frozenset().union(*bags)
+    if named and (min(named) < 0 or max(named) >= n):
+        outside = sorted((i, v) for i, bag in enumerate(bags) for v in bag if not 0 <= v < n)
+        for i, v in outside:
+            violations.append(f"bag {i}: vertex {v} is not in the game")
+        bags = list(bags)
+        for i in {i for i, _ in outside}:
+            bags[i] = frozenset(v for v in bags[i] if 0 <= v < n)
 
-    for v in range(game.vertex_count):
-        if not holders[v]:
+    # top[v]: the preorder rank of v's first holder; split: vertices with
+    # a second top, whose holders are not connected through parent links
+    top = [-1] * n
+    split = set()
+    for r, i in enumerate(order):
+        p = parent[i]
+        for v in bags[i] - bags[p] if r else bags[i]:
+            if top[v] < 0:
+                top[v] = r
+            else:
+                split.add(v)
+    if -1 in top:
+        for v in range(n):
+            if top[v] < 0:
+                violations.append(
+                    f"condition 1: vertex {_vertex_name(game, v)} not in any bag"
+                )
+    holders: dict[int, list[int]] = {v: [] for v in split}
+    if split:
+        for i, bag in enumerate(bags):
+            for v in split.intersection(bag):
+                holders[v].append(i)
+
+    # an edge is held iff the later top of its ends holds both, unless an
+    # end is split; a missing end's top (-1) names a bag without it
+    a, edges = game.a_count, game.edges
+    owner = [order[max(top[u], top[a + b])] for u, b in edges]
+    unheld = [e for e, (u, b), i in zip(count(), edges, owner)
+              if u not in bags[i] or a + b not in bags[i]]
+    for e in unheld:
+        u, w = edges[e][0], a + edges[e][1]
+        if not (u in split and any(w in bags[i] for i in holders[u])
+                or w in split and any(u in bags[i] for i in holders[w])):
             violations.append(
-                f"condition 1: vertex {_vertex_name(game, v)} not in any bag"
+                f"condition 2: edge {e} ({_vertex_name(game, u)}, "
+                f"{_vertex_name(game, w)}) not contained in any bag"
             )
 
-    for idx, (a, b) in enumerate(game.edges):
-        gb = game.a_count + b
-        if holders[a].isdisjoint(holders[gb]):
-            violations.append(
-                f"condition 2: edge {idx} ({_vertex_name(game, a)}, "
-                f"{_vertex_name(game, gb)}) not contained in any bag"
-            )
-
-    for v, holder_set in enumerate(holders):
-        if len(holder_set) <= 1:
-            continue
-        start = min(holder_set)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in tadj[u]:
-                if w in holder_set and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp != holder_set:
-            violations.append(
-                f"condition 3: bags containing {_vertex_name(game, v)} are not "
-                f"connected in the tree"
-            )
-    return violations, walk, holders
+    for v in sorted(split):
+        if cyclic:  # the links hold more than the walk's parent links
+            holder_set = set(holders[v])
+            comp = {holders[v][0]}
+            stack = [holders[v][0]]
+            while stack:
+                u = stack.pop()
+                for w in tadj[u]:
+                    if w in holder_set and w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            if comp == holder_set:
+                continue
+        violations.append(
+            f"condition 3: bags containing {_vertex_name(game, v)} are not "
+            f"connected in the tree"
+        )
+    return violations, walk, owner
 
 
 def _eliminate(game: ProjectionGame, pick) -> TreeDecomposition:
@@ -442,7 +471,7 @@ def is_satisfiable(game: ProjectionGame, budget: int | None = None) -> bool:
     return next(_extensions(game, bs, budget=budget), None) is not None
 
 
-_GATHER_CODES = 1 << 16  # most codes tree_dp_solve's per-call memo holds
+_GATHER_CODES = 1 << 16  # most list entries tree_dp_solve's per-call memos hold
 
 
 def tree_dp_solve(
@@ -456,21 +485,24 @@ def tree_dp_solve(
     the B alphabet), coded as its mixed-radix index in ``product`` order,
     the last vertex fastest.  Each edge is owned by the bag nearest the
     root that holds both endpoints, its first holder in the preorder, and
-    is counted there only.  The value of a state is the owned edges it
-    satisfies plus, for every child, the best child value over the child
-    states that agree with it on their shared vertices.  Every term is a
-    factor ``(positions, list)`` read at the code of the state's digits at
-    those positions: a 0/1 list over an owned edge's two digits, or a
-    child's best-value list over its restriction code, summed into a fresh
-    list per factor.  The codes of every state for one (radix, positions)
-    shape are memoised for the call, at most ``_GATHER_CODES`` codes.  Each
-    bag keeps its first-best value and state index per restriction code
-    to its parent, the root its first-best state; the assignment is
-    recovered by decoding those indices down from the root.
+    is counted there only; validation hands over that owner, the later
+    in preorder of the two endpoints' top bags, one lookup per edge.  The
+    value of a state is the owned edges it satisfies plus, for every
+    child, the best child value over the child states that agree with it
+    on their shared vertices.  Every term is read at the code of the
+    state's digits at fixed positions: a 0/1 list over an owned edge's
+    two digits, or a child's best-value list over its restriction code,
+    summed into a fresh list per term.  Two memos live for the call: the
+    codes of every state for one (radix, positions) shape, and a bag's
+    summed owned-edge list per (radix, owned edges), together at most
+    ``_GATHER_CODES`` entries.  Each bag keeps its first-best value and
+    state index per restriction code to its parent, the root its
+    first-best state; the assignment is recovered by decoding those
+    indices down from the root.
 
     ``state_cap`` bounds the states enumerated over all bags.
     """
-    violations, walk, holders = _validated(game, td)
+    violations, walk, owner = _validated(game, td)
     if violations:
         raise InvalidDecomposition("; ".join(violations))
     if game.vertex_count == 0:
@@ -484,31 +516,38 @@ def tree_dp_solve(
     pos = [{v: p for p, v in enumerate(vs)} for vs in verts]
     # per bag: the positions of the vertices it shares with its parent,
     # (child, the same vertices' positions in this bag) per child, and its
-    # owned edges as factors
+    # owned edges as (position, position, table)
     up: list[tuple[int, ...]] = [()] * nbags
     links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nbags)]
     for w in order[1:]:
         p = parent[w]
-        shared = sorted(td.bags[w] & td.bags[p])
-        up[w] = tuple(pos[w][v] for v in shared)
-        links[p].append((w, tuple(pos[p][v] for v in shared)))
-    rank = {i: r for r, i in enumerate(order)}
+        shared = [v for v in verts[w] if v in td.bags[p]]
+        up[w] = tuple(map(pos[w].__getitem__, shared))
+        links[p].append((w, tuple(map(pos[p].__getitem__, shared))))
+    owned: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nbags)]
+    for (va, b), t, i in zip(game.edges, game.projections, owner):
+        owned[i].append((pos[i][va], pos[i][a + b], t))
     checks = {t: [int(t[x] == y) for x in range(ka) for y in range(kb)]
               for t in set(game.projections)}
-    factors: list[list[tuple[tuple[int, ...], list[int]]]] = [[] for _ in range(nbags)]
-    for (va, b), t in zip(game.edges, game.projections):
-        gb = a + b
-        i = min(holders[va] & holders[gb], key=rank.__getitem__)
-        factors[i].append(((pos[i][va], pos[i][gb]), checks[t]))
 
     memo: dict[tuple, list[int]] = {}
+    sums: dict[tuple, list[int]] = {}
     held = 0
 
-    def gather(radix: tuple[int, ...], positions: tuple[int, ...]) -> list[int]:
-        """For every state, the mixed-radix code of its digits at positions.
-        The memo is emptied before it would pass _GATHER_CODES codes; one
-        longer list alone is kept until the next is built."""
+    def keep(store: dict, key: tuple, values: list[int]) -> None:
+        """Memoise values, first emptying both memos if they would pass
+        _GATHER_CODES entries; one longer list alone is kept until the
+        next is stored."""
         nonlocal held
+        if held + len(values) > _GATHER_CODES:
+            memo.clear()
+            sums.clear()
+            held = 0
+        store[key] = values
+        held += len(values)
+
+    def gather(radix: tuple[int, ...], positions: tuple[int, ...]) -> list[int]:
+        """For every state, the mixed-radix code of its digits at positions."""
         codes = memo.get((radix, positions))
         if codes is None:
             weight, m, codes = [0] * len(radix), 1, [0]
@@ -517,31 +556,35 @@ def tree_dp_solve(
             # prepend digits last to first; one outside positions repeats the block
             for r, w in zip(reversed(radix), reversed(weight)):
                 codes = [d * w + c for d in range(r) for c in codes] if w else codes * r
-            if held + len(codes) > _GATHER_CODES:
-                memo.clear()
-                held = 0
-            memo[radix, positions] = codes
-            held += len(codes)
+            keep(memo, (radix, positions), codes)
         return codes
 
     # per bag: the first-best value and state index per restriction code
-    top, arg = [[]] * nbags, [[]] * nbags
+    peak, arg = [[]] * nbags, [[]] * nbags
     states = 0
     for i in reversed(order):
         radix = tuple(map(kind.__getitem__, verts[i]))
-        states += prod(radix)
+        size = prod(radix)
+        states += size
         if state_cap is not None and states > state_cap:
             raise BudgetExceeded(f"DP state count exceeded {state_cap}")
-        # each factor is summed into a fresh list, so no iterator nests
-        vals = [0] * prod(radix)
-        for positions, factor in factors[i] + [(ln, top[w]) for w, ln in links[i]]:
-            vals = list(map(add, vals, map(factor.__getitem__, gather(radix, positions))))
-        best = [-1] * prod(radix[p] for p in up[i])
+        # each term is summed into a fresh list, so no iterator nests
+        key = (radix, *owned[i])
+        vals = sums.get(key)
+        if vals is None:
+            vals = [0] * size
+            for p, q, t in owned[i]:
+                vals = list(map(add, vals, map(checks[t].__getitem__, gather(radix, (p, q)))))
+            keep(sums, key, vals)
+        for w, link in links[i]:
+            vals = list(map(add, vals, map(peak[w].__getitem__, gather(radix, link))))
+        codes = gather(radix, up[i])
+        best = [-1] * (codes[-1] + 1)
         at = [0] * len(best)
-        for s, val, c in zip(count(), vals, gather(radix, up[i])):
+        for s, val, c in zip(count(), vals, codes):
             if val > best[c]:
                 best[c], at[c] = val, s
-        top[i], arg[i] = best, at
+        peak[i], arg[i] = best, at
 
     labels = [0] * game.vertex_count
     stack = [(0, arg[0][0])]
@@ -554,4 +597,4 @@ def tree_dp_solve(
             for v in map(verts[i].__getitem__, link):
                 c = c * kind[v] + labels[v]
             stack.append((w, arg[w][c]))
-    return Assignment(tuple(labels[:a]), tuple(labels[a:])), top[0][0]
+    return Assignment(tuple(labels[:a]), tuple(labels[a:])), peak[0][0]

@@ -134,6 +134,30 @@ def test_input_is_read_as_utf8_under_the_c_locale(tmp_path):
     assert digests == [want, want]
 
 
+def test_json_paths_are_the_same_bytes_under_the_c_locale(tmp_path):
+    """A non-ASCII path prints as its UTF-8 text whatever the locale."""
+    corpus = tmp_path / "café"
+    corpus.mkdir()
+    path = corpus / "café.lc"
+    path.write_text(fixture_text("tiny1.lc"), encoding="utf-8")
+    outputs = []
+    for extra in ({"LC_ALL": "C.UTF-8"},
+                  {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}):
+        env = {**os.environ, "PYTHONPATH": str(SRC), **extra}
+        out = b""
+        for argv in (["stats", str(path), "--json"], ["bench", str(corpus)]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "labelcover", *argv],
+                capture_output=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out += proc.stdout
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0].splitlines()[0])["instance"] == str(path)
+    assert json.loads(outputs[0].splitlines()[1])["instance"] == str(path)
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "stats", "/nonexistent/file.lc")
     assert code == 2

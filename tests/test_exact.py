@@ -11,7 +11,6 @@ from labelcover.exact import (
     EXACT_DECOMPOSITION_LIMIT,
     InvalidDecomposition,
     TreeDecomposition,
-    _bag_index,
     _eliminate,
     _exact_order,
     _rooted_walk,
@@ -286,6 +285,65 @@ def test_validate_matches_scan_oracle_on_mutations():
                 checked += 1
                 invalid += bool(got)
     assert invalid > checked // 2
+
+
+def permuted(td, rng, root=None):
+    """td with its bag indices shuffled; bag ``root`` (if given) becomes
+    bag 0, the root of the validation walk and of the DP."""
+    n = len(td.bags)
+    new = list(range(n))
+    rng.shuffle(new)
+    if root is not None:
+        k = new.index(0)
+        new[root], new[k] = 0, new[root]
+    bags = [None] * n
+    for i, bag in enumerate(td.bags):
+        bags[new[i]] = bag
+    tree = tuple((new[i], new[j]) for i, j in td.tree)
+    return lc.TreeDecomposition(tuple(bags), tree)
+
+
+def middle_drops(td, rng, limit):
+    """Copies of td with one vertex dropped from a holder that links two
+    other holders of it, so its holders fall apart; up to ``limit``."""
+    tadj = [[] for _ in td.bags]
+    for i, j in td.tree:
+        tadj[i].append(j)
+        tadj[j].append(i)
+    middles = [
+        (i, v)
+        for i, bag in enumerate(td.bags)
+        for v in sorted(bag)
+        if sum(v in td.bags[j] for j in tadj[i]) >= 2
+    ]
+    for i, v in rng.sample(middles, min(limit, len(middles))):
+        bags = list(td.bags)
+        bags[i] = bags[i] - {v}
+        yield lc.TreeDecomposition(tuple(bags), td.tree)
+
+
+def test_validate_matches_scan_oracle_at_scale():
+    # Baker residuals of the planar benchmark's grid shapes, rooted at a
+    # leaf bag, each with vertices cut out of the middle of their holders
+    rng = random.Random(22)
+    checked = only_condition_3 = 0
+    for r, c, k_a, k_b in ((20, 20, 3, 2), (12, 12, 6, 4)):
+        g = lc.gen_planar_grid(r, c, k_a, k_b, seed=r * c)[0]
+        part = lc.baker_partition(g, 3)
+        for res, td in zip(part.residuals, part.decompositions):
+            degree = [0] * len(td.bags)
+            for i, j in td.tree:
+                degree[i] += 1
+                degree[j] += 1
+            leaf = rng.choice([i for i, d in enumerate(degree) if d == 1])
+            td = permuted(td, rng, root=leaf)
+            assert lc.validate_decomposition(res, td) == scan_validate(res, td) == []
+            for bad in middle_drops(td, rng, 8):
+                got = lc.validate_decomposition(res, bad)
+                assert got and got == scan_validate(res, bad)
+                checked += 1
+                only_condition_3 += all(m.startswith("condition 3:") for m in got)
+    assert only_condition_3 == checked == 48
 
 
 # --- heuristic and exact decompositions -------------------------------------
@@ -746,7 +804,8 @@ def oracle_tree_dp_solve(
         [game.sigma_a if v < game.a_count else game.sigma_b for v in verts]
         for verts in bag_vertices
     ]
-    holders, _ = _bag_index(game, td)
+    holders = [{i for i, bag in enumerate(td.bags) if v in bag}
+               for v in range(game.vertex_count)]
     bag_edges: list[list[tuple[int, int, int]]] = [[] for _ in td.bags]
     for e, (a, b) in enumerate(game.edges):
         gb = game.a_count + b
@@ -849,7 +908,21 @@ def duplicated(td):
     return lc.TreeDecomposition(bags, tree)
 
 
+def leaf_copy(td):
+    """td with a copy of its first leaf bag hung under that leaf: the
+    copy's edges have a second holder, later in any preorder."""
+    degree = [0] * len(td.bags)
+    for i, j in td.tree:
+        degree[i] += 1
+        degree[j] += 1
+    leaf = degree.index(min(degree))
+    return lc.TreeDecomposition(td.bags + (td.bags[leaf],), td.tree + ((leaf, len(td.bags)),))
+
+
 def dp_oracle_cases():
+    # permuted decompositions root the walk at any bag, not at min-fill's
+    # bag 0, so each edge's first holder in preorder moves
+    shuffle = random.Random(22)
     for seed in range(300):
         # odd seeds: dense games with redrawn tables, most unsatisfiable
         rng = random.Random(seed)
@@ -864,6 +937,8 @@ def dp_oracle_cases():
         heur = lc.heuristic_decomposition(g)
         single = lc.TreeDecomposition((frozenset(range(g.vertex_count)),), ())
         yield from ((g, td) for td in (heur, single, duplicated(heur)))
+        yield g, permuted(heur, shuffle)
+        yield g, permuted(leaf_copy(heur), shuffle)
         if g.vertex_count <= EXACT_DECOMPOSITION_LIMIT:
             yield g, lc.exact_decomposition(g)
     grids = [lc.gen_planar_grid(r, c, 2, 2, seed=r * c)[0] for r, c in ((3, 3), (4, 5), (7, 8))]
@@ -878,6 +953,8 @@ def dp_oracle_cases():
         for h in (2, 3):
             part = lc.baker_partition(g, h)
             yield from zip(part.residuals, part.decompositions)
+            for res, td in zip(part.residuals, part.decompositions):
+                yield res, permuted(leaf_copy(td), shuffle)
     for g in (lc.build_game(2, 3, 2, 2, [], []), lc.build_game(0, 0, 1, 1, [], [])):
         yield g, lc.heuristic_decomposition(g)
         yield g, duplicated(lc.heuristic_decomposition(g))
