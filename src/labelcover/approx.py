@@ -11,7 +11,7 @@ All tie-breaking is smallest-index-wins so runs are bit-reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +27,7 @@ from .core import (
     LabelCoverError,
     ProjectionGame,
     SolveReport,
+    _TupleView,
     _best_a_symbol,
     _consistent_masks,
     _degree_sum,
@@ -46,25 +47,6 @@ class UniformAssumptionViolated(LabelCoverError):
     """A uniform-variant algorithm was run on a nonuniform instance."""
 
 
-class _GoodSets(Mapping):
-    """A read-only map from each admissible (a, s) to one of its good sets,
-    built on read by ``build`` from the key's blocks: per B neighbour b of
-    a, in order, the block (b, good edges, their A ends) of b's label.
-    ``index`` maps each key to its blocks' positions in ``blocks``."""
-
-    def __init__(self, index, blocks, build):
-        self.index, self.blocks, self._build = index, blocks, build
-
-    def __getitem__(self, key):
-        return self._build([self.blocks[i] for i in self.index[key]])
-
-    def __iter__(self):
-        return iter(self.index)
-
-    def __len__(self):
-        return len(self.index)
-
-
 @dataclass(frozen=True)
 class SigmaStarCache:
     """Admissible anchor symbols and their good-edge neighborhoods.
@@ -79,19 +61,23 @@ class SigmaStarCache:
     (``h_star``), and the good-edge set itself (``e_star``, as edge
     indices).  ``compute_sigma_star`` says how it evaluates them.
 
-    ``threshold``, ``sigma_star``, ``h_star`` and its maximum are computed
-    up front.  ``n_star``, ``n2_star`` and ``e_star`` are read-only
-    ``Mapping`` views over the admissible keys, in the order of
-    ``h_star``: each value is built from the good-edge blocks when it is
-    read, and an inadmissible key raises KeyError.  A view equals a dict
-    with the same items, but is not a ``dict``.
+    ``threshold``, the good-edge blocks, ``h_star_max`` and
+    ``h_star_argmax`` are computed up front.  Everything else is built on
+    read: ``sigma_star`` runs the admissibility test for an A vertex the
+    first time its entry is read and keeps the answer; it is ``==`` to the
+    tuple of the admissible tuples and hashes and pickles like it.
+    ``h_star``, ``n_star``, ``n2_star`` and ``e_star`` are read-only
+    ``Mapping`` views over the admissible keys in (a, s) order: reading a
+    key tests its vertex if it is not yet tested, builds the value from
+    the blocks, and raises KeyError for an inadmissible or out-of-range
+    key.  A view equals a dict with the same items, but is not a ``dict``.
     """
 
     threshold: Fraction
-    sigma_star: tuple[tuple[int, ...], ...]
+    sigma_star: Sequence[tuple[int, ...]]
     n_star: Mapping[tuple[int, int], tuple[int, ...]]
     n2_star: Mapping[tuple[int, int], tuple[int, ...]]
-    h_star: dict[tuple[int, int], int]
+    h_star: Mapping[tuple[int, int], int]
     e_star: Mapping[tuple[int, int], frozenset[int]]
     h_star_max: int
     h_star_argmax: tuple[int, int] | None
@@ -100,7 +86,8 @@ class SigmaStarCache:
 def compute_sigma_star(
     game: ProjectionGame, stats: InstanceStats | None = None
 ) -> SigmaStarCache:
-    """Evaluate the admissibility definition exactly for every (a, symbol).
+    """The admissibility definition, evaluated exactly for every (a, symbol)
+    that is read.
 
     A symbol s is kept for a iff for every B vertex b there is some B
     symbol t such that every two-hop vertex a' adjacent to b still has a
@@ -108,8 +95,145 @@ def compute_sigma_star(
     preimage of t on (a', b) is nonempty.  B vertices with no two-hop
     member adjacent are vacuously fine.
 
-    The test itself is ``_admissible``, run here for every A vertex; its
-    evaluation order, equal to that definition:
+    Built here: the good-edge blocks and the largest ``h_star`` with its
+    first key in (a, s) order.  Each block (b, t) keeps the good edges at b
+    under symbol t (popcount <= 2 * sum(p_max_e) // |E|, which is
+    ``<= threshold`` without Fractions) and the bitset of their A ends.  An
+    anchor's good edges are the disjoint union of its deg(a) blocks
+    (b, table_ab[s]), and ``h_star`` sums degrees over the OR of their ends
+    by bit planes.  Since h_star(a, s) <= h(a) (``InstanceStats.h``), the
+    maximum is found by testing vertices in order of falling h(a), smallest
+    index on ties, until no untested vertex can reach or tie the best key.
+
+    Built on read: every other vertex's admissible symbols, by the test in
+    ``_Admissibility``, with their keys' block positions and ``h_star``.
+    The test's memos are pure functions of the game, shared by every read
+    and dropped once every vertex is tested, so the order of reads changes
+    no value.
+    """
+    stats = stats if stats is not None else compute_stats(game)
+    pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
+    limit = 2 * sum(stats.p_max_e) // max(game.edge_count, 1)
+    # block b * kb + t: B vertex b's good edges under symbol t, their A ends
+    blocks = []
+    for b, eids in enumerate(game.b_edges):
+        for t in range(kb):
+            hit = tuple(e for e in eids if pre[e][t].bit_count() <= limit)
+            blocks.append((b, hit, sum(1 << edges[e][0] for e in hit)))
+    anchors = _SigmaStar(game, blocks, _degree_sum(stats.a_degree))
+
+    best, argmax = 0, None  # the first of the best key in (a, s) order
+    for a in sorted(range(game.a_count), key=stats.h.__getitem__, reverse=True):
+        h_a = stats.h[a]
+        if argmax is not None and (h_a < best or h_a == best and a > argmax[0]):
+            break  # no key of a, or of any vertex after it, can win
+        for sa in anchors[a]:
+            h = anchors.entries[(a, sa)][1]
+            if argmax is None or h > best or h == best and (a, sa) < argmax:
+                best, argmax = h, (a, sa)
+    return SigmaStarCache(
+        threshold=2 * stats.p_bar_max,
+        sigma_star=anchors,
+        n_star=_KeyView(anchors, _n_star),
+        n2_star=_KeyView(anchors, _n2_star),
+        h_star=_KeyView(anchors, _h_star),
+        e_star=_KeyView(anchors, _e_star),
+        h_star_max=best,
+        h_star_argmax=argmax,
+    )
+
+
+class _SigmaStar(_TupleView):
+    """``SigmaStarCache.sigma_star``: each A vertex's admissible symbols,
+    tested on first read and kept.  A read also files each admissible key's
+    block positions and ``h_star`` in ``entries``; once every vertex is read
+    the test, its memos and the game are dropped."""
+
+    def __init__(self, game, blocks, degree_sum):
+        super().__init__(game.a_count)
+        self.blocks, self.entries, self._unread = blocks, {}, game.a_count
+        held = (game, _Admissibility(game), degree_sum) if game.a_count else (None,) * 3
+        self._game, self._test, self._degree_sum = held
+
+    def _build(self, a):
+        game, blocks, kb = self._game, self.blocks, self._game.sigma_b
+        symbols = tuple(self._test.symbols(a))
+        nbrs = game.a_neighbors[a]
+        tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
+        for sa in symbols:  # block b * kb + table_ab[sa] per b in N(a)
+            ids = tuple(b * kb + table[sa] for b, table in zip(nbrs, tables))
+            ends = reduce(or_, (blocks[i][2] for i in ids), 0)
+            self.entries[(a, sa)] = ids, self._degree_sum(ends)
+        self._unread -= 1
+        if not self._unread:
+            self._game = self._test = self._degree_sum = None
+        return symbols
+
+    def __getstate__(self):
+        for _ in self:  # read every vertex, which drops what cannot pickle
+            pass
+        return self.__dict__
+
+    def entry(self, key):
+        """The (block positions, h_star) of an admissible key, testing its
+        vertex first if needed; KeyError for any other key."""
+        got = self.entries.get(key)
+        if got is None:
+            a = key[0] if type(key) is tuple and len(key) == 2 else None
+            if type(a) is int and 0 <= a < len(self) and self._memo[a] is None:
+                self[a]
+                got = self.entries.get(key)
+            if got is None:
+                raise KeyError(key)
+        return got
+
+
+class _KeyView(Mapping):
+    """A read-only map over the admissible keys of a ``_SigmaStar``, in
+    (a, s) order; ``build(blocks, entry)`` makes a key's value from the
+    blocks and the key's (block positions, h_star)."""
+
+    def __init__(self, anchors, build):
+        self._anchors, self._build = anchors, build
+
+    def __getitem__(self, key):
+        return self._build(self._anchors.blocks, self._anchors.entry(key))
+
+    def __iter__(self):
+        for a, symbols in enumerate(self._anchors):
+            for sa in symbols:
+                yield a, sa
+
+    def __len__(self):
+        return sum(map(len, self._anchors))
+
+
+def _h_star(blocks, entry):
+    return entry[1]
+
+
+def _n_star(blocks, entry):
+    return tuple(blocks[i][0] for i in entry[0] if blocks[i][1])
+
+
+def _n2_star(blocks, entry):
+    ends, out = reduce(or_, (blocks[i][2] for i in entry[0]), 0), []
+    while ends:  # the lowest set bit first, so in increasing order
+        out.append(_lowest_bit(ends))
+        ends &= ends - 1
+    return tuple(out)
+
+
+def _e_star(blocks, entry):
+    return frozenset(chain.from_iterable(blocks[i][1] for i in entry[0]))
+
+
+class _Admissibility:
+    """The admissibility test, one A vertex at a time, with the memos every
+    vertex it tests shares: ``hoods`` (B vertex -> summary, members, rows),
+    ``singles`` (A vertex -> one-symbol reach fields) and ``reach``
+    ((A vertex, candidates) -> reach fields).  Its evaluation order, equal
+    to the definition in ``compute_sigma_star``:
 
     - Reach fields: a two-hop vertex's candidates reach, across each of its
       edges, the B symbols they map to.  Packed one kB-bit field per B
@@ -119,107 +243,44 @@ def compute_sigma_star(
     - Summaries: a member sharing one B vertex b with a has its preimage of
       b's label as its candidates.  So each B vertex keeps, per symbol t,
       the AND of its A neighbours' reach fields at their preimages of t (0
-      when one is empty), all kB built in one sweep when b is first met; a
-      trial ANDs deg(a) of them and runs the carry test.
+      when one is empty), all kB built in one sweep (``_hood``) when b is
+      first met; a trial ANDs deg(a) of them and runs the carry test.  A
+      test of one vertex thus touches only N(a) and the neighbours of N(a).
     - Multi-shared correction, for a trial that passes: a member sharing
       two or more B vertices with a has the AND of those preimages as its
-      candidates.  An empty one drops the anchor, and a nonempty one's
-      reach fields, memoised per (vertex, candidates) for this call, are
-      ANDed in too; they lie inside the summary terms (reach is monotone).
-    - Integer good-edge test: popcount <= 2 * sum(p_max_e) // |E| is
-      ``<= threshold`` without Fractions.  Each block (b, t) keeps the good
-      edges at b under symbol t and the bitset of their A ends; an anchor's
-      good edges are the disjoint union of its deg(a) blocks (b, table_ab[s]),
-      so the cache keeps only the blocks and each key's block positions, and
-      ``h_star`` sums degrees over the OR of the ends by bit planes.
+      candidates (``_joint_fields``).  An empty one drops the anchor, and a
+      nonempty one's reach fields are ANDed in too; they lie inside the
+      summary terms (reach is monotone), so the terms they are ANDed with
+      change nothing.  The anchor needs no correction: its mask holds sa,
+      and all its fields lie on N(a), where each of its preimages reaches
+      the propagated label alone.
     """
-    stats = stats if stats is not None else compute_stats(game)
-    # finish the test first, so its memos are freed before the output grows
-    admissible_sets = [tuple(symbols) for symbols in
-                       _admissible(game, range(game.a_count))]
-    pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
-    limit = 2 * sum(stats.p_max_e) // max(game.edge_count, 1)
-    # block b * kb + t: B vertex b's good edges under symbol t, their A ends
-    blocks = []
-    for b, eids in enumerate(game.b_edges):
-        for t in range(kb):
-            hit = tuple(e for e in eids if pre[e][t].bit_count() <= limit)
-            blocks.append((b, hit, sum(1 << edges[e][0] for e in hit)))
-    degree_sum = _degree_sum(stats.a_degree)
 
-    index: dict[tuple[int, int], tuple[int, ...]] = {}
-    h_star: dict[tuple[int, int], int] = {}
-    for a, admissible in enumerate(admissible_sets):
+    def __init__(self, game: ProjectionGame):
+        full_b = (1 << game.sigma_b) - 1
+        self.game = game
+        self.every = (1 << game.sigma_b * game.b_count) - 1
+        # every bit below each field's top
+        self.low = self.every // full_b * (full_b >> 1)
+        self.singles: dict[int, list] = {}
+        self.hoods: dict[int, tuple] = {}
+        self.reach: dict[int, int] = {}
+
+    def symbols(self, a: int, tried=None):
+        """Yield a's admissible symbols among ``tried`` (default: all), in
+        increasing order; a symbol is tested when the iterator reaches it."""
+        game, every, low, singles = self.game, self.every, self.low, self.singles
         nbrs = game.a_neighbors[a]
         tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
-        for sa in admissible:
-            ids = index[(a, sa)] = tuple(b * kb + table[sa]
-                                         for b, table in zip(nbrs, tables))
-            h_star[(a, sa)] = degree_sum(reduce(or_, (blocks[i][2] for i in ids), 0))
-
-    argmax = max(h_star, key=h_star.__getitem__, default=None)  # first of the best
-    return SigmaStarCache(
-        threshold=2 * stats.p_bar_max,
-        sigma_star=tuple(admissible_sets),
-        n_star=_GoodSets(index, blocks, _n_star),
-        n2_star=_GoodSets(index, blocks, _n2_star),
-        h_star=h_star,
-        e_star=_GoodSets(index, blocks, _e_star),
-        h_star_max=h_star[argmax] if argmax is not None else 0,
-        h_star_argmax=argmax,
-    )
-
-
-def _n_star(blocks):
-    return tuple(b for b, hit, _ in blocks if hit)
-
-
-def _n2_star(blocks):
-    ends, out = reduce(or_, (ends for _, _, ends in blocks), 0), []
-    while ends:  # the lowest set bit first, so in increasing order
-        out.append(_lowest_bit(ends))
-        ends &= ends - 1
-    return tuple(out)
-
-
-def _e_star(blocks):
-    return frozenset(chain.from_iterable(hit for _, hit, _ in blocks))
-
-
-def _admissible(game: ProjectionGame, anchors, symbols=None):
-    """Yield, for each A vertex in ``anchors``, an iterator over its
-    admissible symbols among ``symbols`` (default: all), in increasing
-    order; a symbol is tested when the iterator reaches it.
-
-    A B vertex's summary is built, all kB entries at once, when a call
-    first meets it, so a call for one anchor touches only N(a) and the
-    neighbours of N(a).  Entries hold the whole test of a two-hop vertex
-    that shares one B vertex with the anchor.  A trial that passes their
-    carry test is corrected for each one that shares more (``_joint_fields``):
-    its mask there, the AND of its preimages, lies inside each of them, so
-    by monotonicity of reach the entry terms it is ANDed with change nothing.
-    The anchor needs no correction: its mask holds sa, and all its fields lie
-    on N(a), where each of its preimages reaches the propagated label alone.
-    """
-    tried = range(game.sigma_a) if symbols is None else symbols
-    full_b = (1 << game.sigma_b) - 1
-    every = (1 << game.sigma_b * game.b_count) - 1
-    low = every // full_b * (full_b >> 1)  # every bit below each field's top
-    singles: dict[int, tuple] = {}  # A vertex -> its one-symbol reach fields
-    hoods: dict[int, tuple] = {}  # B vertex -> (summary, members, rows)
-    reach: dict[int, int] = {}  # (A vertex, candidates) -> reach fields
-
-    def trials(a):
-        nbrs = game.a_neighbors[a]
-        tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
-        hood = [hoods.get(b) or _hood(game, b, hoods, every, singles) for b in nbrs]
+        hood = [self.hoods.get(b) or _hood(game, b, self.hoods, every, singles)
+                for b in nbrs]
         once = twice = 0  # A vertices next to one, and to two or more, of N(a)
         for _, members, _ in hood:
             twice |= once & members
             once |= members
         twice &= ~(1 << a)
         shared = None
-        for sa in tried:
+        for sa in range(game.sigma_a) if tried is None else tried:
             fields = every
             for (summary, _, _), table in zip(hood, tables):
                 fields &= summary[table[sa]]
@@ -232,13 +293,11 @@ def _admissible(game: ProjectionGame, anchors, symbols=None):
                     flags = f"{twice:0{game.a_count}b}"[::-1]  # flags[ap] is bit ap
                     shared = [[(ap, row) for ap, row in rows if flags[ap] == "1"]
                               for _, _, rows in hood]
-                fields = _joint_fields(game, shared, tables, sa, fields, singles, reach)
+                fields = _joint_fields(game, shared, tables, sa, fields, singles,
+                                       self.reach)
                 ok = (fields & low) + low | fields | low == every
             if ok:
                 yield sa
-
-    for a in anchors:
-        yield trials(a)
 
 
 def _joint_fields(game, shared, tables, sa, fields, singles, reach) -> int:
@@ -369,7 +428,7 @@ def know_your_neighbors(
     else:  # test a0 alone, and only as far as the answer needs
         asked = (range(game.sigma_a) if sigma_a0 is None
                  else (sigma_a0,) if 0 <= sigma_a0 < game.sigma_a else ())
-        admissible = next(_admissible(game, [a0], asked))
+        admissible = _Admissibility(game).symbols(a0, asked)
     if sigma_a0 is None:
         sigma_a0 = next(admissible, None)
         if sigma_a0 is None:
@@ -516,9 +575,7 @@ def divide_and_conquer(
     # variant the B vertices of N(a) with all their edges, else the good
     # blocks of compute_sigma_star
     if uniform:
-        keys: list[tuple[int, int | None]] = [(a, None) for a in range(n_a)]
-        key_blocks, block_edges = game.a_neighbors, game.b_edges
-        factor = 4
+        block_edges, factor = game.b_edges, 4
         guarantee = (
             Fraction(m**3, 8 * n_a * n_b * stats.h_max)
             if stats.h_max
@@ -526,10 +583,7 @@ def divide_and_conquer(
         )
     else:
         cache = cache if cache is not None else compute_sigma_star(game, stats)
-        index = cache.e_star.index
-        keys, key_blocks = list(index), list(index.values())
-        block_edges = [hit for _, hit, _ in cache.e_star.blocks]
-        factor = 16
+        block_edges, factor = [hit for _, hit, _ in cache.sigma_star.blocks], 16
         denom = cache.h_star_max + stats.e_n_max
         guarantee = Fraction(m**3, 64 * n_a * n_b * denom) if denom else Fraction(0)
 
@@ -553,55 +607,69 @@ def divide_and_conquer(
                     for i in edge_blocks[e]:
                         live[i] -= 1
 
-    # live counts only fall, so a key the scan has passed stays ineligible
-    # and each round's scan resumes at the last chosen key
-    pos, scale, need = 0, factor * n_a * n_b, m * m
-    while True:
-        while pos < len(keys):
-            count = sum(map(live.__getitem__, key_blocks[pos]))
-            if count > 0 and scale * count >= need:
-                break
-            pos += 1
-        if pos == len(keys):
-            break
-        a, sa = keys[pos]
-
-        if uniform:
-            p_b = [b for b in game.a_neighbors[a] if not in_vp[n_a + b]]
-            p_a = [ap for ap in stats.n2[a] if not in_vp[ap]]
-            others = [ap for ap in p_a if ap != a]
-            # try anchors until the whole region propagates; an
-            # unsatisfiable region just keeps its default labels
-            for try_sa in range(game.sigma_a):
-                blab = _propagate(game, a, try_sa)
-                for b in game.a_neighbors[a]:
-                    if in_vp[n_a + b]:
-                        blab[b] = None
-                masks = _consistent_masks(game, blab, others)
-                if all(masks):
-                    for b in p_b:
-                        b_labels[b] = blab[b]
-                    for ap, mask in zip(others, masks):
+    # live counts only fall, so one scan in key order finds every claim: a
+    # key it has passed stays ineligible, and a claimed key is tried again;
+    # only a key whose count passes is tested for admissibility
+    scale, need = factor * n_a * n_b, m * m
+    for a in range(n_a):
+        sa, counts = 0, _live_counts(game, a, live, uniform)
+        while sa < len(counts):
+            count = counts[sa]
+            if not (count and scale * count >= need
+                    and (uniform or sa in cache.sigma_star[a])):
+                sa += 1
+                continue
+            if uniform:
+                p_b = [b for b in game.a_neighbors[a] if not in_vp[n_a + b]]
+                p_a = [ap for ap in stats.n2[a] if not in_vp[ap]]
+                others = [ap for ap in p_a if ap != a]
+                # try anchors until the whole region propagates; an
+                # unsatisfiable region just keeps its default labels
+                for try_sa in range(game.sigma_a):
+                    blab = _propagate(game, a, try_sa)
+                    for b in game.a_neighbors[a]:
+                        if in_vp[n_a + b]:
+                            blab[b] = None
+                    masks = _consistent_masks(game, blab, others)
+                    if all(masks):
+                        for b in p_b:
+                            b_labels[b] = blab[b]
+                        for ap, mask in zip(others, masks):
+                            a_labels[ap] = _lowest_bit(mask)
+                        if not in_vp[a]:
+                            a_labels[a] = try_sa
+                        break
+            else:
+                p_b = [b for b in cache.n_star[(a, sa)] if not in_vp[n_a + b]]
+                p_a = [ap for ap in cache.n2_star[(a, sa)] if not in_vp[ap]]
+                propagated = _propagate(game, a, sa)
+                for b in p_b:
+                    b_labels[b] = propagated[b]
+                if not in_vp[a]:
+                    a_labels[a] = sa
+                others = [ap for ap in p_a if ap != a]
+                masks = _consistent_masks(game, propagated, others)
+                for ap, mask in zip(others, masks):
+                    if mask:
                         a_labels[ap] = _lowest_bit(mask)
-                    if not in_vp[a]:
-                        a_labels[a] = try_sa
-                    break
-        else:
-            p_b = [b for b in cache.n_star[(a, sa)] if not in_vp[n_a + b]]
-            p_a = [ap for ap in cache.n2_star[(a, sa)] if not in_vp[ap]]
-            propagated = _propagate(game, a, sa)
-            for b in p_b:
-                b_labels[b] = propagated[b]
-            if not in_vp[a]:
-                a_labels[a] = sa
-            others = [ap for ap in p_a if ap != a]
-            for ap, mask in zip(others, _consistent_masks(game, propagated, others)):
-                if mask:
-                    a_labels[ap] = _lowest_bit(mask)
 
-        retire([n_a + b for b in p_b] + list(p_a))
+            retire([n_a + b for b in p_b] + list(p_a))
+            counts = _live_counts(game, a, live, uniform)
 
     return finish(guarantee)
+
+
+def _live_counts(game: ProjectionGame, a: int, live, uniform: bool) -> list[int]:
+    """The live edges in the region of each of a's keys, in key order: one
+    key in the uniform variant (every block b in N(a)), else one per symbol
+    s (the good blocks b * kB + table_ab[s] over b in N(a))."""
+    if uniform:
+        return [sum(map(live.__getitem__, game.a_neighbors[a]))]
+    kb, per_b = game.sigma_b, []
+    for e in game.a_edges[a]:
+        first = kb * game.edges[e][1]  # b's blocks, one per B symbol
+        per_b.append(list(map(live[first:first + kb].__getitem__, game.projections[e])))
+    return list(map(sum, zip(*per_b))) if per_b else [0] * game.sigma_a
 
 
 def best_of(

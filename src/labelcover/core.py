@@ -407,31 +407,45 @@ def _degree_sum(degrees):
     return lambda members: sum((members & p).bit_count() << k for k, p in planes)
 
 
-class _TwoHop(Sequence):
-    """``InstanceStats.n2``, each entry built on first read and kept."""
+class _TupleView(Sequence):
+    """A read-only tuple whose entry i is built by ``_build(i)`` on first
+    read and kept; ``==`` to the tuple of its entries, and hashes like it."""
 
-    def __init__(self, a_neighbors, b_neighbors):
-        self._a, self._b = a_neighbors, b_neighbors
-        self._memo = [None] * len(a_neighbors)
+    def __init__(self, size):
+        self._memo = [None] * size
 
     def __len__(self):
         return len(self._memo)
 
-    def __getitem__(self, a):
-        if isinstance(a, slice):
-            return tuple(map(self.__getitem__, range(len(self))[a]))
-        if self._memo[a] is None:
-            union = set().union(*map(self._b.__getitem__, self._a[a]))
-            self._memo[a] = tuple(sorted(union))
-        return self._memo[a]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        if self._memo[i] is None:
+            i = range(len(self))[i]
+            self._memo[i] = self._build(i)
+        return self._memo[i]
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other):
-        if isinstance(other, (tuple, _TwoHop)):
+        if isinstance(other, (tuple, _TupleView)):
             return tuple(self) == tuple(other)
         return NotImplemented
 
     def __hash__(self):
         return hash(tuple(self))
+
+
+class _TwoHop(_TupleView):
+    """``InstanceStats.n2``, each entry built on first read and kept."""
+
+    def __init__(self, a_neighbors, b_neighbors):
+        super().__init__(len(a_neighbors))
+        self._a, self._b = a_neighbors, b_neighbors
+
+    def _build(self, a):
+        return tuple(sorted(set().union(*map(self._b.__getitem__, self._a[a]))))
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,9 @@ def ptas(
                 Assignment((0,) * sub.a_count, (0,) * sub.b_count)
             )
             continue
-        part = baker_partition(sub, h)
+        # a class past the last BFS level is empty and leaves the whole
+        # component, so only the first such class can win: cap h there
+        part = baker_partition(sub, min(h, max(_bfs_levels(sub)) + 2))
         best_phi, best_val, best_dp = None, -1, 0
         for res, td in zip(part.residuals, part.decompositions):
             phi, dp_val = tree_dp_solve(res, td)

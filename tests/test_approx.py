@@ -652,6 +652,162 @@ def test_good_set_views_equal_the_reference_dicts_on_sweep():
     assert refused > 3000
 
 
+# --- sigma* built on read -----------------------------------------------------
+
+def _tested(cache):
+    """The A vertices whose admissibility test has run."""
+    return [a for a, symbols in enumerate(cache.sigma_star._memo) if symbols is not None]
+
+
+def test_lazy_sigma_star_in_any_read_order_equals_the_reference_on_sweep():
+    # shuffled vertex reads, the argmax's keys first, or dnc first: each
+    # leaves a cache equal to the reference, and the last read drops the test
+    rng = random.Random(5)
+    partial = 0
+    for i, g in enumerate(sweep_games(320)):
+        st_ = lc.compute_stats(g)
+        ref = reference_sigma_star(g, st_)
+        order = list(range(g.a_count))
+        rng.shuffle(order)
+        shuffled = lc.compute_sigma_star(g, st_)
+        for a in order:
+            assert shuffled.sigma_star[a] == ref.sigma_star[a], (i, a)
+        assert shuffled.sigma_star._test is None
+        assert shuffled == ref, f"game {i}"
+
+        argmax_first = lc.compute_sigma_star(g, st_)
+        if ref.h_star_argmax is not None:
+            key = argmax_first.h_star_argmax
+            assert argmax_first.h_star[key] == ref.h_star[key], i
+            assert argmax_first.e_star[key] == ref.e_star[key], i
+            assert argmax_first.n2_star[key] == ref.n2_star[key], i
+        assert argmax_first == ref, f"game {i}"
+
+        dnc_first = lc.compute_sigma_star(g, st_)
+        lc.divide_and_conquer(g, st_, dnc_first)
+        partial += len(_tested(dnc_first)) < g.a_count
+        assert dnc_first == ref, f"game {i}"
+    assert partial >= 100
+
+
+def _argmax_case(g):
+    cache, ref = lc.compute_sigma_star(g), reference_sigma_star(g)
+    want = max(ref.h_star, key=ref.h_star.__getitem__)
+    assert cache.h_star_argmax == want
+    assert cache.h_star_max == ref.h_star[want]
+    return cache
+
+
+def test_h_star_argmax_ties_go_to_the_first_key():
+    # a0 and a1 share b0 under identity tables: equal h, and every key ties
+    # on h* = 2, so the first key wins
+    cache = _argmax_case(lc.build_game(2, 1, 2, 2, [(0, 0), (1, 0)], [(0, 1)] * 2))
+    assert cache.h_star_argmax == (0, 0) and cache.h_star_max == 2
+    # h = (4, 3, 5): a2 is tested first and its best h* is 4, which only
+    # ties h(a0); so a0 must still be tested, and its tie (0, 1) wins
+    g = lc.build_game(
+        3, 3, 3, 3, [(0, 1), (0, 2), (1, 0), (2, 0), (2, 2)],
+        [(1, 2, 0), (0, 1, 0), (2, 2, 2), (1, 1, 2), (2, 2, 1)],
+    )
+    assert lc.compute_stats(g).h == (4, 3, 5)
+    cache = _argmax_case(g)
+    assert cache.h_star[(2, 2)] == cache.h_star_max == 4
+    assert cache.h_star_argmax == (0, 1)
+
+
+def test_h_star_argmax_skips_a_top_anchor_without_symbols():
+    # a0 and a1 hold b0 and b1 with crossed tables, so neither has an
+    # admissible symbol though both have the largest h; a2 alone wins
+    g = lc.build_game(
+        3, 3, 2, 2, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)],
+        [(0, 1), (0, 1), (0, 1), (1, 0), (0, 1)],
+    )
+    st_ = lc.compute_stats(g)
+    assert st_.h[0] == st_.h[1] == st_.h_max > st_.h[2]
+    cache = _argmax_case(g)
+    assert cache.sigma_star[:2] == ((), ())
+    assert cache.h_star_argmax == (2, 0)
+
+
+def test_h_star_argmax_equals_the_reference_on_random_ties():
+    # many small games where several anchors tie on the largest h*, or
+    # the vertex of largest h is not the argmax's
+    ties = later = 0
+    for seed in range(400):
+        g = random_unplanted(seed) if seed % 2 else planted(seed, k_a=2, degree=1)[0]
+        ref = reference_sigma_star(g)
+        if ref.h_star_argmax is None:
+            continue
+        cache = _argmax_case(g)
+        best = [key for key, h in ref.h_star.items() if h == ref.h_star_max]
+        ties += len({a for a, _ in best}) > 1
+        st_ = lc.compute_stats(g)
+        later += st_.h.index(st_.h_max) != cache.h_star_argmax[0]
+    assert ties >= 100 and later >= 30
+
+
+def test_best_of_tests_few_anchors():
+    g, _ = lc.gen_random_satisfiable(800, 400, 8, 3, 5, seed=7)
+    st_ = lc.compute_stats(g)
+    cache = lc.compute_sigma_star(g, st_)
+    rep = lc.best_of(g, st_, cache)
+    assert rep.satisfied >= rep.guarantee
+    assert 0 < len(_tested(cache)) <= 0.15 * g.a_count
+
+
+def test_sigma_star_view_is_faithful_to_a_tuple():
+    refused = 0
+    for i, g in enumerate(sweep_games(120)):
+        cache, ref = lc.compute_sigma_star(g), reference_sigma_star(g)
+        view, want = cache.sigma_star, ref.sigma_star
+        if g.a_count:
+            assert view[-1] == want[-1] and view[::-2] == want[::-2], i
+        with pytest.raises(IndexError):
+            view[g.a_count]
+        assert hash(view) == hash(want) and view == want and want == view, i
+        assert view != list(want) and len(view) == len(want), i
+        fresh = lc.compute_sigma_star(g)
+        tested = _tested(fresh)
+        # (-1, 0) names no vertex: it must not wrap to the last one
+        for name in ("h_star", *_VIEWS):
+            for key in [(-1, 0), (g.a_count, 0), (0,), "a", None]:
+                assert key not in getattr(fresh, name), (i, name, key)
+                with pytest.raises(KeyError):
+                    getattr(fresh, name)[key]
+                refused += 1
+        assert _tested(fresh) == tested, i
+    assert refused > 1000
+
+
+def test_partly_read_cache_pickles_whole():
+    for i, g in enumerate(sweep_games(60)):
+        st_ = lc.compute_stats(g)
+        cache = lc.compute_sigma_star(g, st_)
+        copy = pickle.loads(pickle.dumps(cache))
+        assert copy == reference_sigma_star(g, st_), f"game {i}"
+        assert copy.sigma_star._test is None and cache.sigma_star._test is None
+        assert len(_tested(copy)) == g.a_count
+
+
+def test_cache_and_best_of_leave_no_cycle_holding_the_game():
+    import gc
+    import weakref
+
+    g, _ = planted(3)
+    alive = weakref.ref(g)
+    gc.collect()
+    gc.disable()
+    try:
+        st_ = lc.compute_stats(g)
+        cache = lc.compute_sigma_star(g, st_)
+        lc.best_of(g, st_, cache)
+        lc.know_your_neighbors(g)
+        del g, st_, cache
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 # --- satisfy one neighbor ---------------------------------------------------
 
 def test_one_neighbor_star():

@@ -1,10 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
 import labelcover as lc
+from conftest import fixture_text
+from labelcover.formats import parse_labelcover
+from labelcover.planar import _bfs_levels
 
 
 def path_game_identity(n_edges=4):
@@ -242,3 +246,68 @@ def test_ptas_certificate_property():
             if opt is not None:
                 assert h * rep.satisfied >= (h - 1) * opt
     assert checked >= 30
+
+
+# --- ptas caps the class count at the BFS depth ------------------------------
+
+def unclamped_ptas(game, h):
+    """ptas's assignment, value and guarantee with all h classes solved
+    per component, as ptas did before it capped h at the BFS depth."""
+    comps = lc.connected_components(game)
+    winners, certified = [], 0
+    for comp in comps:
+        sub = comp.game
+        if sub.edge_count == 0:
+            winners.append(lc.Assignment((0,) * sub.a_count, (0,) * sub.b_count))
+            continue
+        part = lc.baker_partition(sub, h)
+        best_phi, best_val, best_dp = None, -1, 0
+        for res, td in zip(part.residuals, part.decompositions):
+            phi, dp_val = lc.tree_dp_solve(res, td)
+            if lc.value(sub, phi) > best_val:
+                best_phi, best_val, best_dp = phi, lc.value(sub, phi), dp_val
+        winners.append(best_phi)
+        certified += best_dp
+    phi = lc.lift_assignment(game, comps, winners)
+    return phi, lc.value(game, phi), Fraction(certified)
+
+
+def capped_games():
+    for rows, cols, seed in ((2, 3, 1), (3, 3, 2), (1, 5, 3), (4, 2, 4)):
+        yield lc.gen_planar_grid(rows, cols, 3, 2, seed=seed)[0]
+    graph, _ = lc.gen_coloring_graph(2, 3, Fraction(3, 4), 5)
+    yield lc.from_planar_3col(graph)[0]
+    yield parse_labelcover(fixture_text("grid4x4_seed7.lc"))
+    yield parse_labelcover(fixture_text("tiny1.lc"))
+    g1, _ = lc.gen_planar_grid(1, 2, 2, 2, seed=6)
+    g2, _ = lc.gen_planar_grid(3, 3, 2, 2, seed=7)
+    yield lc.build_game(  # two components of different depths
+        g1.a_count + g2.a_count, g1.b_count + g2.b_count, 2, 2,
+        list(g1.edges) + [(a + g1.a_count, b + g1.b_count) for a, b in g2.edges],
+        list(g1.projections) + list(g2.projections),
+    )
+
+
+def test_ptas_capped_classes_equal_every_class():
+    # past the BFS depth every class is empty and leaves the whole
+    # component, so capping h there changes no output field
+    for i, g in enumerate(capped_games()):
+        depth = max(_bfs_levels(g))
+        for h in range(1, depth + 7):
+            rep = lc.ptas(g, Fraction(1), force_nonplanar=True, h_override=h)
+            got = rep.assignment, rep.satisfied, rep.guarantee
+            assert got == unclamped_ptas(g, h), (i, h)
+            assert rep.breakdown == (("h", h),)
+            assert rep.guarantee_ratio_of_opt == Fraction(h - 1, h)
+
+
+def test_ptas_huge_h_ends_fast():
+    for name in ("tiny1.lc", "grid4x4_seed7.lc"):
+        g = parse_labelcover(fixture_text(name))
+        want = unclamped_ptas(g, max(_bfs_levels(g)) + 6)
+        for eps, h in ((Fraction(1, 2), 10**12), (Fraction(1, 10**6), None)):
+            t0 = perf_counter()
+            rep = lc.ptas(g, eps, h_override=h)
+            assert perf_counter() - t0 < 1, (name, eps, h)
+            assert (rep.assignment, rep.satisfied, rep.guarantee) == want, name
+            assert rep.breakdown == (("h", h or 10**6 + 1),)
