@@ -18,11 +18,19 @@ separator or line end ('\x0b', '\x0c', '\x1c' to '\x1f', '\x85',
 identical for canonical files.  The CLI reads files as UTF-8 with
 universal newlines, so there a lone '\r' reaches the parser as '\n'.
 
-A `labelcover v1` row is first looked up in a table of the decimal
-strings below the game's largest bound, cut at the file's field count,
-and only a row that misses the table is tokenized.  When all rows hit and
-the text holds nothing else, it is what emit_labelcover writes, and the
-CLI hashes its own bytes for instance_digest.
+A `labelcover v1` text is first read in one pass as the text
+emit_labelcover writes: the exact header and size line, then m rows of
+kA + 2 fields joined by single spaces, each ending in '\n'.  Every row's
+width is checked before anything else is built, and each field is looked
+up in its own column's table of the decimals below the column's bound (nA
+for A ends, nB for B ends, kB for table entries), cut at the file's field
+count so that huge declared counts build no huge table; a hit is a field
+in range.  A game read so is canonical, and the CLI hashes the text's own
+bytes for instance_digest.  Any miss (another token, a value out of
+range, a wrong width, a duplicate edge, kA or kB of 0) sends the text to
+the row loop, which reads any text: it looks each row up in one table of
+the decimals below the largest bound, tokenizes a row that misses, and
+raises every error as a ParseError at its line.
 """
 
 from __future__ import annotations
@@ -147,21 +155,70 @@ def parse_labelcover(text: str) -> ProjectionGame:
     return _read_labelcover(text)[0]
 
 
+def _decimals(size: int):
+    """Look up the decimal string of a number below ``size``: KeyError for
+    any other string."""
+    return dict(zip(map(str, range(size)), range(size))).__getitem__
+
+
 def _read_labelcover(text: str) -> tuple[ProjectionGame, bool]:
     """parse_labelcover's game, and whether the text is canonical:
     ``emit_labelcover(game) == text``."""
+    game = _read_canonical(text)
+    if game is not None:
+        return game, True
+    return _read_rows(text), False
+
+
+def _read_canonical(text: str) -> ProjectionGame | None:
+    """The game of a canonical `labelcover v1` text, read in one pass, or
+    None for any other text, valid or not."""
+    # each row's cells, then a "\n" cell; the header's three cells and the
+    # size line's six come first, and one empty cell after the last "\n"
+    cells = text.replace("\n", " \n ").split(" ")
+    if cells[:3] != ["labelcover", "v1", "\n"] or cells[8:9] != ["\n"] or cells.pop():
+        return None
+    try:
+        sizes = n_a, n_b, k_a, k_b, m = tuple(map(int, cells[3:8]))
+    except ValueError:
+        return None
+    if list(map(str, sizes)) != cells[3:8] or min(n_a, n_b, k_a - 1, k_b - 1, m) < 0:
+        return None
+    del cells[:9]
+    # every row is k_a + 2 cells and its "\n", checked before any table is
+    # built, so a huge declared count costs nothing
+    period = k_a + 3
+    if len(cells) != m * period or cells[period - 1 :: period].count("\n") != m:
+        return None
+    if not m:  # nothing to look up, and no tables to cut into k_a entries
+        return ProjectionGame(n_a, n_b, k_a, k_b, (), ())
+    # each column's decimals below its bound, cut like the row loop's table
+    # at the file's field count (the header's two and the size line's five
+    # included); a hit is a field in range
+    fields = m * (k_a + 2) + 7
+    try:
+        edges = tuple(zip(
+            map(_decimals(min(n_a, fields)), cells[::period]),
+            map(_decimals(min(n_b, fields)), cells[1::period]),
+        ))
+        # drop the "\n" cells, then the A ends, then the B ends
+        del cells[period - 1 :: period], cells[:: period - 1], cells[:: period - 2]
+        tables = tuple(zip(*[map(_decimals(min(k_b, fields)), cells)] * k_a))
+    except KeyError:
+        return None
+    if len(set(edges)) != m:
+        return None
+    return ProjectionGame(n_a, n_b, k_a, k_b, edges, tables)
+
+
+def _read_rows(text: str) -> ProjectionGame:
+    """parse_labelcover for any text: a row is looked up in a table of
+    decimals and tokenized only if it misses, and every error is a
+    ParseError at its line."""
     lines, _, num, (n_a, n_b, k_a, k_b, m) = _read(text, "labelcover v1", 5)
     # the decimals below the largest bound any field can meet, cut at the
     # file's field count so that huge declared counts build no huge table
-    size = min(max(n_a, n_b, k_b), text.count(" ") + len(lines))
-    get = dict(zip(map(str, range(size)), range(size))).__getitem__
-    # canonical rows hit the table as they stand, and fill lines 3 .. m + 2
-    canonical = (
-        text.startswith(f"labelcover v1\n{n_a} {n_b} {k_a} {k_b} {m}\n")
-        and len(lines) == m + 2
-        and text.endswith("\n")
-        and "\r" not in text
-    )
+    get = _decimals(min(max(n_a, n_b, k_b), text.count(" ") + len(lines)))
     at = [num]
     rows = []
     for num, line in enumerate(islice(lines, num, None), num + 1):
@@ -170,7 +227,6 @@ def _read_labelcover(text: str) -> tuple[ProjectionGame, bool]:
         try:
             row = tuple(map(get, line.split(" ")))
         except KeyError:  # a field not in the table: tokenize the line
-            canonical = False
             line = _content(line)
             if line is None:
                 continue
@@ -184,10 +240,9 @@ def _read_labelcover(text: str) -> tuple[ProjectionGame, bool]:
     _end(_content_lines(lines, at[-1]), at[-1], len(rows), (m, "edge"))
     edges = tuple([row[:2] for row in rows])
     tables = tuple([row[2:] for row in rows])
-    game = _built(
+    return _built(
         lambda: _validated_game(n_a, n_b, k_a, k_b, edges, tables), "instance", at
     )
-    return game, canonical
 
 
 def emit_labelcover(game: ProjectionGame) -> str:

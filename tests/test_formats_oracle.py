@@ -11,7 +11,7 @@ and emit must give the same bytes.  Where the text holds something the one
 grammar of ``formats`` rejects and the earlier one read, the current code
 must instead raise a ParseError at that line (``first_rejected``).
 
-The table-first read of canonical rows (``formats._read_labelcover``) is
+The one-pass read of canonical texts (``formats._read_labelcover``) is
 held to the same oracle on mutations aimed at it, and a text it calls
 canonical must be what emit writes for the game.
 """
@@ -376,7 +376,7 @@ def mutate_canonical(text, data):
     fields = sum(map(len, rows))
     kind = data.draw(st.sampled_from(
         ["stray", "separator", "size-form", "size-value", "bound", "huge-count",
-         "digit"]
+         "digit", "column-bound", "duplicate-edge", "shift-field"]
     ))
     if kind == "stray":
         at = data.draw(st.integers(0, len(text)))
@@ -396,11 +396,30 @@ def mutate_canonical(text, data):
             sizes[at] = str(max(int(sizes[at]) + data.draw(st.integers(-1, 1)), 0))
         else:
             sizes[at] = str(data.draw(st.sampled_from([HUGE, HUGE**3])))
-    elif rows:  # a value at or past the lookup table's bound
+    elif kind == "bound" and rows:  # a value at or past the lookup table's bound
         row = data.draw(st.integers(0, len(rows) - 1))
         col = data.draw(st.integers(0, len(rows[row]) - 1))
         value = data.draw(st.sampled_from([bound, fields, n_a, n_b, k_b]))
         rows[row][col] = str(max(value + data.draw(st.integers(-1, 1)), 0))
+    elif kind == "column-bound" and rows:
+        # a field equal to its own column's bound (nA, nB or kB) with
+        # another column's bound raised above it: only a table per column
+        # misses it
+        row = data.draw(st.integers(0, len(rows) - 1))
+        col = data.draw(st.integers(0, len(rows[row]) - 1))
+        own, other = {0: (0, 1), 1: (1, 0)}.get(col, (3, 0))
+        rows[row][col] = sizes[own]
+        sizes[other] = str(max(int(sizes[other]), int(sizes[own]) + 1))
+    elif len(rows) > 1 and kind in ("duplicate-edge", "shift-field"):
+        # an edge repeated, or a field moved from one row to another so
+        # that the file's space count is unchanged
+        i, j = data.draw(st.lists(
+            st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True
+        ))
+        if kind == "duplicate-edge":
+            rows[j][:2] = rows[i][:2]
+        else:
+            rows[j].append(rows[i].pop())
     return "\n".join(
         [head, " ".join(sizes), *[" ".join(row) for row in rows], ""]
     )
@@ -476,6 +495,47 @@ def test_bulk_read_table_is_bounded_by_the_file(text):
         tracemalloc.stop()
     assert bulk and game == oracle_parse_labelcover(text)
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("text", [
+    "labelcover v1\n1 1 1000000000 1 1\n0 0 0\n",
+    "labelcover v1\n1 1 0 1 0\n",
+    "labelcover v1\n1 1 1 0 0\n",
+    f"labelcover v1\n0 0 {HUGE} 1 0\n",
+])
+def test_bulk_read_of_huge_or_zero_counts_is_bounded_by_the_file(text):
+    """A huge declared kA is caught by the width check before any table is
+    built (or, with no rows, never needs one), and kA or kB of 0 is a miss
+    that the row loop reports like the oracle."""
+    tracemalloc.start()
+    try:
+        got = outcome(formats.parse_labelcover, text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == outcome(oracle_parse_labelcover, text)
+    assert peak < 1_000_000
+
+
+# one canonical game's text, and edits that a single table of the decimals
+# below the largest bound would read, so that only the per-column tables,
+# the duplicate-edge set and the per-row width check catch them
+COLUMN_BASE = "labelcover v1\n3 3 2 2 2\n0 0 1 0\n1 2 0 1\n"
+
+
+@pytest.mark.parametrize("text", [
+    "labelcover v1\n2 3 2 2 2\n0 0 1 0\n2 2 0 1\n",  # a = nA < nB
+    "labelcover v1\n3 2 2 2 2\n0 0 1 0\n1 2 0 1\n",  # b = nB < nA
+    "labelcover v1\n3 3 2 2 2\n0 0 1 0\n1 2 0 2\n",  # t = kB < nA
+    "labelcover v1\n3 3 2 2 2\n1 2 1 0\n1 2 0 1\n",  # a duplicate edge
+    "labelcover v1\n3 3 2 2 2\n0 0 1\n1 2 0 1 0\n",  # one row short, one long
+    "labelcover v1\n3 3 2 2 2\n0 0 1 0\n1 2 0 1 0 ",  # a last newline made a field
+])
+def test_bulk_read_misses_what_only_its_own_checks_catch(text):
+    assert formats._read_canonical(COLUMN_BASE) is not None
+    assert formats._read_canonical(text) is None
+    got = outcome(formats._read_labelcover, text)
+    assert got[0] == "error" and got == outcome(oracle_parse_labelcover, text)
 
 
 ROW_VALUES = [0, 1, 2, 3, -1, 0.5, True, Fraction(1), "1", None]
