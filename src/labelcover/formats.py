@@ -28,9 +28,9 @@ count so that huge declared counts build no huge table; a hit is a field
 in range.  A game read so is canonical, and the CLI hashes the text's own
 bytes for instance_digest.  Any miss (another token, a value out of
 range, a wrong width, a duplicate edge, kA or kB of 0) sends the text to
-the row loop, which reads any text: it looks each row up in one table of
-the decimals below the largest bound, tokenizes a row that misses, and
-raises every error as a ParseError at its line.
+the row loop, which reads any text as the other four formats do: it
+tokenizes each row with the grammar above and raises every error as a
+ParseError at its line.
 """
 
 from __future__ import annotations
@@ -69,19 +69,13 @@ def _split(text: str) -> list[str]:
     return lines
 
 
-def _content(line: str, blank: bool = False) -> str | None:
-    """A line with its space and tab padding stripped, or None for a
-    comment line, and for a blank line unless ``blank``."""
-    line = line.strip(" \t")
-    return line if line[:1] != "#" and (line or blank) else None
-
-
 def _content_lines(lines: list[str], start: int = 0, blank: bool = False):
-    """Yield ``(number, line)`` for the content of each of ``lines[start:]``
-    that has some, numbered from 1."""
+    """Yield ``(number, line)``, numbered from 1, for each of
+    ``lines[start:]`` with its space and tab padding stripped, skipping
+    comment lines, and blank lines unless ``blank``."""
     for num, line in enumerate(islice(lines, start, None), start + 1):
-        line = _content(line, blank)
-        if line is not None:
+        line = line.strip(" \t")
+        if line[:1] != "#" and (line or blank):
             yield num, line
 
 
@@ -192,9 +186,9 @@ def _read_canonical(text: str) -> ProjectionGame | None:
         return None
     if not m:  # nothing to look up, and no tables to cut into k_a entries
         return ProjectionGame(n_a, n_b, k_a, k_b, (), ())
-    # each column's decimals below its bound, cut like the row loop's table
-    # at the file's field count (the header's two and the size line's five
-    # included); a hit is a field in range
+    # each column's decimals below its bound, cut at the file's field count
+    # (the header's two and the size line's five included) so that huge
+    # declared counts build no huge table; a hit is a field in range
     fields = m * (k_a + 2) + 7
     try:
         edges = tuple(zip(
@@ -212,32 +206,18 @@ def _read_canonical(text: str) -> ProjectionGame | None:
 
 
 def _read_rows(text: str) -> ProjectionGame:
-    """parse_labelcover for any text: a row is looked up in a table of
-    decimals and tokenized only if it misses, and every error is a
-    ParseError at its line."""
-    lines, _, num, (n_a, n_b, k_a, k_b, m) = _read(text, "labelcover v1", 5)
-    # the decimals below the largest bound any field can meet, cut at the
-    # file's field count so that huge declared counts build no huge table
-    get = _decimals(min(max(n_a, n_b, k_b), text.count(" ") + len(lines)))
+    """parse_labelcover for any text: each row is tokenized, and every
+    error is a ParseError at its line."""
+    _, content, num, (n_a, n_b, k_a, k_b, m) = _read(text, "labelcover v1", 5)
     at = [num]
     rows = []
-    for num, line in enumerate(islice(lines, num, None), num + 1):
-        if len(rows) == m:
-            break
-        try:
-            row = tuple(map(get, line.split(" ")))
-        except KeyError:  # a field not in the table: tokenize the line
-            line = _content(line)
-            if line is None:
-                continue
-            row = _ints(num, line)
+    for _, (num, line) in zip(range(m), content):
+        row = _ints(num, line)
         if len(row) != 2 + k_a:
-            raise ParseError(
-                num, f"edge line needs {2 + k_a} fields, got {len(row)}"
-            )
+            raise ParseError(num, f"edge line needs {2 + k_a} fields, got {len(row)}")
         rows.append(row)
         at.append(num)
-    _end(_content_lines(lines, at[-1]), at[-1], len(rows), (m, "edge"))
+    _end(content, num, len(rows), (m, "edge"))
     edges = tuple([row[:2] for row in rows])
     tables = tuple([row[2:] for row in rows])
     return _built(

@@ -106,8 +106,10 @@ def smooth_exact(
     sample pins the whole A side with probability at least 1/2 for a
     suitable constant c1, making the miss probability at most 1/2.
     """
-    if mu is not None and not 0 <= mu <= 1 or c1 < 0:
-        raise InvalidSchemeParameter(f"mu must be in [0, 1] and c1 >= 0, got {mu}, {c1}")
+    if mu is not None and not 0 <= mu <= 1:
+        raise InvalidSchemeParameter(f"mu must be in [0, 1], got {mu}")
+    if c1 < 0:
+        raise InvalidSchemeParameter(f"c1 must be at least 0, got {c1}")
     if mu is None:
         mu = default_mu(game)
     rng = random.Random(seed)

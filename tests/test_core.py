@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import json
 import pickle
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -359,3 +362,27 @@ def test_components_lifted_optima_match_whole():
         lifted = lc.lift_assignment(g, comps, parts)
         _, whole = lc.brute_force_opt(g)
         assert lc.value(g, lifted) == whole
+
+
+# --- runtime dependencies ------------------------------------------------
+
+def test_runtime_imports_only_the_standard_library():
+    """Every module of the package imports only the standard library and
+    itself (numpy, scipy and networkx may serve the tests, not the code)."""
+    package = Path(lc.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    foreign = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [
+                (path.name, name) for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"labelcover"}
+            ]
+    assert foreign == []

@@ -449,9 +449,9 @@ def test_bulk_read_matches_oracle_on_mutated_canonical_inputs(data):
 
 def test_bulk_mutations_reach_both_paths(monkeypatch):
     """The mutations above are read to a canonical game and to one that is
-    not, and they fail at a row read through the table (the game's
-    validation names it) and at a row tokenized, so neither row path is
-    tested only by luck."""
+    not, and they fail in the game's validation, at a row tokenized, and
+    elsewhere (a header, a size line, a missing or trailing line), so no
+    error path is tested only by luck."""
     seen = set()
     tokenized = []
     ints = formats._ints
@@ -467,16 +467,17 @@ def test_bulk_mutations_reach_both_paths(monkeypatch):
         kind = bulk_outcome(text)
         if kind[0] == "error":
             _, message, line = kind
-            if line in tokenized[1:]:  # the first call reads the size line
+            # every row is tokenized, so a validation error is at one too
+            if "invalid instance" in message:
+                kind = "invalid game"
+            elif line in tokenized[1:]:  # the first call reads the size line
                 kind = "tokenized row"
-            elif "invalid instance" in message:
-                kind = "table row"
             else:
                 kind = "other error"
         seen.add(kind)
 
     collect()
-    assert seen == {"canonical", "game", "tokenized row", "table row", "other error"}
+    assert seen == {"canonical", "game", "tokenized row", "invalid game", "other error"}
 
 
 @pytest.mark.parametrize("text", [
@@ -536,6 +537,44 @@ def test_bulk_read_misses_what_only_its_own_checks_catch(text):
     assert formats._read_canonical(text) is None
     got = outcome(formats._read_labelcover, text)
     assert got[0] == "error" and got == outcome(oracle_parse_labelcover, text)
+
+
+def generated_games(seed):
+    """One game of each generator and reduction, with shapes drawn from
+    ``seed``, a grid with kA = 1, and an edgeless game with a huge kA."""
+    rng = random.Random(seed)
+    k_b = rng.randint(2, 4)
+    n_a, n_b, k_a = rng.randint(1, 9), rng.randint(k_b, 9), rng.randint(1, 6)
+    degree = rng.randint(k_b, n_b)
+    return [
+        lc.gen_random_satisfiable(n_a, n_b, k_a, k_b, degree, seed)[0],
+        lc.gen_random_satisfiable(
+            n_a, n_b, k_b * rng.randint(1, 3), k_b, degree, seed, uniform=True
+        )[0],
+        lc.gen_smooth(n_a, n_b, k_a, k_b, degree, Fraction(1), seed)[0],
+        lc.gen_planar_grid(rng.randint(1, 5), rng.randint(1, 5), k_a, k_b, seed)[0],
+        lc.gen_planar_grid(rng.randint(1, 5), rng.randint(1, 5), 1, k_b, seed)[0],
+        lc.from_planar_3col(lc.gen_coloring_graph(
+            rng.randint(1, 4), rng.randint(1, 4), Fraction(3, 4), seed
+        )[0])[0],
+        lc.from_matrix_tiling(lc.gen_matrix_tiling(
+            rng.randint(2, 3), rng.randint(1, 3), Fraction(1, 2), seed,
+            solvable=rng.random() < 0.5,
+        ))[0],
+        lc.build_game(n_a, n_b, HUGE, k_b, [], []),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_row_loop_reads_emitted_games_like_the_one_pass_read(seed):
+    """_read_labelcover reads emitted texts in one pass, so the row loop
+    seldom sees one: it is held to the one-pass read, and both to the
+    oracle, on emitted texts directly."""
+    for game in generated_games(seed):
+        text = formats.emit_labelcover(game)
+        got = formats._read_rows(text)
+        assert got == formats._read_canonical(text) == oracle_parse_labelcover(text)
+        assert got == game
 
 
 ROW_VALUES = [0, 1, 2, 3, -1, 0.5, True, Fraction(1), "1", None]

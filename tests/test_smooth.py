@@ -151,12 +151,15 @@ def test_smooth_exact_budget():
 def test_smooth_solvers_reject_parameters_out_of_range(smooth1):
     game, _ = smooth1
     for mu in (Fraction(-1), Fraction(-1, 12), Fraction(3, 2)):
-        with pytest.raises(lc.InvalidSchemeParameter):
+        with pytest.raises(lc.InvalidSchemeParameter, match=r"^mu must be in \[0, 1\]"):
             lc.smooth_exact(game, mu=mu)
-        with pytest.raises(lc.InvalidSchemeParameter):
+        with pytest.raises(lc.InvalidSchemeParameter, match=r"^mu must be in \[0, 1\]"):
             lc.smooth_approx(game, mu=mu)
-    with pytest.raises(lc.InvalidSchemeParameter):
-        lc.smooth_exact(game, mu=Fraction(1, 12), c1=-4)
+    # each message names the parameter at fault, also with mu left to default
+    for mu in (Fraction(1, 12), None):
+        with pytest.raises(lc.InvalidSchemeParameter) as exc:
+            lc.smooth_exact(game, mu=mu, c1=-4)
+        assert str(exc.value) == "c1 must be at least 0, got -4"
     from labelcover import core, planar
     assert lc.InvalidSchemeParameter is core.InvalidSchemeParameter
     assert planar.InvalidSchemeParameter is core.InvalidSchemeParameter
