@@ -556,7 +556,9 @@ def divide_and_conquer(
     edges at least |E|^2 / (16 nA nB) and certifies
     |E|^3 / (64 nA nB (h_star_max + e_n_max)); the uniform variant anchors
     on vertices with live region edges at least |E|^2 / (4 nA nB) and
-    certifies |E|^3 / (8 nA nB h_max).
+    certifies |E|^3 / (8 nA nB h_max).  A given ``cache`` must be the
+    result of ``compute_sigma_star(game, stats)``, whose good-edge blocks
+    the canonical variant reads; any other raises TypeError.
     """
     t0 = perf_counter()
     stats = stats if stats is not None else compute_stats(game)
@@ -583,6 +585,8 @@ def divide_and_conquer(
         )
     else:
         cache = cache if cache is not None else compute_sigma_star(game, stats)
+        if not isinstance(cache.sigma_star, _SigmaStar):
+            raise TypeError("cache must be the result of compute_sigma_star(game, stats)")
         block_edges, factor = [hit for _, hit, _ in cache.sigma_star.blocks], 16
         denom = cache.h_star_max + stats.e_n_max
         guarantee = Fraction(m**3, 64 * n_a * n_b * denom) if denom else Fraction(0)
@@ -680,6 +684,8 @@ def best_of(
     """Run all five algorithms and return the best report.
 
     The report keeps every sub-report in ``parts``, in breakdown order.
+    A given ``cache`` must be the result of ``compute_sigma_star(game,
+    stats)``; any other raises TypeError.
 
     On a satisfiable instance the combined value is at least
     |E| / (4 * (a_count * sigma_a)^(1/4)).  Derivation: write nB for the

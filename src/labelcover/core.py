@@ -169,28 +169,17 @@ def build_game(
     """Validate raw instance data and return an immutable game.
 
     Raises IndexOutOfRange, DuplicateEdge, TableLengthMismatch or
-    SymbolOutOfRange, each naming the offending edge index; a value that
-    is not an integer raises IndexOutOfRange as an endpoint and
-    SymbolOutOfRange as a table entry.  Computes nothing beyond validation.
+    SymbolOutOfRange, each naming the offending edge index; an edge that
+    is not a pair, or a value that is not an integer, raises
+    IndexOutOfRange as an endpoint and SymbolOutOfRange as a table entry.
+    Computes nothing beyond validation.
     """
-    return _validated_game(
-        a_count, b_count, sigma_a, sigma_b, edges, projections, _int_rows
-    )
-
-
-def _validated_game(
-    a_count, b_count, sigma_a, sigma_b, edges, projections, int_rows=None
-) -> ProjectionGame:
-    """``build_game``'s checks, in its order.  ``int_rows`` turns the rows
-    into tuples of ints after the size checks; without it ``edges`` and
-    ``projections`` must already be such tuples (the parser's)."""
     if a_count < 0 or b_count < 0:
         raise IndexOutOfRange("vertex counts must be nonnegative")
     if sigma_a < 1 or sigma_b < 1:
         raise SymbolOutOfRange("alphabet sizes must be positive")
-    if int_rows is not None:
-        edges = int_rows(edges, IndexOutOfRange, "endpoints")
-        projections = int_rows(projections, SymbolOutOfRange, "table entries")
+    edges = _int_rows(edges, IndexOutOfRange, "endpoints")
+    projections = _int_rows(projections, SymbolOutOfRange, "table entries")
     m = len(edges)
     if len(projections) != m:
         raise TableLengthMismatch(
@@ -228,7 +217,10 @@ def _in_range(values, bound) -> bool:
 def _first_error(a_count, b_count, sigma_a, sigma_b, edges, projections):
     """Raise the error of the first bad edge, checked one at a time."""
     seen = set()
-    for i, (a, b) in enumerate(edges):
+    for i, edge in enumerate(edges):
+        if len(edge) != 2:
+            raise IndexOutOfRange(f"edge {i}: {len(edge)} endpoints, expected 2")
+        a, b = edge
         if not (0 <= a < a_count and 0 <= b < b_count):
             raise IndexOutOfRange(f"edge {i}: endpoint ({a}, {b}) out of range")
         if (a, b) in seen:

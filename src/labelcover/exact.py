@@ -449,9 +449,6 @@ def brute_force_opt(
         labels[a] = 0
 
     dfs(0)
-    if best_val < 0:
-        best_val = 0
-        best_labels = tuple(labels)
 
     b_labels = tuple(
         _majority_b_symbol(game, b, best_labels) for b in range(game.b_count)

@@ -27,10 +27,10 @@ for A ends, nB for B ends, kB for table entries), cut at the file's field
 count so that huge declared counts build no huge table; a hit is a field
 in range.  A game read so is canonical, and the CLI hashes the text's own
 bytes for instance_digest.  Any miss (another token, a value out of
-range, a wrong width, a duplicate edge, kA or kB of 0) sends the text to
-the row loop, which reads any text as the other four formats do: it
-tokenizes each row with the grammar above and raises every error as a
-ParseError at its line.
+range, an index at or above the file's field count, a wrong width, a
+duplicate edge, kA or kB of 0) sends the text to the row loop, which
+reads any text as the other four formats do: it tokenizes each row with
+the grammar above and raises every error as a ParseError at its line.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .core import Assignment, LabelCoverError, ProjectionGame, _validated_game
+from .core import Assignment, LabelCoverError, ProjectionGame, build_game
 from .exact import TreeDecomposition
 from .reductions import (
     ColoringGraph,
@@ -156,8 +156,10 @@ def _decimals(size: int):
 
 
 def _read_labelcover(text: str) -> tuple[ProjectionGame, bool]:
-    """parse_labelcover's game, and whether the text is canonical:
-    ``emit_labelcover(game) == text``."""
+    """parse_labelcover's game, and whether the text was read in one pass
+    as canonical.  A canonical text is ``emit_labelcover(game)``, but not
+    every such text is read so: an index at or above the file's field
+    count is a miss."""
     game = _read_canonical(text)
     if game is not None:
         return game, True
@@ -220,9 +222,7 @@ def _read_rows(text: str) -> ProjectionGame:
     _end(content, num, len(rows), (m, "edge"))
     edges = tuple([row[:2] for row in rows])
     tables = tuple([row[2:] for row in rows])
-    return _built(
-        lambda: _validated_game(n_a, n_b, k_a, k_b, edges, tables), "instance", at
-    )
+    return _built(lambda: build_game(n_a, n_b, k_a, k_b, edges, tables), "instance", at)
 
 
 def emit_labelcover(game: ProjectionGame) -> str:

@@ -30,7 +30,6 @@ from .core import (
     LabelCoverError,
     ProjectionGame,
     _draw_threshold,
-    _validated_game,
     build_game,
     check_assignment,
 )
@@ -395,7 +394,9 @@ def brute_force_tiling(
 
 
 # ---------------------------------------------------------------------------
-# Planted generators
+# Planted generators: each draws every endpoint and table entry in range
+# from parameters it has checked, with distinct pairs per A vertex (the
+# isolated-B repair only adds new pairs), so it skips build_game's checks.
 
 def _draws(rng, bounds):
     """``[rng.randrange(n) for n in bounds]`` word for word (every n >= 1):
@@ -482,7 +483,7 @@ def gen_random_satisfiable(
     rng = random.Random(seed)
     edges = _bipartite_graph(rng, n_a, n_b, degree)
     tables, plant = _planted(rng, n_a, n_b, k_a, k_b, edges, uniform)
-    return _validated_game(n_a, n_b, k_a, k_b, tuple(edges), tables), plant
+    return ProjectionGame(n_a, n_b, k_a, k_b, tuple(edges), tables), plant
 
 
 def gen_smooth(
@@ -532,7 +533,7 @@ def gen_smooth(
         columns.append(zip(*rows))
     # a's p-th edge in edge order reads the p-th entry of every row
     tables = tuple(next(columns[a]) for a, _ in edges)
-    game = _validated_game(n_a, n_b, k_a, k_b, tuple(edges), tables)
+    game = ProjectionGame(n_a, n_b, k_a, k_b, tuple(edges), tables)
     return game, measure_smoothness(game), plant
 
 
@@ -560,7 +561,7 @@ def gen_planar_grid(
     ]
     n_a, n_b = len(a_index), len(b_index)
     tables, plant = _planted(rng, n_a, n_b, k_a, k_b, edges)
-    return _validated_game(n_a, n_b, k_a, k_b, tuple(edges), tables), plant
+    return ProjectionGame(n_a, n_b, k_a, k_b, tuple(edges), tables), plant
 
 
 def gen_coloring_graph(

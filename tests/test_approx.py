@@ -755,6 +755,21 @@ def test_best_of_tests_few_anchors():
     assert 0 < len(_tested(cache)) <= 0.15 * g.a_count
 
 
+def test_a_hand_built_cache_is_refused_where_blocks_are_read():
+    """An ``==`` cache that compute_sigma_star did not build serves kyn and
+    kynn, but dnc and best_of, which read its good-edge blocks, refuse it."""
+    g, _ = lc.gen_random_satisfiable(8, 5, 4, 3, 2, seed=3)
+    st_ = lc.compute_stats(g)
+    ref = reference_sigma_star(g, st_)
+    assert ref == lc.compute_sigma_star(g, st_)
+    lc.know_your_neighbors(g, None, None, st_, ref)
+    lc.know_neighbors_neighbors(g, None, st_, ref)
+    want = r"^cache must be the result of compute_sigma_star\(game, stats\)$"
+    for solver in (lc.divide_and_conquer, lc.best_of):
+        with pytest.raises(TypeError, match=want):
+            solver(g, st_, ref)
+
+
 def test_sigma_star_view_is_faithful_to_a_tuple():
     refused = 0
     for i, g in enumerate(sweep_games(120)):

@@ -352,6 +352,19 @@ def test_instance_digest_is_the_canonical_text_s_for_every_spelling(capsys, tmp_
         assert {rec["instance_digest"] for rec in runs} == {want}, name
 
 
+def test_instance_digest_of_a_canonical_file_the_one_pass_read_misses(capsys, tmp_path):
+    """An index at or above the file's field count misses the one-pass
+    read, yet the file is what emit writes, so its digest is its bytes'."""
+    text = "labelcover v1\n100 100 1 1 1\n99 99 0\n"
+    path = tmp_path / "game.lc"
+    path.write_text(text)
+    game, canonical = formats._read_labelcover(text)
+    assert not canonical and formats.emit_labelcover(game) == text
+    code, out, _ = run(capsys, "stats", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["instance_digest"] == hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_bench_corpus(capsys, tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

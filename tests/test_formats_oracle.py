@@ -102,7 +102,10 @@ def oracle_build_game(a_count, b_count, sigma_a, sigma_b, edges, projections):
             f"{len(edges)} edges but {len(projections)} projection tables"
         )
     seen = set()
-    for i, (a, b) in enumerate(edges):
+    for i, edge in enumerate(edges):
+        if len(edge) != 2:
+            raise IndexOutOfRange(f"edge {i}: {len(edge)} endpoints, expected 2")
+        a, b = edge
         if not (0 <= a < a_count and 0 <= b < b_count):
             raise IndexOutOfRange(f"edge {i}: endpoint ({a}, {b}) out of range")
         if (a, b) in seen:
@@ -609,9 +612,11 @@ def test_build_game_matches_oracle_on_raw_rows(data):
 
 
 def test_build_game_first_error_order_is_the_oracle_s():
-    """Two bad edges: the earlier one is reported, whatever its kind."""
+    """Two bad edges: the earlier one is reported, whatever its kind.  An
+    edge that is not a pair is an IndexOutOfRange at its place."""
     good = [((0, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 1))]
-    bad = [((5, 0), (0, 1)), ((0, 0), (0, 1)), ((1, 1), (0,)), ((1, 1), (0, 7))]
+    bad = [((5, 0), (0, 1)), ((0, 0), (0, 1)), ((1, 1), (0,)), ((1, 1), (0, 7)),
+           ((0, 0, 0), (0, 0)), ((0,), (0, 0))]
     for i in range(len(good) + 1):
         for first in bad:
             for second in bad:
@@ -621,6 +626,9 @@ def test_build_game_first_error_order_is_the_oracle_s():
                 got = outcome(lc.build_game, 2, 2, 2, 2, edges, tables)
                 want = outcome(oracle_build_game, 2, 2, 2, 2, edges, tables)
                 assert got == want and got[0] == "error"
+    for edge, count in (((0, 0, 0), 3), ((0,), 1)):
+        with pytest.raises(IndexOutOfRange, match=f"^edge 0: {count} endpoints, expected 2$"):
+            lc.build_game(2, 2, 2, 2, [edge], [(0, 0)])
 
 
 def test_preimage_masks_per_edge():

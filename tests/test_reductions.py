@@ -150,6 +150,21 @@ def test_tiling_constant_cells_satisfiable():
     assert lc.validate_tiling_solution(t, sol) == []
 
 
+def test_validate_tiling_solution_names_each_violation():
+    full = {(x, y) for x in (1, 2) for y in (1, 2)}
+    t = lc.build_matrix_tiling(2, 2, [{(1, 1)}] + [full] * 3)
+    cases = [
+        (((1, 1),) * 3, ["expected 4 cells, got 3"]),
+        (((2, 2), None, None, None), ["cell (1, 1): pair (2, 2) not in its set"]),
+        (((1, 1), (2, 1), None, None),
+         ["row 1: cells 1 and 2 disagree in first coordinate"]),
+        (((1, 1), None, (1, 2), None),
+         ["column 1: cells 1 and 2 disagree in second coordinate"]),
+    ]
+    for cells, want in cases:
+        assert lc.validate_tiling_solution(t, lc.TilingSolution(cells)) == want
+
+
 def test_tiling_one_incompatible_cell():
     cells = [{(1, 1)}] * 3 + [{(2, 2)}]
     t = lc.build_matrix_tiling(2, 2, cells)
@@ -365,6 +380,34 @@ def test_gen_grid_shapes():
 def test_gen_grid_golden_bytes():
     g, _ = lc.gen_planar_grid(4, 4, 3, 2, seed=7)
     assert formats.emit_labelcover(g) == fixture_text("grid4x4_seed7.lc")
+
+
+def test_generated_games_pass_build_game():
+    """The planted generators skip build_game's checks: every game they
+    return must be one build_game accepts and returns unchanged, with int
+    pairs as edges and int tuples as tables."""
+    games = []
+    for seed in range(6):
+        games.append(lc.gen_random_satisfiable(7, 5, 3, 2, 2, seed=seed)[0])
+        games.append(lc.gen_random_satisfiable(6, 6, 4, 2, 3, seed=seed, uniform=True)[0])
+        games.append(lc.gen_smooth(3, 8, 3, 4, 8, Fraction(1, 2), seed=seed)[0])
+        games.append(lc.gen_smooth(4, 6, 1, 2, 3, Fraction(1), seed=seed)[0])
+        for rows, cols, k_a in ((1, 1, 2), (1, 2, 1), (3, 4, 1), (4, 3, 3)):
+            games.append(lc.gen_planar_grid(rows, cols, k_a, 2, seed=seed)[0])
+        # too few A ends to reach every B vertex: the isolated-B repair runs
+        for n_a, n_b, degree, uniform in ((2, 9, 1, False), (3, 12, 2, True)):
+            g, _ = lc.gen_random_satisfiable(n_a, n_b, 4, 2, degree, seed=seed, uniform=uniform)
+            assert n_a * degree < n_b and all(g.b_edges)
+            games.append(g)
+        games.append(lc.gen_smooth(2, 7, 2, 2, 2, Fraction(1), seed=seed)[0])
+    assert any(g.edge_count == 0 for g in games)
+    for g in games:
+        fields = (g.a_count, g.b_count, g.sigma_a, g.sigma_b, g.edges, g.projections)
+        assert lc.build_game(*fields) == g
+        assert type(g.edges) is tuple and type(g.projections) is tuple
+        for edge, table in zip(g.edges, g.projections):
+            assert type(edge) is tuple and len(edge) == 2 and type(table) is tuple
+            assert all(type(x) is int for x in (*edge, *table))
 
 
 def test_gen_coloring_graph_proper_and_planar():
