@@ -15,9 +15,8 @@ from collections.abc import Mapping, Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain
-from operator import and_, or_
+from operator import and_
 from time import perf_counter
 
 from .core import (
@@ -30,7 +29,6 @@ from .core import (
     _TupleView,
     _best_a_symbol,
     _consistent_masks,
-    _degree_sum,
     _lowest_bit,
     _propagate,
     _report,
@@ -96,14 +94,14 @@ def compute_sigma_star(
     member adjacent are vacuously fine.
 
     Built here: the good-edge blocks and the largest ``h_star`` with its
-    first key in (a, s) order.  Each block (b, t) keeps the good edges at b
-    under symbol t (popcount <= 2 * sum(p_max_e) // |E|, which is
-    ``<= threshold`` without Fractions) and the bitset of their A ends.  An
-    anchor's good edges are the disjoint union of its deg(a) blocks
-    (b, table_ab[s]), and ``h_star`` sums degrees over the OR of their ends
-    by bit planes.  Since h_star(a, s) <= h(a) (``InstanceStats.h``), the
-    maximum is found by testing vertices in order of falling h(a), smallest
-    index on ties, until no untested vertex can reach or tie the best key.
+    first key in (a, s) order.  Each block (b, t) keeps only the good edges
+    at b under symbol t (popcount <= 2 * sum(p_max_e) // |E|, which is
+    ``<= threshold`` without Fractions).  An anchor's good edges are the
+    disjoint union of its deg(a) blocks (b, table_ab[s]), its good two-hop
+    set is the set of their A ends, and ``h_star`` sums degrees over that
+    set.  Since h_star(a, s) <= h(a) (``InstanceStats.h``), the maximum is
+    found by testing vertices in order of falling h(a), smallest index on
+    ties, until no untested vertex can reach or tie the best key.
 
     Built on read: every other vertex's admissible symbols, by the test in
     ``_Admissibility``, with their keys' block positions and ``h_star``.
@@ -112,15 +110,12 @@ def compute_sigma_star(
     no value.
     """
     stats = stats if stats is not None else compute_stats(game)
-    pre, edges, kb = game.preimage_masks, game.edges, game.sigma_b
+    pre, kb = game.preimage_masks, game.sigma_b
     limit = 2 * sum(stats.p_max_e) // max(game.edge_count, 1)
-    # block b * kb + t: B vertex b's good edges under symbol t, their A ends
-    blocks = []
-    for b, eids in enumerate(game.b_edges):
-        for t in range(kb):
-            hit = tuple(e for e in eids if pre[e][t].bit_count() <= limit)
-            blocks.append((b, hit, sum(1 << edges[e][0] for e in hit)))
-    anchors = _SigmaStar(game, blocks, _degree_sum(stats.a_degree))
+    # block b * kb + t: B vertex b's good edges under symbol t
+    blocks = [(b, tuple(e for e in eids if pre[e][t].bit_count() <= limit))
+              for b, eids in enumerate(game.b_edges) for t in range(kb)]
+    anchors = _SigmaStar(game, blocks, stats.a_degree)
 
     best, argmax = 0, None  # the first of the best key in (a, s) order
     for a in sorted(range(game.a_count), key=stats.h.__getitem__, reverse=True):
@@ -145,28 +140,31 @@ def compute_sigma_star(
 
 class _SigmaStar(_TupleView):
     """``SigmaStarCache.sigma_star``: each A vertex's admissible symbols,
-    tested on first read and kept.  A read also files each admissible key's
-    block positions and ``h_star`` in ``entries``; once every vertex is read
-    the test, its memos and the game are dropped."""
+    tested on first read and kept.  The views read ``blocks`` (B vertex,
+    good edges) and ``a_ends``, the A end of every edge.  A read also files
+    each admissible key's block positions and ``h_star`` in ``entries``;
+    once every vertex is read the test, its memos and the game are
+    dropped."""
 
-    def __init__(self, game, blocks, degree_sum):
+    def __init__(self, game, blocks, a_degree):
         super().__init__(game.a_count)
         self.blocks, self.entries, self._unread = blocks, {}, game.a_count
-        held = (game, _Admissibility(game), degree_sum) if game.a_count else (None,) * 3
-        self._game, self._test, self._degree_sum = held
+        self.a_ends = [a for a, _ in game.edges]
+        held = (game, _Admissibility(game), a_degree) if game.a_count else (None,) * 3
+        self._game, self._test, self._a_degree = held
 
     def _build(self, a):
-        game, blocks, kb = self._game, self.blocks, self._game.sigma_b
+        game, degree, kb = self._game, self._a_degree, self._game.sigma_b
         symbols = tuple(self._test.symbols(a))
         nbrs = game.a_neighbors[a]
         tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
         for sa in symbols:  # block b * kb + table_ab[sa] per b in N(a)
             ids = tuple(b * kb + table[sa] for b, table in zip(nbrs, tables))
-            ends = reduce(or_, (blocks[i][2] for i in ids), 0)
-            self.entries[(a, sa)] = ids, self._degree_sum(ends)
+            h = sum(map(degree.__getitem__, self.ends(ids)))
+            self.entries[(a, sa)] = ids, h
         self._unread -= 1
         if not self._unread:
-            self._game = self._test = self._degree_sum = None
+            self._game = self._test = self._a_degree = None
         return symbols
 
     def __getstate__(self):
@@ -187,17 +185,23 @@ class _SigmaStar(_TupleView):
                 raise KeyError(key)
         return got
 
+    def ends(self, ids):
+        """The set of A ends of the good edges in blocks ``ids``."""
+        blocks = self.blocks
+        return set(map(self.a_ends.__getitem__,
+                       chain.from_iterable(blocks[i][1] for i in ids)))
+
 
 class _KeyView(Mapping):
     """A read-only map over the admissible keys of a ``_SigmaStar``, in
-    (a, s) order; ``build(blocks, entry)`` makes a key's value from the
-    blocks and the key's (block positions, h_star)."""
+    (a, s) order; ``build(anchors, entry)`` makes a key's value from the
+    ``_SigmaStar`` and the key's (block positions, h_star)."""
 
     def __init__(self, anchors, build):
         self._anchors, self._build = anchors, build
 
     def __getitem__(self, key):
-        return self._build(self._anchors.blocks, self._anchors.entry(key))
+        return self._build(self._anchors, self._anchors.entry(key))
 
     def __iter__(self):
         for a, symbols in enumerate(self._anchors):
@@ -208,23 +212,21 @@ class _KeyView(Mapping):
         return sum(map(len, self._anchors))
 
 
-def _h_star(blocks, entry):
+def _h_star(anchors, entry):
     return entry[1]
 
 
-def _n_star(blocks, entry):
+def _n_star(anchors, entry):
+    blocks = anchors.blocks
     return tuple(blocks[i][0] for i in entry[0] if blocks[i][1])
 
 
-def _n2_star(blocks, entry):
-    ends, out = reduce(or_, (blocks[i][2] for i in entry[0]), 0), []
-    while ends:  # the lowest set bit first, so in increasing order
-        out.append(_lowest_bit(ends))
-        ends &= ends - 1
-    return tuple(out)
+def _n2_star(anchors, entry):
+    return tuple(sorted(anchors.ends(entry[0])))
 
 
-def _e_star(blocks, entry):
+def _e_star(anchors, entry):
+    blocks = anchors.blocks
     return frozenset(chain.from_iterable(blocks[i][1] for i in entry[0]))
 
 
@@ -587,7 +589,7 @@ def divide_and_conquer(
         cache = cache if cache is not None else compute_sigma_star(game, stats)
         if not isinstance(cache.sigma_star, _SigmaStar):
             raise TypeError("cache must be the result of compute_sigma_star(game, stats)")
-        block_edges, factor = [hit for _, hit, _ in cache.sigma_star.blocks], 16
+        block_edges, factor = [hit for _, hit in cache.sigma_star.blocks], 16
         denom = cache.h_star_max + stats.e_n_max
         guarantee = Fraction(m**3, 64 * n_a * n_b * denom) if denom else Fraction(0)
 
@@ -596,6 +598,8 @@ def divide_and_conquer(
         for e in eids:
             edge_blocks[e].append(i)
     live = [len(eids) for eids in block_edges]  # live edges per block
+    b_live = list(map(len, game.b_edges))  # live edges per B vertex
+    edges = game.edges
     edge_alive = [True] * m
     in_vp = [False] * (n_a + n_b)
     incident = game.a_edges + game.b_edges  # by global vertex
@@ -610,12 +614,18 @@ def divide_and_conquer(
                     edge_alive[e] = False
                     for i in edge_blocks[e]:
                         live[i] -= 1
+                    b_live[edges[e][1]] -= 1
 
     # live counts only fall, so one scan in key order finds every claim: a
     # key it has passed stays ineligible, and a claimed key is tried again;
     # only a key whose count passes is tested for admissibility
     scale, need = factor * n_a * n_b, m * m
     for a in range(n_a):
+        # a key counts one block of each b in N(a), a subset of b's live
+        # edges, and counts only fall: below the threshold the scan would
+        # pass every key of a with no admissibility test and no claim
+        if scale * sum(map(b_live.__getitem__, game.a_neighbors[a])) < need:
+            continue
         sa, counts = 0, _live_counts(game, a, live, uniform)
         while sa < len(counts):
             count = counts[sa]

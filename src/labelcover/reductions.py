@@ -564,6 +564,14 @@ def gen_planar_grid(
     return ProjectionGame(n_a, n_b, k_a, k_b, tuple(edges), tables), plant
 
 
+def _threshold(name: str, p: Fraction | float) -> float:
+    """``_draw_threshold(p)`` for a probability p; InfeasibleParams naming
+    ``name`` when p is outside [0, 1]."""
+    if not 0 <= p <= 1:
+        raise InfeasibleParams(f"{name} must be in [0, 1], got {p}")
+    return _draw_threshold(p)
+
+
 def gen_coloring_graph(
     rows: int, cols: int, keep: Fraction | float, seed: int
 ) -> tuple[ColoringGraph, tuple[int, ...]]:
@@ -572,7 +580,8 @@ def gen_coloring_graph(
     Grid edges plus one anti-diagonal per unit square; the coloring
     (r + 2c) mod 3 is proper for the full graph, hence for any subgraph.
     Each candidate edge is kept independently with probability ``keep``.
-    Raises InfeasibleParams unless rows and cols are positive.
+    Raises InfeasibleParams unless rows and cols are positive and ``keep``
+    is in [0, 1].
     """
     if rows < 1 or cols < 1:
         raise InfeasibleParams(f"grid must be at least 1x1, got {rows}x{cols}")
@@ -587,7 +596,7 @@ def gen_coloring_graph(
                 candidates.append((idx(r, c), idx(r + 1, c)))
             if r + 1 < rows and c + 1 < cols:
                 candidates.append((idx(r, c + 1), idx(r + 1, c)))
-    keep = _draw_threshold(keep)
+    keep = _threshold("keep", keep)
     edges = [e for e in candidates if rng.random() < keep]
     coloring = tuple((r + 2 * c) % 3 for r in range(rows) for c in range(cols))
     return build_coloring_graph(rows * cols, edges, claimed_planar=True), coloring
@@ -602,11 +611,12 @@ def gen_matrix_tiling(
 ) -> MatrixTiling:
     """Random cell sets; with ``solvable``, a full valid selection is
     planted (one shared row value per row, column value per column).
-    Raises InfeasibleParams unless grid_size and coord_max are positive."""
+    Raises InfeasibleParams unless grid_size and coord_max are positive and
+    ``density`` is in [0, 1]."""
     if grid_size < 1 or coord_max < 1:
         raise InfeasibleParams("grid size and coordinate range must be positive")
     rng = random.Random(seed)
-    density = _draw_threshold(density)
+    density = _threshold("density", density)
     cells = []
     # randrange(1, coord_max + 1) is 1 + randrange(coord_max)
     row_val = [1 + r for r in _draws(rng, repeat(coord_max, grid_size))]

@@ -1155,6 +1155,47 @@ def test_dnc_uniform_equals_owner_list_oracle():
     assert claimed == 40
 
 
+@pytest.mark.parametrize("uniform, shape, seed", [
+    (False, (800, 400, 8, 3, 5), 5),
+    (True, (400, 200, 6, 3, 4), 3),
+])
+def test_dnc_scans_only_vertices_that_can_reach_the_threshold(
+    monkeypatch, uniform, shape, seed
+):
+    # a vertex whose B neighbours hold too few live edges has no key that
+    # passes, so dnc skips it without counting its keys: 104 and 64 counts
+    # here, against 852 and 432 with one per vertex and one per claim
+    calls = []
+    counts = approx._live_counts
+    monkeypatch.setattr(approx, "_live_counts",
+                        lambda *args: calls.append(args[1]) or counts(*args))
+    g, _ = lc.gen_random_satisfiable(*shape, seed=seed, uniform=uniform)
+    rep = lc.divide_and_conquer(g, uniform=uniform)
+    assert rep.satisfied >= rep.guarantee > 0
+    assert 0 < len(calls) < g.a_count / 4
+
+
+def test_sigma_star_memory_is_linear_on_a_sparse_game():
+    # the good-edge blocks keep their edges only; an |A|-bit set of A ends
+    # per (B vertex, symbol) block made the eager part grow as |A| x |B|
+    # (a 5.0 MB peak here; 2.1 MB with edges only)
+    import tracemalloc
+
+    g, _ = lc.gen_random_satisfiable(4000, 2000, 8, 3, 5, seed=7)
+    st_ = lc.compute_stats(g)
+    for name in ("a_edges", "b_edges", "a_neighbors", "b_neighbors",
+                 "edge_index", "preimage_masks"):
+        getattr(g, name)  # the game's cached properties, built before
+    tracemalloc.start()
+    try:
+        cache = lc.compute_sigma_star(g, st_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(block[1]) for block in cache.sigma_star.blocks) == 59_865
+    assert peak < 3_000_000
+
+
 def test_sigma_star_and_best_of_memory_is_a_few_blocks():
     # on a dense game the per-key good sets come to 266,417 edge entries
     # over 400 keys; sigma* keeps only the per-(B vertex, symbol) blocks,

@@ -617,6 +617,24 @@ def test_gen_non_positive_dimensions_exit_one_line(capsys, tmp_path):
         assert not out_path.exists()
 
 
+def test_gen_probability_outside_unit_interval_exits_one_line(capsys, tmp_path):
+    out_path = tmp_path / "out.txt"
+    for argv, msg in (
+        (("3col", "--rows", "2", "--cols", "2", "--keep", "2"),
+         "keep must be in [0, 1], got 2"),
+        (("3col", "--rows", "2", "--cols", "2", "--keep=-1/2"),
+         "keep must be in [0, 1], got -1/2"),
+        (("tiling", "--size", "2", "--coords", "2", "--density", "-1"),
+         "density must be in [0, 1], got -1"),
+        (("tiling", "--size", "2", "--coords", "2", "--density", "3/2"),
+         "density must be in [0, 1], got 3/2"),
+    ):
+        code, out, err = run(capsys, "gen", *argv, "--out", str(out_path))
+        _assert_one_line_error(code, out, err)
+        assert err == f"error: {msg}\n"
+        assert not out_path.exists()
+
+
 def test_cli_golden_help_and_usage_errors(capsys, monkeypatch):
     """--help, --version and usage errors keep their bytes (cli_golden.json).
 

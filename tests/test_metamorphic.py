@@ -1,0 +1,110 @@
+"""Relabeling relations: renumbering a game's A vertices, B vertices, each
+vertex's symbols and its edges changes none of the quantities the
+algorithms certify.
+
+That makes an oracle at any size, where the naive references cannot go
+(Chen et al., "Metamorphic testing: a review of challenges and
+opportunities", ACM Computing Surveys 2018).  Assignments are not
+compared: ties break to the smallest index, and a relabeling moves it.
+"""
+
+import random
+
+import pytest
+
+import labelcover as lc
+
+
+def relabel(game, rng):
+    """``game`` with its A vertices, its B vertices, each vertex's symbols
+    and its edge order permuted by ``rng``; the tables are rewritten so that
+    edge (a, b) with table T becomes (pa[a], pb[b]) with T'[alpha_a[s]] =
+    beta_b[T[s]]."""
+
+    def perm(n):
+        p = list(range(n))
+        rng.shuffle(p)
+        return p
+
+    pa, pb = perm(game.a_count), perm(game.b_count)
+    alpha = [perm(game.sigma_a) for _ in range(game.a_count)]
+    beta = [perm(game.sigma_b) for _ in range(game.b_count)]
+    rows = []
+    for (a, b), table in zip(game.edges, game.projections):
+        new = [0] * game.sigma_a
+        for s, t in enumerate(table):
+            new[alpha[a][s]] = beta[b][t]
+        rows.append(((pa[a], pb[b]), tuple(new)))
+    rng.shuffle(rows)
+    return lc.build_game(
+        game.a_count, game.b_count, game.sigma_a, game.sigma_b,
+        [edge for edge, _ in rows], [table for _, table in rows],
+    )
+
+
+def invariants(game):
+    """What no relabeling may change: sigma*'s largest h_star, its
+    per-vertex admissible counts and its per-key h_star and good two-hop
+    sizes, best_of's guarantee, and the stats it builds on."""
+    st = lc.compute_stats(game)
+    cache = lc.compute_sigma_star(game, st)
+    guarantee = lc.best_of(game, st, cache).guarantee
+    return {
+        "h_star_max": cache.h_star_max,
+        "admissible": sorted(map(len, cache.sigma_star)),
+        "h_star": sorted(cache.h_star.values()),
+        "n2_star": sorted(map(len, cache.n2_star.values())),
+        "guarantee": guarantee,
+        "p_bar_max": st.p_bar_max,
+        "h_max": st.h_max,
+        "e_n_max": st.e_n_max,
+        "uniform_p": st.uniform_p,
+        "h": sorted(st.h),
+    }
+
+
+def test_relabel_is_a_relabeling():
+    # same shape and degrees, another numbering, still satisfiable; the
+    # same rng state gives the same game
+    g, _ = lc.gen_random_satisfiable(30, 20, 4, 2, 3, seed=4)
+    r = relabel(g, random.Random(1))
+    assert (r.a_count, r.b_count, r.sigma_a, r.sigma_b, r.edge_count) == (
+        g.a_count, g.b_count, g.sigma_a, g.sigma_b, g.edge_count)
+    assert sorted(map(len, r.a_edges)) == sorted(map(len, g.a_edges))
+    assert sorted(map(len, r.b_edges)) == sorted(map(len, g.b_edges))
+    assert r.edges != g.edges and r.projections != g.projections
+    assert lc.is_satisfiable(r)
+    assert relabel(g, random.Random(1)) == r
+
+
+def test_relabeling_keeps_sigma_star_and_best_of_on_a_large_sparse_game():
+    # 10,000 edges: far past the naive references, which enumerate symbol
+    # tuples; two relabelings each
+    g, _ = lc.gen_random_satisfiable(2000, 1000, 8, 3, 5, seed=21)
+    assert g.edge_count == 10_000
+    want = invariants(g)
+    assert want["h_star_max"] > 0 and want["guarantee"] > 0
+    rng = random.Random(7)
+    for _ in range(2):
+        assert invariants(relabel(g, rng)) == want
+
+
+def _small_games():
+    rng = random.Random(2027)
+    for i in range(8):
+        seed = rng.randrange(1 << 30)
+        yield lc.gen_random_satisfiable(6, 5, 3, 2, 2, seed=seed)[0]
+        yield lc.gen_random_satisfiable(6, 4, 4, 2, 2, seed=seed, uniform=True)[0]
+        yield lc.gen_planar_grid(2, 3 + i % 2, 3, 2, seed=seed)[0]
+        coloring, _ = lc.gen_coloring_graph(2, 2, 0.6, seed=seed)
+        if coloring.edges:
+            yield lc.from_planar_3col(coloring)[0]
+
+
+@pytest.mark.parametrize("i, game", list(enumerate(_small_games())))
+def test_relabeling_keeps_the_optimum_on_small_games(i, game):
+    want = invariants(game), lc.brute_force_opt(game)[1], lc.is_satisfiable(game)
+    rng = random.Random(i)
+    for _ in range(2):
+        r = relabel(game, rng)
+        assert (invariants(r), lc.brute_force_opt(r)[1], lc.is_satisfiable(r)) == want

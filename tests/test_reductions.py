@@ -458,3 +458,19 @@ def test_generators_reject_non_positive_dimensions():
     for size, coords in ((3, 0), (0, 3), (-2, 2)):
         with pytest.raises(lc.InfeasibleParams):
             lc.gen_matrix_tiling(size, coords, 0.5, seed=0, solvable=True)
+
+
+def test_generators_reject_probabilities_outside_unit_interval():
+    with pytest.raises(lc.InfeasibleParams, match=r"^keep must be in \[0, 1\], got 2$"):
+        lc.gen_coloring_graph(2, 2, Fraction(2), seed=0)
+    with pytest.raises(lc.InfeasibleParams, match=r"^density must be in \[0, 1\], got -1$"):
+        lc.gen_matrix_tiling(2, 2, Fraction(-1), seed=0)
+    for bad in (Fraction(-1, 3), 1.5, float("nan")):
+        with pytest.raises(lc.InfeasibleParams, match="^keep must"):
+            lc.gen_coloring_graph(3, 3, bad, seed=1)
+        with pytest.raises(lc.InfeasibleParams, match="^density must"):
+            lc.gen_matrix_tiling(3, 3, bad, seed=1, solvable=True)
+    # the ends of the interval are kept: every candidate edge, or none
+    assert len(lc.gen_coloring_graph(2, 2, 1, seed=0)[0].edges) == 5
+    assert not lc.gen_coloring_graph(2, 2, 0, seed=0)[0].edges
+    assert all(lc.gen_matrix_tiling(2, 2, Fraction(1), seed=0).cells)
