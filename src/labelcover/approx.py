@@ -268,9 +268,9 @@ class _Admissibility:
         self.hoods: dict[int, tuple] = {}
         self.reach: dict[int, int] = {}
 
-    def symbols(self, a: int, tried=None):
-        """Yield a's admissible symbols among ``tried`` (default: all), in
-        increasing order; a symbol is tested when the iterator reaches it."""
+    def symbols(self, a: int):
+        """Yield a's admissible symbols in increasing order; a symbol is
+        tested when the iterator reaches it."""
         game, every, low, singles = self.game, self.every, self.low, self.singles
         nbrs = game.a_neighbors[a]
         tables = [game.projections[game.edge_index[(a, b)]] for b in nbrs]
@@ -282,7 +282,7 @@ class _Admissibility:
             once |= members
         twice &= ~(1 << a)
         shared = None
-        for sa in range(game.sigma_a) if tried is None else tried:
+        for sa in range(game.sigma_a):
             fields = every
             for (summary, _, _), table in zip(hood, tables):
                 fields &= summary[table[sa]]
@@ -428,9 +428,7 @@ def know_your_neighbors(
     if cache is not None:
         admissible = iter(cache.sigma_star[a0])
     else:  # test a0 alone, and only as far as the answer needs
-        asked = (range(game.sigma_a) if sigma_a0 is None
-                 else (sigma_a0,) if 0 <= sigma_a0 < game.sigma_a else ())
-        admissible = _Admissibility(game).symbols(a0, asked)
+        admissible = _Admissibility(game).symbols(a0)
     if sigma_a0 is None:
         sigma_a0 = next(admissible, None)
         if sigma_a0 is None:

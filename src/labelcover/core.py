@@ -23,7 +23,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain
 from operator import index, or_
 from time import perf_counter
 
@@ -172,7 +171,9 @@ def build_game(
     SymbolOutOfRange, each naming the offending edge index; an edge that
     is not a pair, or a value that is not an integer, raises
     IndexOutOfRange as an endpoint and SymbolOutOfRange as a table entry.
-    Computes nothing beyond validation.
+    After the size checks and the int coercion (edges, then tables), one
+    pass checks the edges in order, so the error named is the first bad
+    edge's.  Computes nothing beyond validation.
     """
     if a_count < 0 or b_count < 0:
         raise IndexOutOfRange("vertex counts must be nonnegative")
@@ -185,36 +186,11 @@ def build_game(
         raise TableLengthMismatch(
             f"{m} edges but {len(projections)} projection tables"
         )
-    if not _all_valid(a_count, b_count, sigma_a, sigma_b, edges, projections):
-        _first_error(a_count, b_count, sigma_a, sigma_b, edges, projections)
+    _check_edges(a_count, b_count, sigma_a, sigma_b, edges, projections)
     return ProjectionGame(a_count, b_count, sigma_a, sigma_b, edges, projections)
 
 
-def _all_valid(a_count, b_count, sigma_a, sigma_b, edges, projections) -> bool:
-    """Whether every edge passes ``_first_error``'s checks, found in a few
-    C-level passes over the whole input."""
-    if not edges:
-        return True
-    if set(map(len, edges)) != {2} or set(map(len, projections)) != {sigma_a}:
-        return False
-    if len(set(edges)) != len(edges):
-        return False
-    a_ends, b_ends = zip(*edges)
-    return (
-        _in_range(a_ends, a_count)
-        and _in_range(b_ends, b_count)
-        and _in_range(chain.from_iterable(projections), sigma_b)
-    )
-
-
-def _in_range(values, bound) -> bool:
-    """Whether every one of some values lies in range(bound).  min and max
-    run over the distinct values, which is cheaper than over them all."""
-    distinct = set(values)
-    return 0 <= min(distinct) and max(distinct) < bound
-
-
-def _first_error(a_count, b_count, sigma_a, sigma_b, edges, projections):
+def _check_edges(a_count, b_count, sigma_a, sigma_b, edges, projections):
     """Raise the error of the first bad edge, checked one at a time."""
     seen = set()
     for i, edge in enumerate(edges):

@@ -501,11 +501,13 @@ def gen_smooth(
     B labels are planted first; each A vertex redraws its per-symbol
     projection rows until every pair of rows agrees on at most a
     mu_target fraction of its edges, with the planted symbol's row pinned
-    to the planted B labels.  Rejection failure raises GenerationFailed.
+    to the planted B labels.  Rejection failure raises GenerationFailed;
+    mu_target must be in [0, 1], else InfeasibleParams before any draw.
     Seeded draws as in ``gen_random_satisfiable``: same seed, same game.
     """
     if k_b < 2 or degree < k_b:
         raise InfeasibleParams("needs degree >= k_b >= 2")
+    mu_target = _in_unit("mu_target", mu_target)
     rng = random.Random(seed)
     edges = _bipartite_graph(rng, n_a, n_b, degree)
     if k_a < 1:
@@ -564,12 +566,11 @@ def gen_planar_grid(
     return ProjectionGame(n_a, n_b, k_a, k_b, tuple(edges), tables), plant
 
 
-def _threshold(name: str, p: Fraction | float) -> float:
-    """``_draw_threshold(p)`` for a probability p; InfeasibleParams naming
-    ``name`` when p is outside [0, 1]."""
+def _in_unit(name: str, p: Fraction | float) -> Fraction | float:
+    """p, or InfeasibleParams naming ``name`` when p is outside [0, 1]."""
     if not 0 <= p <= 1:
         raise InfeasibleParams(f"{name} must be in [0, 1], got {p}")
-    return _draw_threshold(p)
+    return p
 
 
 def gen_coloring_graph(
@@ -596,7 +597,7 @@ def gen_coloring_graph(
                 candidates.append((idx(r, c), idx(r + 1, c)))
             if r + 1 < rows and c + 1 < cols:
                 candidates.append((idx(r, c + 1), idx(r + 1, c)))
-    keep = _threshold("keep", keep)
+    keep = _draw_threshold(_in_unit("keep", keep))
     edges = [e for e in candidates if rng.random() < keep]
     coloring = tuple((r + 2 * c) % 3 for r in range(rows) for c in range(cols))
     return build_coloring_graph(rows * cols, edges, claimed_planar=True), coloring
@@ -616,7 +617,7 @@ def gen_matrix_tiling(
     if grid_size < 1 or coord_max < 1:
         raise InfeasibleParams("grid size and coordinate range must be positive")
     rng = random.Random(seed)
-    density = _threshold("density", density)
+    density = _draw_threshold(_in_unit("density", density))
     cells = []
     # randrange(1, coord_max + 1) is 1 + randrange(coord_max)
     row_val = [1 + r for r in _draws(rng, repeat(coord_max, grid_size))]

@@ -84,6 +84,16 @@ def default_mu(game: ProjectionGame, report: SmoothnessReport | None = None) -> 
     return max(report.mu, floor)
 
 
+def _mu(game: ProjectionGame, mu: Fraction | None) -> Fraction:
+    """``mu``, or ``default_mu(game)`` when it is None; InvalidSchemeParameter
+    outside [0, 1]."""
+    if mu is None:
+        return default_mu(game)
+    if not 0 <= mu <= 1:
+        raise InvalidSchemeParameter(f"mu must be in [0, 1], got {mu}")
+    return mu
+
+
 def smooth_exact(
     game: ProjectionGame,
     mu: Fraction | None = None,
@@ -106,12 +116,9 @@ def smooth_exact(
     sample pins the whole A side with probability at least 1/2 for a
     suitable constant c1, making the miss probability at most 1/2.
     """
-    if mu is not None and not 0 <= mu <= 1:
-        raise InvalidSchemeParameter(f"mu must be in [0, 1], got {mu}")
+    mu = _mu(game, mu)
     if c1 < 0:
         raise InvalidSchemeParameter(f"c1 must be at least 0, got {c1}")
-    if mu is None:
-        mu = default_mu(game)
     rng = random.Random(seed)
     p = min(Fraction(1), Fraction(c1) * mu)
     cut = _draw_threshold(p)
@@ -163,10 +170,7 @@ def smooth_approx(
     InvalidSchemeParameter.
     """
     t0 = perf_counter()
-    if mu is not None and not 0 <= mu <= 1:
-        raise InvalidSchemeParameter(f"mu must be in [0, 1], got {mu}")
-    if mu is None:
-        mu = default_mu(game)
+    mu = _mu(game, mu)
     m = game.edge_count
     n_a = game.a_count
     guarantee = Fraction(m, 4)

@@ -293,10 +293,12 @@ def test_kyn_without_cache_tests_its_anchor_alone():
                 assert first.assignment == lc.know_your_neighbors(
                     g, a0, cache.sigma_star[a0][0], st_, cache
                 ).assignment
-            for s in range(g.sigma_a):
+            for s in (-1, *range(g.sigma_a), g.sigma_a):
                 if s not in cache.sigma_star[a0]:
                     with pytest.raises(lc.NotInSigmaStar):
                         lc.know_your_neighbors(g, a0, s, st_)
+                    with pytest.raises(lc.NotInSigmaStar):
+                        lc.know_your_neighbors(g, a0, s, st_, cache)
                     rejected += 1
                     continue
                 got = lc.know_your_neighbors(g, a0, s, st_)

@@ -635,6 +635,16 @@ def test_gen_probability_outside_unit_interval_exits_one_line(capsys, tmp_path):
         assert not out_path.exists()
 
 
+def test_gen_smooth_mu_outside_unit_interval_exits_one_line(capsys, tmp_path):
+    out_path = tmp_path / "out.txt"
+    code, out, err = run(capsys, "gen", "smooth", "--na", "4", "--nb", "4",
+                         "--ka", "4", "--kb", "2", "--degree", "2", "--mu=-1",
+                         "--out", str(out_path))
+    _assert_one_line_error(code, out, err)
+    assert err == "error: mu_target must be in [0, 1], got -1\n"
+    assert not out_path.exists()
+
+
 def test_cli_golden_help_and_usage_errors(capsys, monkeypatch):
     """--help, --version and usage errors keep their bytes (cli_golden.json).
 

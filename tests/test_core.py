@@ -110,6 +110,22 @@ def test_build_rejects_non_integer_values():
     assert "edge 0" in str(err.value)
 
 
+def test_build_game_at_scale_checks_the_last_edge():
+    g, _ = lc.gen_random_satisfiable(2000, 1000, 8, 3, 5, seed=21)
+    fields = (g.a_count, g.b_count, g.sigma_a, g.sigma_b)
+    assert g.edge_count == 10_000
+    assert lc.build_game(*fields, g.edges, g.projections) == g
+    last = g.edge_count - 1
+    b, table = g.edges[last][1], g.projections[last]
+    for error, edges, tables in (
+        (lc.SymbolOutOfRange, g.edges, (*g.projections[:last], (*table[:-1], g.sigma_b))),
+        (lc.IndexOutOfRange, (*g.edges[:last], (g.a_count, b)), g.projections),
+        (lc.DuplicateEdge, (*g.edges[:last], g.edges[0]), g.projections),
+    ):
+        with pytest.raises(error, match=r"^edge 9999: "):
+            lc.build_game(*fields, edges, tables)
+
+
 def test_build_tiny1_matches_golden_stats(tiny1):
     game, _, golden = tiny1
     st = lc.compute_stats(game)

@@ -9,6 +9,7 @@ compared: ties break to the smallest index, and a relabeling moves it.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -89,16 +90,29 @@ def test_relabeling_keeps_sigma_star_and_best_of_on_a_large_sparse_game():
         assert invariants(relabel(g, rng)) == want
 
 
+def random_tables(game, rng):
+    """``game``'s graph and alphabets with every table drawn afresh: no
+    plant, so the game may be unsatisfiable."""
+    tables = [tuple(rng.randrange(game.sigma_b) for _ in range(game.sigma_a))
+              for _ in game.edges]
+    return lc.build_game(game.a_count, game.b_count, game.sigma_a, game.sigma_b,
+                         game.edges, tables)
+
+
 def _small_games():
     rng = random.Random(2027)
+    planted = []
     for i in range(8):
         seed = rng.randrange(1 << 30)
-        yield lc.gen_random_satisfiable(6, 5, 3, 2, 2, seed=seed)[0]
+        planted.append((seed, lc.gen_random_satisfiable(6, 5, 3, 2, 2, seed=seed)[0]))
+        yield planted[-1][1]
         yield lc.gen_random_satisfiable(6, 4, 4, 2, 2, seed=seed, uniform=True)[0]
         yield lc.gen_planar_grid(2, 3 + i % 2, 3, 2, seed=seed)[0]
         coloring, _ = lc.gen_coloring_graph(2, 2, 0.6, seed=seed)
         if coloring.edges:
             yield lc.from_planar_3col(coloring)[0]
+    for seed, game in planted:
+        yield random_tables(game, random.Random(seed))
 
 
 @pytest.mark.parametrize("i, game", list(enumerate(_small_games())))
@@ -108,3 +122,36 @@ def test_relabeling_keeps_the_optimum_on_small_games(i, game):
     for _ in range(2):
         r = relabel(game, rng)
         assert (invariants(r), lc.brute_force_opt(r)[1], lc.is_satisfiable(r)) == want
+
+
+def test_small_games_include_unsatisfiable_ones():
+    assert {lc.is_satisfiable(g) for g in _small_games()} == {False, True}
+
+
+def test_relabeling_keeps_the_tree_dp_optimum_on_an_unplanted_grid():
+    # 10x10 grid, 180 edges, 3^50 A assignments: beyond brute force; each
+    # relabeling gets its own min-fill decomposition
+    g = random_tables(lc.gen_planar_grid(10, 10, 3, 2, seed=5)[0], random.Random(5))
+    phi, want = lc.tree_dp_solve(g, lc.heuristic_decomposition(g))
+    assert 0 < want < g.edge_count and lc.value(g, phi) == want
+    rng = random.Random(3)
+    for _ in range(2):
+        r = relabel(g, rng)
+        phi, got = lc.tree_dp_solve(r, lc.heuristic_decomposition(r))
+        assert got == want and lc.value(r, phi) == want
+
+
+def test_relabeling_keeps_satisfiability_and_smoothness_on_smooth_games():
+    # below a loose target the pairs' collision fractions differ, so a
+    # measure that skips some symbol pairs reads another maximum after a
+    # relabeling
+    for seed, shape in enumerate(((4, 12, 3, 7, 12, Fraction(1, 12)),
+                                  (4, 12, 3, 7, 12, Fraction(1, 2)),
+                                  (6, 10, 4, 5, 6, Fraction(1)),
+                                  (5, 8, 3, 4, 8, Fraction(1, 2)))):
+        g, report, _ = lc.gen_smooth(*shape, seed=seed)
+        want = lc.is_satisfiable(g), report.mu
+        rng = random.Random(seed)
+        for _ in range(2):
+            r = relabel(g, rng)
+            assert (lc.is_satisfiable(r), lc.measure_smoothness(r).mu) == want

@@ -474,3 +474,12 @@ def test_generators_reject_probabilities_outside_unit_interval():
     assert len(lc.gen_coloring_graph(2, 2, 1, seed=0)[0].edges) == 5
     assert not lc.gen_coloring_graph(2, 2, 0, seed=0)[0].edges
     assert all(lc.gen_matrix_tiling(2, 2, Fraction(1), seed=0).cells)
+
+
+def test_gen_smooth_rejects_mu_target_outside_unit_interval_before_drawing():
+    # no row set meets a target below 0, so with a budget of 10^9 tries a
+    # generator that drew first would not return; above 1 it would succeed
+    for bad, shown in ((Fraction(-1), "-1"), (Fraction(5, 4), "5/4")):
+        with pytest.raises(lc.InfeasibleParams,
+                           match=rf"^mu_target must be in \[0, 1\], got {shown}$"):
+            lc.gen_smooth(4, 4, 4, 2, 2, bad, seed=0, max_tries=10**9)
