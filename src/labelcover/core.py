@@ -10,8 +10,9 @@ Everything here is immutable after construction and safe to share between
 threads; all operations are pure functions.  The label-selection kernels
 every solver shares live here too: ``_propagate``, ``_consistent_masks``,
 ``_extensions`` (the pruning walk over B-side labellings),
-``_best_a_symbol`` and ``_majority_b_symbol``, and ``_adjacency`` gives
-the global-numbering neighbor lists that decompositions and BFS read.
+``_best_a_symbol`` and ``_majority_b_symbol``; ``_adjacency`` gives the
+global-numbering neighbor lists and ``_walk`` the one breadth-first
+search, which components, Baker's levels and bag trees read.
 Every solver builds its ``SolveReport`` through ``_report``, and every
 sub-game (a component or a planar residual) is carved by ``_subgame``.
 """
@@ -23,6 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import islice
 from operator import index, or_
 from time import perf_counter
 
@@ -157,6 +159,14 @@ def _int_rows(rows, error, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _int(value, error, what: str) -> int:
+    """value by ``operator.index`` (2.0 is not 2), or ``error``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
 def build_game(
     a_count: int,
     b_count: int,
@@ -168,15 +178,17 @@ def build_game(
     """Validate raw instance data and return an immutable game.
 
     Raises IndexOutOfRange, DuplicateEdge, TableLengthMismatch or
-    SymbolOutOfRange, each naming the offending edge index; an edge that
-    is not a pair, or a value that is not an integer, raises
-    IndexOutOfRange as an endpoint and SymbolOutOfRange as a table entry.
+    SymbolOutOfRange, each naming the offending edge index; a value that
+    is not an integer raises IndexOutOfRange as a count or endpoint (as
+    does an edge that is not a pair), SymbolOutOfRange as a size or entry.
     After the size checks and the int coercion (edges, then tables), one
     pass checks the edges in order, so the error named is the first bad
     edge's.  Computes nothing beyond validation.
     """
+    a_count, b_count = (_int(n, IndexOutOfRange, "vertex count") for n in (a_count, b_count))
     if a_count < 0 or b_count < 0:
         raise IndexOutOfRange("vertex counts must be nonnegative")
+    sigma_a, sigma_b = (_int(k, SymbolOutOfRange, "alphabet size") for k in (sigma_a, sigma_b))
     if sigma_a < 1 or sigma_b < 1:
         raise SymbolOutOfRange("alphabet sizes must be positive")
     edges = _int_rows(edges, IndexOutOfRange, "endpoints")
@@ -367,6 +379,27 @@ def _adjacency(game: ProjectionGame) -> list[list[int]]:
     return adj
 
 
+def _walk(adj, roots):
+    """Breadth-first search of the graph with neighbor lists ``adj`` from
+    each of ``roots`` not yet reached, in that order: the reached vertices
+    in visiting order, each vertex's parent (-1 at a root) and its distance
+    from its root, both -1 for vertices not reached."""
+    parent = [-1] * len(adj)
+    dist = [-1] * len(adj)
+    order = []
+    for r in roots:
+        if dist[r] < 0:
+            dist[r] = 0
+            order.append(r)
+            for u in islice(order, len(order) - 1, None):  # reads appends too
+                d = dist[u] + 1
+                for v in adj[u]:
+                    if dist[v] < 0:
+                        dist[v], parent[v] = d, u
+                        order.append(v)
+    return order, parent, dist
+
+
 def _degree_sum(degrees):
     """A function from a bitset of vertices to the sum of their ``degrees``:
     over k, 2**k times its popcount in plane k, the vertices with bit k set."""
@@ -527,22 +560,12 @@ def connected_components(game: ProjectionGame) -> list[Component]:
     follows the original edge order, so lifting sub-assignments back
     preserves value additively.
     """
-    n = game.vertex_count
-    comp_of = [-1] * n
-    adj = _adjacency(game)
+    order, parent, _ = _walk(_adjacency(game), range(game.vertex_count))
+    comp_of = [0] * len(order)
     comps = 0
-    for start in range(n):
-        if comp_of[start] != -1:
-            continue
-        stack = [start]
-        comp_of[start] = comps
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if comp_of[v] == -1:
-                    comp_of[v] = comps
-                    stack.append(v)
-        comps += 1
+    for v in order:  # a root's whole component follows it
+        comps += parent[v] < 0
+        comp_of[v] = comps - 1
 
     a_verts, b_verts, eids = ([[] for _ in range(comps)] for _ in range(3))
     for a in range(game.a_count):

@@ -9,9 +9,9 @@ emits each vertex's bag as it eliminates it; only the rule that picks the
 next vertex differs.  Min-fill picks the vertex needing the fewest fill
 edges, the smallest index on ties, from a lazily invalidated heap;
 ``_eliminate`` keeps every fill exact and incremental through triangle
-counts.  Validation is one preorder walk of the bag tree
-(``_rooted_walk``) that finds each vertex's top bag; ``tree_dp_solve``
-reuses the walk and the edge owners that validation read off the tops.
+counts.  Validation is one breadth-first walk (``core._walk``) of the
+bag tree, ``_rooted_walk``, that finds each vertex's top bag;
+``tree_dp_solve`` reuses it and the edge owners read off the tops.
 The DP counts each edge once, at the bag nearest the root that holds both
 endpoints.  It codes a bag state as an integer, its mixed-radix index,
 and builds a bag's values as sums of factors, lists read at the codes of
@@ -36,6 +36,7 @@ from .core import (
     _adjacency,
     _extensions,
     _majority_b_symbol,
+    _walk,
 )
 
 
@@ -69,25 +70,13 @@ def _vertex_name(game: ProjectionGame, v: int) -> str:
 
 
 def _rooted_walk(nbags: int, tree: tuple[tuple[int, int], ...]):
-    """Link lists, DFS parents (-1 at the root and off the tree) and DFS
-    preorder of the bags reachable from bag 0."""
+    """Link lists, breadth-first parents (-1 at the root and off the tree)
+    and breadth-first order of the bags reachable from bag 0."""
     tadj: list[list[int]] = [[] for _ in range(nbags)]
     for i, j in tree:
         tadj[i].append(j)
         tadj[j].append(i)
-    parent = [-1] * nbags
-    seen = [False] * nbags
-    seen[0] = True
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for w in tadj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                stack.append(w)
+    order, parent, _ = _walk(tadj, (0,))
     return tadj, parent, order
 
 
@@ -99,12 +88,13 @@ def validate_decomposition(game: ProjectionGame, td: TreeDecomposition) -> list[
     every bag vertex must be a game vertex; the three decomposition
     conditions are reported as conditions 1 to 3.
 
-    One preorder walk of the bags from bag 0 checks all three.  A bag is a
-    top of vertex v when it holds v and its parent does not; v's holders
-    are connected in a tree iff v has exactly one top, and then the first
-    holder in preorder, ``top[v]``, is it.  For two vertices whose holders
-    are connected, some bag holds both iff the later of their tops in
-    preorder does (two subtrees meet iff one's top lies in the other).
+    One breadth-first walk of the bags from bag 0 checks all three.  A
+    bag is a top of vertex v when it holds v and its parent does not; v's
+    holders are connected in a tree iff v has exactly one top, and then
+    the first holder in the walk, ``top[v]``, is it.  For two vertices
+    whose holders are connected, some bag holds both iff the later of
+    their tops in the walk does (two subtrees meet iff one's top lies in
+    the other, and the walk reaches a bag after all its ancestors).
     Vertices with two or more tops, and all of condition 3 when the links
     close a cycle, are settled by a scan of their holders.
     """
@@ -113,9 +103,9 @@ def validate_decomposition(game: ProjectionGame, td: TreeDecomposition) -> list[
 
 def _validated(game: ProjectionGame, td: TreeDecomposition):
     """``validate_decomposition``'s violations, plus the rooted walk and,
-    per edge, the bag that owns it: its first holder in the walk's
-    preorder, read only when there are no violations (None where the
-    checks stopped first)."""
+    per edge, the bag that owns it: its first holder in the walk, read
+    only when there are no violations (None where the checks stopped
+    first)."""
     violations: list[str] = []
     bags = td.bags
     nbags = len(bags)
@@ -134,22 +124,18 @@ def _validated(game: ProjectionGame, td: TreeDecomposition):
         )
     walk = _rooted_walk(nbags, td.tree)
     tadj, parent, order = walk
-    if len(order) < nbags:
-        first = min(set(range(nbags)).difference(order))
-        violations.append(f"tree: bag {first} not reachable from bag 0")
+    if len(order) < nbags:  # the first bag off the walk: its parent is -1
+        violations.append(f"tree: bag {parent.index(-1, 1)} not reachable from bag 0")
         return violations, walk, None
 
     n = game.vertex_count
     named = frozenset().union(*bags)
     if named and (min(named) < 0 or max(named) >= n):
         outside = sorted((i, v) for i, bag in enumerate(bags) for v in bag if not 0 <= v < n)
-        for i, v in outside:
-            violations.append(f"bag {i}: vertex {v} is not in the game")
-        bags = list(bags)
-        for i in {i for i, _ in outside}:
-            bags[i] = frozenset(v for v in bags[i] if 0 <= v < n)
+        violations += (f"bag {i}: vertex {v} is not in the game" for i, v in outside)
+        bags = [frozenset(v for v in bag if 0 <= v < n) for bag in bags]
 
-    # top[v]: the preorder rank of v's first holder; split: vertices with
+    # top[v]: the walk's rank of v's first holder; split: vertices with
     # a second top, whose holders are not connected through parent links
     top = [-1] * n
     split = set()
@@ -161,11 +147,8 @@ def _validated(game: ProjectionGame, td: TreeDecomposition):
             else:
                 split.add(v)
     if -1 in top:
-        for v in range(n):
-            if top[v] < 0:
-                violations.append(
-                    f"condition 1: vertex {_vertex_name(game, v)} not in any bag"
-                )
+        violations += (f"condition 1: vertex {_vertex_name(game, v)} not in any bag"
+                       for v in range(n) if top[v] < 0)
     holders: dict[int, list[int]] = {v: [] for v in split}
     if split:
         for i, bag in enumerate(bags):
@@ -189,16 +172,9 @@ def _validated(game: ProjectionGame, td: TreeDecomposition):
 
     for v in sorted(split):
         if cyclic:  # the links hold more than the walk's parent links
-            holder_set = set(holders[v])
-            comp = {holders[v][0]}
-            stack = [holders[v][0]]
-            while stack:
-                u = stack.pop()
-                for w in tadj[u]:
-                    if w in holder_set and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            if comp == holder_set:
+            local = {u: k for k, u in enumerate(holders[v])}
+            adj = [[local[w] for w in tadj[u] if w in local] for u in holders[v]]
+            if len(_walk(adj, (0,))[0]) == len(adj):
                 continue
         violations.append(
             f"condition 3: bags containing {_vertex_name(game, v)} are not "
@@ -476,14 +452,14 @@ def tree_dp_solve(
 ) -> tuple[Assignment, int]:
     """Exact optimum by dynamic programming over a tree decomposition.
 
-    Bags are processed children first, from the rooted walk's preorder
-    (root bag 0) reversed.  A bag state is a typed assignment of its
+    Bags are processed children first, from the breadth-first walk's
+    order (root bag 0) reversed.  A bag state is a typed assignment of its
     sorted vertices (A members draw from the A alphabet, B members from
     the B alphabet), coded as its mixed-radix index in ``product`` order,
     the last vertex fastest.  Each edge is owned by the bag nearest the
-    root that holds both endpoints, its first holder in the preorder, and
+    root that holds both endpoints, its first holder in that order, and
     is counted there only; validation hands over that owner, the later
-    in preorder of the two endpoints' top bags, one lookup per edge.  The
+    in that order of the two endpoints' top bags, one lookup per edge.  The
     value of a state is the owned edges it satisfies plus, for every
     child, the best child value over the child states that agree with it
     on their shared vertices.  Every term is read at the code of the
@@ -494,8 +470,8 @@ def tree_dp_solve(
     summed owned-edge list per (radix, owned edges), together at most
     ``_GATHER_CODES`` entries.  Each bag keeps its first-best value and
     state index per restriction code to its parent, the root its
-    first-best state; the assignment is recovered by decoding those
-    indices down from the root.
+    first-best state; the assignment decodes those indices in the walk's
+    order, each bag's at the labels its parent gave their shared vertices.
 
     ``state_cap`` bounds the states enumerated over all bags.
     """
@@ -584,14 +560,11 @@ def tree_dp_solve(
         peak[i], arg[i] = best, at
 
     labels = [0] * game.vertex_count
-    stack = [(0, arg[0][0])]
-    while stack:
-        i, s = stack.pop()
+    for i in order:
+        c = 0
+        for v in map(verts[i].__getitem__, up[i]):
+            c = c * kind[v] + labels[v]
+        s = arg[i][c]
         for v in reversed(verts[i]):
             s, labels[v] = divmod(s, kind[v])
-        for w, link in links[i]:
-            c = 0
-            for v in map(verts[i].__getitem__, link):
-                c = c * kind[v] + labels[v]
-            stack.append((w, arg[w][c]))
     return Assignment(tuple(labels[:a]), tuple(labels[a:])), peak[0][0]

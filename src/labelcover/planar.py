@@ -25,6 +25,7 @@ from .core import (
     _adjacency,
     _report,
     _subgame,
+    _walk,
     connected_components,
     lift_assignment,
     value,
@@ -69,23 +70,8 @@ class BakerPartition:
 
 
 def _bfs_levels(game: ProjectionGame) -> list[int]:
-    n = game.vertex_count
-    adj = _adjacency(game)
-    level = [-1] * n
-    for start in range(n):
-        if level[start] != -1:
-            continue
-        level[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if level[v] == -1:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-    return level
+    """BFS level of every global vertex, from the smallest of each component."""
+    return _walk(_adjacency(game), range(game.vertex_count))[2]
 
 
 def residual_game(game: ProjectionGame, removed: frozenset[int]) -> ProjectionGame:

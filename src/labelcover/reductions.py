@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from operator import eq
+from operator import eq, index
 
 from .core import (
     Assignment,
@@ -30,6 +30,8 @@ from .core import (
     LabelCoverError,
     ProjectionGame,
     _draw_threshold,
+    _int,
+    _int_rows,
     build_game,
     check_assignment,
 )
@@ -66,9 +68,13 @@ class ColoringGraph:
 def build_coloring_graph(
     vertex_count: int, edges, claimed_planar: bool = False
 ) -> ColoringGraph:
-    edges = tuple((int(u), int(v)) for u, v in edges)
+    vertex_count = _int(vertex_count, IndexOutOfRange, "vertex count")
+    edges = _int_rows(edges, IndexOutOfRange, "endpoints")
     seen = set()
-    for i, (u, v) in enumerate(edges):
+    for i, edge in enumerate(edges):
+        if len(edge) != 2:
+            raise IndexOutOfRange(f"edge {i}: {len(edge)} endpoints, expected 2")
+        u, v = edge
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise IndexOutOfRange(f"edge {i}: endpoint ({u}, {v}) out of range")
         if u == v:
@@ -158,18 +164,22 @@ class MatrixTiling:
 
 
 def build_matrix_tiling(grid_size: int, coord_max: int, cells) -> MatrixTiling:
+    grid_size = _int(grid_size, InfeasibleParams, "grid size")
+    coord_max = _int(coord_max, InfeasibleParams, "coordinate range")
     if grid_size < 1 or coord_max < 1:
         raise InfeasibleParams("grid size and coordinate range must be positive")
-    cells = tuple(frozenset((int(x), int(y)) for x, y in c) for c in cells)
+    cells = list(cells)
     if len(cells) != grid_size * grid_size:
-        raise InfeasibleParams(
-            f"expected {grid_size * grid_size} cells, got {len(cells)}"
-        )
+        raise InfeasibleParams(f"expected {grid_size * grid_size} cells, got {len(cells)}")
     for idx, c in enumerate(cells):
-        for x, y in c:
+        try:
+            cells[idx] = frozenset((index(x), index(y)) for x, y in c)
+        except (TypeError, ValueError):
+            raise InfeasibleParams(f"cell {idx}: pairs must be two integers") from None
+        for x, y in cells[idx]:
             if not (1 <= x <= coord_max and 1 <= y <= coord_max):
                 raise InfeasibleParams(f"cell {idx}: pair ({x}, {y}) out of range")
-    return MatrixTiling(grid_size, coord_max, cells)
+    return MatrixTiling(grid_size, coord_max, tuple(cells))
 
 
 @dataclass(frozen=True)
@@ -418,14 +428,19 @@ def _shuffle(rng, x):
         x[i], x[j] = x[j], x[i]
 
 
-def _bipartite_graph(rng, n_a, n_b, degree):
-    """Each A vertex samples ``degree`` distinct B vertices; each isolated B
-    vertex then gets one edge to a uniform A vertex.  (No A vertex is joined
-    to every B vertex while an isolated one is left, so all are eligible.)"""
+def _graph_shape(n_a, n_b, degree):
+    """Raise InfeasibleParams unless ``_bipartite_graph`` can draw this shape."""
     if n_a < 1 or n_b < 1:
         raise InfeasibleParams("both sides need at least one vertex")
     if not 1 <= degree <= n_b:
         raise InfeasibleParams(f"degree must be in [1, {n_b}]")
+
+
+def _bipartite_graph(rng, n_a, n_b, degree):
+    """Each A vertex samples ``degree`` distinct B vertices; each isolated B
+    vertex then gets one edge to a uniform A vertex.  (No A vertex is joined
+    to every B vertex while an isolated one is left, so all are eligible.)"""
+    _graph_shape(n_a, n_b, degree)
     edges = [(a, b) for a in range(n_a) for b in sorted(rng.sample(range(n_b), degree))]
     isolated = sorted(set(range(n_b)).difference(b for _, b in edges))
     edges += zip(_draws(rng, repeat(n_a, len(isolated))), isolated)
@@ -508,10 +523,11 @@ def gen_smooth(
     if k_b < 2 or degree < k_b:
         raise InfeasibleParams("needs degree >= k_b >= 2")
     mu_target = _in_unit("mu_target", mu_target)
-    rng = random.Random(seed)
-    edges = _bipartite_graph(rng, n_a, n_b, degree)
+    _graph_shape(n_a, n_b, degree)
     if k_a < 1:
         raise InfeasibleParams("alphabets must be nonempty")
+    rng = random.Random(seed)
+    edges = _bipartite_graph(rng, n_a, n_b, degree)
     a_nbrs = [[] for _ in range(n_a)]
     for a, b in edges:
         a_nbrs[a].append(b)

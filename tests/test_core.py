@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 import labelcover as lc
+from labelcover.exact import _rooted_walk
+from labelcover.planar import _bfs_levels
 from test_approx import sweep_games
+from test_derived_oracle import oracle_connected_components
 
 
 def identity_edge_game():
@@ -378,6 +381,97 @@ def test_components_lifted_optima_match_whole():
         lifted = lc.lift_assignment(g, comps, parts)
         _, whole = lc.brute_force_opt(g)
         assert lc.value(g, lifted) == whole
+
+
+# --- the shared breadth-first search, against networkx ------------------
+
+def walk_sweep_games(count):
+    """Seeded sparse games: many components, isolated vertices, edgeless
+    games and games with no A (or no B) vertex."""
+    rng = random.Random(29)
+    for _ in range(count):
+        n_a, n_b = rng.choice((0, 1, 2, 5, 9)), rng.choice((0, 1, 3, 6, 10))
+        pairs = [(a, b) for a in range(n_a) for b in range(n_b)]
+        edges = rng.sample(pairs, min(len(pairs), rng.choice((0, 1, 3, 8, 14))))
+        yield lc.build_game(n_a, n_b, 2, 2, edges, [(0, 1)] * len(edges))
+
+
+def test_bfs_levels_and_components_match_networkx():
+    """Each vertex's BFS level is its distance from the smallest vertex of
+    its component, and the components are the oracle's."""
+    nx = pytest.importorskip("networkx")
+    games = list(walk_sweep_games(300))
+    assert any(g.a_count == 0 for g in games) and any(not g.edges for g in games)
+    for g in games:
+        graph = nx.Graph((a, g.a_count + b) for a, b in g.edges)
+        graph.add_nodes_from(range(g.vertex_count))
+        levels = _bfs_levels(g)
+        for comp in nx.connected_components(graph):
+            dist = nx.single_source_shortest_path_length(graph, min(comp))
+            assert all(levels[v] == dist[v] for v in comp)
+        assert len(levels) == g.vertex_count
+        assert lc.connected_components(g) == oracle_connected_components(g)
+
+
+def random_links(rng, nbags):
+    """Links on ``nbags`` bags: a tree, a forest whose other trees bag 0
+    cannot reach, or a random link set that may close cycles."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        links = [(i, rng.randrange(i)) for i in range(1, nbags)
+                 if kind == 0 or rng.random() < 0.7]
+    else:
+        links = [(rng.randrange(nbags), rng.randrange(nbags))
+                 for _ in range(rng.randrange(2 * nbags))]
+    return tuple((j, i) if rng.random() < 0.5 else (i, j) for i, j in links)
+
+
+def test_rooted_walk_matches_networkx():
+    """Each bag bag 0 reaches is listed once, after its parent, a bag
+    linked to it; on links without a cycle the parent is one step nearer
+    bag 0.  A bag off the walk has parent -1."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(30)
+    cyclic = unreached = 0
+    for _ in range(400):
+        nbags = rng.randint(1, 12)
+        links = random_links(rng, nbags)
+        graph = nx.MultiGraph(links)
+        graph.add_nodes_from(range(nbags))
+        _, parent, order = _rooted_walk(nbags, links)
+        dist = nx.single_source_shortest_path_length(graph, 0)
+        assert order[0] == 0 and sorted(order) == sorted(dist)
+        rank = {bag: r for r, bag in enumerate(order)}
+        forest = len(links) == nbags - nx.number_connected_components(graph)
+        assert parent[0] == -1
+        for bag in range(1, nbags):
+            p = parent[bag]
+            if bag not in dist:
+                assert p == -1
+            else:
+                assert graph.has_edge(p, bag) and rank[p] < rank[bag]
+                assert not forest or dist[p] == dist[bag] - 1
+        cyclic += not forest
+        unreached += len(order) < nbags
+    assert cyclic >= 50 and unreached >= 50
+
+
+def test_rooted_walk_is_breadth_first_on_cyclic_links():
+    # where the links close cycles a bag has several linked bags nearer
+    # bag 0; the walk takes one of them, in nondecreasing distance order
+    nx = pytest.importorskip("networkx")
+    _, parent, order = _rooted_walk(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)))
+    assert order == [0, 1, 5, 2, 4, 3] and parent == [-1, 0, 1, 2, 5, 0]
+    rng = random.Random(31)
+    for _ in range(200):
+        nbags = rng.randint(1, 12)
+        links = random_links(rng, nbags)
+        _, parent, order = _rooted_walk(nbags, links)
+        graph = nx.MultiGraph(links)
+        graph.add_node(0)
+        dist = nx.single_source_shortest_path_length(graph, 0)
+        assert [dist[bag] for bag in order] == sorted(dist.values())
+        assert all(dist[parent[bag]] == dist[bag] - 1 for bag in order[1:])
 
 
 # --- runtime dependencies ------------------------------------------------

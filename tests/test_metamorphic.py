@@ -9,6 +9,7 @@ compared: ties break to the smallest index, and a relabeling moves it.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -155,3 +156,76 @@ def test_relabeling_keeps_satisfiability_and_smoothness_on_smooth_games():
         for _ in range(2):
             r = relabel(g, rng)
             assert (lc.is_satisfiable(r), lc.measure_smoothness(r).mu) == want
+
+
+# --- decompositions: link order, link orientation and bag numbering -----
+# On a tree every bag's parent from bag 0 is unique, so neither the order
+# nor the orientation of the links, nor the numbers of the bags below the
+# root, can change an edge's owner, a bag's first-best state or any
+# violation; the DP sums its children's values, so their order picks
+# nothing either.
+
+def reorient(td, rng):
+    """``td`` with its links shuffled and each flipped at random."""
+    links = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in td.tree]
+    rng.shuffle(links)
+    return lc.TreeDecomposition(td.bags, tuple(links))
+
+
+def renumber(td, rng):
+    """``td`` with every bag but the root moved to a new index."""
+    p = list(range(1, len(td.bags)))
+    rng.shuffle(p)
+    p = [0] + p
+    bags = [None] * len(td.bags)
+    for i, bag in enumerate(td.bags):
+        bags[p[i]] = bag
+    return lc.TreeDecomposition(tuple(bags), tuple((p[i], p[j]) for i, j in td.tree))
+
+
+def _decomposed_games():
+    rng = random.Random(2029)
+    for seed in range(4):
+        grid = lc.gen_planar_grid(3 + seed % 2, 4, 3, 2, seed=seed)[0]
+        yield random_tables(grid, rng) if seed % 2 else grid
+        coloring, _ = lc.gen_coloring_graph(2, 3, Fraction(3, 4), seed=seed)
+        yield lc.from_planar_3col(coloring)[0]
+        planted = lc.gen_random_satisfiable(7, 5, 3, 2, 2, seed=seed)[0]
+        yield random_tables(planted, rng) if seed % 2 else planted
+
+
+def test_tree_dp_ignores_link_order_orientation_and_bag_numbers():
+    rng = random.Random(1)
+    for game in _decomposed_games():
+        td = lc.heuristic_decomposition(game)
+        want = lc.tree_dp_solve(game, td)
+        assert lc.value(game, want[0]) == want[1]
+        for _ in range(3):
+            moved = reorient(td, rng)
+            assert lc.validate_decomposition(game, moved) == []
+            assert lc.tree_dp_solve(game, moved) == want
+            assert lc.tree_dp_solve(game, renumber(moved, rng)) == want
+
+
+def test_violations_ignore_link_order_and_orientation():
+    # random bags over a few vertices outside the game too, on trees,
+    # forests and link sets that close cycles
+    rng = random.Random(2)
+    kinds = set()
+    for _ in range(300):
+        n_a, n_b = rng.randint(0, 4), rng.randint(0, 4)
+        pairs = [(a, b) for a in range(n_a) for b in range(n_b)]
+        edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+        game = lc.build_game(n_a, n_b, 2, 2, edges, [(0, 1)] * len(edges))
+        n, nbags = game.vertex_count, rng.randint(1, 6)
+        bags = tuple(frozenset(rng.sample(range(-1, n + 1), rng.randint(0, n + 2)))
+                     for _ in range(nbags))
+        links = [(i, rng.randrange(i)) for i in range(1, nbags) if rng.random() < 0.9]
+        links += [(rng.randrange(nbags), rng.randrange(nbags))
+                  for _ in range(rng.random() < 0.4)]
+        td = lc.TreeDecomposition(bags, tuple(links))
+        want = lc.validate_decomposition(game, td)
+        kinds.update(re.match(r"tree|bag|condition \d", v)[0] for v in want)
+        for _ in range(2):
+            assert lc.validate_decomposition(game, reorient(td, rng)) == want
+    assert kinds == {"tree", "bag", "condition 1", "condition 2", "condition 3"}

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product, repeat
+from time import perf_counter
 
 import pytest
 
@@ -483,3 +484,72 @@ def test_gen_smooth_rejects_mu_target_outside_unit_interval_before_drawing():
         with pytest.raises(lc.InfeasibleParams,
                            match=rf"^mu_target must be in \[0, 1\], got {shown}$"):
             lc.gen_smooth(4, 4, 4, 2, 2, bad, seed=0, max_tries=10**9)
+
+
+NOT_INTEGERS = (0.7, 1.9, 2.0, "2", None, Fraction(1), 1 + 0j)
+
+
+def test_builders_read_integers_like_build_game():
+    """A count, endpoint, table entry or coordinate that is not an integer
+    raises the package's own class, as does an edge or pair that is not
+    two values; every message is one line.  bool is an integer."""
+    for x in NOT_INTEGERS:
+        calls = [
+            (lc.IndexOutOfRange, "^vertex count must be an integer",
+             lambda: lc.build_game(x, 1, 2, 1, [], [])),
+            (lc.IndexOutOfRange, "^vertex count must be an integer",
+             lambda: lc.build_game(1, x, 2, 1, [], [])),
+            (lc.SymbolOutOfRange, "^alphabet size must be an integer",
+             lambda: lc.build_game(1, 1, x, 1, [], [])),
+            (lc.SymbolOutOfRange, "^alphabet size must be an integer",
+             lambda: lc.build_game(1, 1, 2, x, [], [])),
+            (lc.IndexOutOfRange, "^edge 0: endpoints must be integers$",
+             lambda: lc.build_game(3, 3, 2, 2, [(x, 1)], [(0, 1)])),
+            (lc.SymbolOutOfRange, "^edge 0: table entries must be integers$",
+             lambda: lc.build_game(3, 3, 2, 2, [(0, 1)], [(0, x)])),
+            (lc.IndexOutOfRange, "^vertex count must be an integer",
+             lambda: lc.build_coloring_graph(x, [])),
+            (lc.IndexOutOfRange, "^edge 1: endpoints must be integers$",
+             lambda: lc.build_coloring_graph(3, [(0, 1), (x, 1)])),
+            (lc.IndexOutOfRange, "^edge 0: endpoints must be integers$",
+             lambda: lc.build_coloring_graph(3, [(0, x)])),
+            (lc.InfeasibleParams, "^grid size must be an integer",
+             lambda: lc.build_matrix_tiling(x, 2, [[(1, 1)]])),
+            (lc.InfeasibleParams, "^coordinate range must be an integer",
+             lambda: lc.build_matrix_tiling(1, x, [[(1, 1)]])),
+            (lc.InfeasibleParams, "^cell 1: pairs must be two integers$",
+             lambda: lc.build_matrix_tiling(2, 2, [[(1, 1)], [(x, 1)], [], []])),
+            (lc.InfeasibleParams, "^cell 0: pairs must be two integers$",
+             lambda: lc.build_matrix_tiling(1, 2, [[(1, 1), (1, x)]])),
+        ]
+        for cls, message, call in calls:
+            with pytest.raises(cls, match=message) as err:
+                call()
+            assert "\n" not in str(err.value), (x, message)
+    for edge in ((0, 1, 2), (0,), ()):
+        with pytest.raises(lc.IndexOutOfRange,
+                           match=f"^edge 0: {len(edge)} endpoints, expected 2$"):
+            lc.build_coloring_graph(3, [edge])
+        with pytest.raises(lc.InfeasibleParams, match="^cell 0: pairs must be two integers$"):
+            lc.build_matrix_tiling(1, 3, [[edge]])
+    g = lc.build_coloring_graph(True, [])
+    assert g.vertex_count == 1 and type(g.vertex_count) is int
+    assert lc.build_coloring_graph(2, [(False, True)]).edges == ((0, 1),)
+    t = lc.build_matrix_tiling(True, 2, [[(True, 2)]])
+    assert (t.grid_size, t.cells) == (1, (frozenset({(1, 2)}),))
+    game = lc.build_game(True, True, 2, True, [(False, 0)], [(0, False)])
+    assert (game.a_count, game.sigma_b, game.edges) == (1, 1, ((0, 0),))
+    assert lc.compute_stats(game).h_max == 1
+
+
+def test_gen_smooth_rejects_an_empty_a_alphabet_before_drawing():
+    # drawing this graph takes most of a second; the check comes first
+    t0 = perf_counter()
+    with pytest.raises(lc.InfeasibleParams, match="^alphabets must be nonempty$"):
+        lc.gen_smooth(200000, 100000, 0, 2, 4, 1, seed=0)
+    assert perf_counter() - t0 < 0.1
+    # the graph's shape errors still come before it
+    with pytest.raises(lc.InfeasibleParams, match="^both sides need at least one vertex$"):
+        lc.gen_smooth(0, 4, 0, 2, 4, 1, seed=0)
+    with pytest.raises(lc.InfeasibleParams, match=r"^degree must be in \[1, 3\]$"):
+        lc.gen_smooth(2, 3, 0, 2, 4, 1, seed=0)
