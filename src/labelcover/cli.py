@@ -501,31 +501,64 @@ def _add_rows(parser, rows):
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The CLI parser, built from _COMMANDS on first use and reused."""
+    """The CLI parser, built from _COMMANDS on first use and reused.  Its
+    `leaves` map each runnable command's words, such as ("stats",) or
+    ("smooth", "exact"), to that command's own parser."""
     parser = argparse.ArgumentParser(
         prog="labelcover",
         description="Projection-game (Label Cover) solvers and generators",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.leaves = {}
     commands = parser.add_subparsers(dest="cmd", required=True)
     for name, help_text, dest, handler, rows in _COMMANDS:
         command = commands.add_parser(name, help=help_text)
-        command.set_defaults(handler=handler)
+        # each leaf sets the values the routing levels above it set, so
+        # that it parses its own argv to the same namespace
+        routing = {"cmd": name, "handler": handler}
         if dest is None:
+            command.set_defaults(**routing)
+            parser.leaves[(name,)] = command
             _add_rows(command, rows)
             continue
         subs = command.add_subparsers(dest=dest, required=True)
         for sub_name, sub_help, sub_rows in rows:
             leaf = subs.add_parser(sub_name, help=sub_help)
             # a usage error a handler finds exits 2 like argparse's own
-            leaf.set_defaults(usage_error=leaf.error)
+            leaf.set_defaults(**routing, **{dest: sub_name}, usage_error=leaf.error)
+            parser.leaves[name, sub_name] = leaf
             _add_rows(leaf, sub_rows)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`_parser().parse_args(argv)`, parsed once where it can be.
+
+    The nested parse reads argv three times for a command such as `smooth
+    exact`: each routing level classifies every remaining string before
+    handing it on.  So argv that opens with a command's words goes straight
+    to that command's parser, whose namespace is the nested parse's.  The
+    nested parser runs when no command's words open argv (--help,
+    --version, a missing or unknown command), when the command leaves
+    arguments over (the top-level usage reports them), and when a string
+    opens with "--=", which the top level rejects as ambiguous before any
+    command sees it; so help, version and error text are its own.  The
+    command's own errors (a bad value, a missing positional, -h) come from
+    the same parser either way.
+    """
+    parser = _parser()
+    words = 1 if tuple(argv[:1]) in parser.leaves else 2
+    leaf = parser.leaves.get(tuple(argv[:words]))
+    if leaf is not None and not any(arg.startswith("--=") for arg in argv):
+        args, rest = leaf.parse_known_args(argv[words:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     args.argv = argv
     try:
         return args.handler(args)

@@ -24,10 +24,11 @@ kA + 2 fields joined by single spaces, each ending in '\n'.  Every row's
 width is checked before anything else is built, and each field is looked
 up in its own column's table of the decimals below the column's bound (nA
 for A ends, nB for B ends, kB for table entries), cut at the file's field
-count so that huge declared counts build no huge table; a hit is a field
-in range.  A game read so is canonical, and the CLI hashes the text's own
-bytes for instance_digest.  Any miss (another token, a value out of
-range, an index at or above the file's field count, a wrong width, a
+count so that huge declared counts build no huge table; a field missing
+from the table is read when it is the canonical decimal of a number below
+its column's bound, so a hit is a field in range.  A game read so is
+canonical, and the CLI hashes the text's own bytes for instance_digest.
+Any miss (another token, a value out of range, a wrong width, a
 duplicate edge, kA or kB of 0) sends the text to the row loop, which
 reads any text as the other four formats do: it tokenizes each row with
 the grammar above and raises every error as a ParseError at its line.
@@ -149,17 +150,30 @@ def parse_labelcover(text: str) -> ProjectionGame:
     return _read_labelcover(text)[0]
 
 
-def _decimals(size: int):
-    """Look up the decimal string of a number below ``size``: KeyError for
-    any other string."""
-    return dict(zip(map(str, range(size)), range(size))).__getitem__
+class _Decimals(dict):
+    """The decimal strings of the numbers below ``bound`` and their values;
+    only those below ``cut`` are stored, so a huge bound builds no huge
+    table.  Any other canonical decimal below ``bound`` (ASCII digits, no
+    leading zero) is read on lookup; every other string is a KeyError."""
+
+    def __init__(self, bound: int, cut: int):
+        size = min(bound, cut)
+        super().__init__(zip(map(str, range(size)), range(size)))
+        self.bound = bound
+        self.width = len(str(bound))
+
+    def __missing__(self, key: str) -> int:
+        # "0" is stored whenever it is below the bound; the length check
+        # keeps int() off long strings
+        if (key.isascii() and key.isdigit() and key[0] != "0"
+                and len(key) <= self.width and int(key) < self.bound):
+            return int(key)
+        raise KeyError(key)
 
 
 def _read_labelcover(text: str) -> tuple[ProjectionGame, bool]:
     """parse_labelcover's game, and whether the text was read in one pass
-    as canonical.  A canonical text is ``emit_labelcover(game)``, but not
-    every such text is read so: an index at or above the file's field
-    count is a miss."""
+    as canonical, that is, whether it is ``emit_labelcover(game)``."""
     game = _read_canonical(text)
     if game is not None:
         return game, True
@@ -188,18 +202,18 @@ def _read_canonical(text: str) -> ProjectionGame | None:
         return None
     if not m:  # nothing to look up, and no tables to cut into k_a entries
         return ProjectionGame(n_a, n_b, k_a, k_b, (), ())
-    # each column's decimals below its bound, cut at the file's field count
-    # (the header's two and the size line's five included) so that huge
-    # declared counts build no huge table; a hit is a field in range
+    # each column's decimals below its bound, stored up to the file's field
+    # count (the header's two and the size line's five included) so that
+    # huge declared counts build no huge table; a hit is a field in range
     fields = m * (k_a + 2) + 7
     try:
         edges = tuple(zip(
-            map(_decimals(min(n_a, fields)), cells[::period]),
-            map(_decimals(min(n_b, fields)), cells[1::period]),
+            map(_Decimals(n_a, fields).__getitem__, cells[::period]),
+            map(_Decimals(n_b, fields).__getitem__, cells[1::period]),
         ))
         # drop the "\n" cells, then the A ends, then the B ends
         del cells[period - 1 :: period], cells[:: period - 1], cells[:: period - 2]
-        tables = tuple(zip(*[map(_decimals(min(k_b, fields)), cells)] * k_a))
+        tables = tuple(zip(*[map(_Decimals(k_b, fields).__getitem__, cells)] * k_a))
     except KeyError:
         return None
     if len(set(edges)) != m:

@@ -69,6 +69,8 @@ def build_coloring_graph(
     vertex_count: int, edges, claimed_planar: bool = False
 ) -> ColoringGraph:
     vertex_count = _int(vertex_count, IndexOutOfRange, "vertex count")
+    if vertex_count < 0:
+        raise IndexOutOfRange("vertex count must be nonnegative")
     edges = _int_rows(edges, IndexOutOfRange, "endpoints")
     seen = set()
     for i, edge in enumerate(edges):

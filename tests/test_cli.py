@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import labelcover as lc
 from labelcover import formats
-from labelcover.cli import BENCH_ALGOS, _parser, main
+from labelcover.cli import BENCH_ALGOS, _parse_args, _parser, main
 
 from conftest import FIXTURES, SRC, fixture_text
 
@@ -352,14 +352,14 @@ def test_instance_digest_is_the_canonical_text_s_for_every_spelling(capsys, tmp_
         assert {rec["instance_digest"] for rec in runs} == {want}, name
 
 
-def test_instance_digest_of_a_canonical_file_the_one_pass_read_misses(capsys, tmp_path):
-    """An index at or above the file's field count misses the one-pass
-    read, yet the file is what emit writes, so its digest is its bytes'."""
+def test_instance_digest_of_a_sparse_canonical_file_is_its_bytes_(capsys, tmp_path):
+    """An index at or above the file's field count is still read in one
+    pass, and the file is what emit writes, so its digest is its bytes'."""
     text = "labelcover v1\n100 100 1 1 1\n99 99 0\n"
     path = tmp_path / "game.lc"
     path.write_text(text)
     game, canonical = formats._read_labelcover(text)
-    assert not canonical and formats.emit_labelcover(game) == text
+    assert canonical and formats.emit_labelcover(game) == text
     code, out, _ = run(capsys, "stats", str(path), "--json")
     assert code == 0
     assert json.loads(out)["instance_digest"] == hashlib.sha256(text.encode()).hexdigest()
@@ -767,6 +767,99 @@ def test_every_dropped_flag_is_a_usage_error(capsys):
             assert exc.value.code == 2, (path, flag)
             err = capsys.readouterr().err
             assert err.endswith(f": error: unrecognized arguments: {flag} 0\n")
+
+
+def _every_flag(path, leaf):
+    """An argv for a leaf that gives every flag it takes (-h aside)."""
+    argv = list(path)
+    for action in leaf._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not action.option_strings:
+            argv.append("x.lc")
+        elif action.nargs == 0:
+            argv.append(action.option_strings[0])
+        else:
+            value = {int: "1", None: "y.lc"}.get(action.type, "1/2")
+            argv += [action.option_strings[0], value]
+    return argv
+
+
+_EDGE_ARGVS = [
+    ["stats", "--", "x.lc"],
+    ["stats", "x.lc", "--", "y.lc"],
+    ["smooth", "exact", "x.lc", "--js", "--mu", "1/12"],  # an abbreviation
+    ["ptas", "x.lc", "--ep", "1/2", "--j"],
+    ["smooth", "exact", "x.lc", "--seed", "1", "--seed", "2"],
+    ["approx", "kyn", "x.lc", "--a0=1", "--a0", "2"],
+    ["smooth", "exact", "-h"],
+    ["stats", "x.lc", "--help"],
+    ["stats", "x.lc", "--bogus"],
+    ["stats", "x.lc", "y.lc"],
+    ["smooth", "exact", "x.lc", "--version"],
+    ["smooth", "approx", "x.lc", "--seed", "1"],
+    ["stats", "x.lc", "--=1"],  # ambiguous at the top level, not at the leaf
+    ["approx", "best", "x.lc", "--=", "--json"],
+    ["stats", "x.lc", "--", "--=1"],
+    ["smooth", "exact"],
+    ["verify", "x.lc"],
+    ["gen", "smooth", *_SIZES],
+    ["smooth", "exact", "x.lc", "--mu", "1/0"],
+    ["smooth", "exact", "x.lc", "--mu"],
+    ["stats", "x.lc", "--json=1"],
+    ["gen", "3col", "--rows", "2", "--cols", "2", "--keep", "-1/2"],
+    ["--version", "stats", "x.lc"],
+    ["smooth", "frobnicate", "x.lc"],
+    ["-h"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """A parse's namespace, or its exit code, with what it printed."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def test_main_parses_every_argv_as_the_nested_parser_does(capsys, monkeypatch):
+    """main hands argv straight to the command's own parser; it must end
+    as the nested parse does: the same namespace, or the same exit code and
+    bytes.  The argvs are the golden cases, every flag of every leaf, and
+    argparse's edge cases."""
+    monkeypatch.setenv("COLUMNS", "80")
+    leaves = _leaves(_parser())
+    assert _parser().leaves == dict(leaves)
+    golden = [case["argv"] for case in json.loads(fixture_text("cli_golden.json"))]
+    full = [_every_flag(path, leaf) for path, leaf in leaves]
+    for argv in golden + full + _EDGE_ARGVS:
+        want = _parse_outcome(capsys, _parser().parse_args, argv)
+        assert _parse_outcome(capsys, _parse_args, argv) == want, argv
+        # every leaf's full argv parses, so no leaf is compared on errors only
+        assert isinstance(want[0], dict) or argv not in full, argv
+
+
+def test_a_valid_command_is_parsed_once(capsys, monkeypatch):
+    """Only the command's own parser reads a valid argv, not the routing
+    levels above it."""
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for prog, argv in (
+        ("labelcover smooth exact", ("smooth", "exact", SMOOTH1, "--json", "--mu",
+                                     "1/12", "--c1", "4", "--seed", "0")),
+        ("labelcover stats", ("stats", TINY1, "--json")),
+    ):
+        calls.clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and calls == [prog]
 
 
 _TIMED = [

@@ -542,6 +542,33 @@ def test_bulk_read_misses_what_only_its_own_checks_catch(text):
     assert got[0] == "error" and got == outcome(oracle_parse_labelcover, text)
 
 
+# a canonical game whose indices and table entries lie far above the
+# file's field count, where the lookup tables are cut
+SPARSE = ["99 0 199 150 0", "7 98 1 2 3"]
+
+
+@pytest.mark.parametrize("field", [
+    "99", "150", "0", "05", "+5", "-0", "1_0", "\u0663", "1" * 30, "100", "200",
+])
+@pytest.mark.parametrize("column", range(5))
+def test_sparse_texts_are_read_in_one_pass_exactly_when_canonical(field, column):
+    """A field missing from its column's table is read when it is the
+    canonical decimal of a number below the column's bound; the one-pass
+    read ends as the row loop does, and calls a text canonical exactly
+    when emit writes it."""
+    row = SPARSE[0].split()
+    row[column] = field
+    text = "\n".join(["labelcover v1", "100 100 3 200 2", " ".join(row), SPARSE[1], ""])
+    got = outcome(formats._read_labelcover, text)
+    want = outcome(formats._read_rows, text)
+    if want[0] == "error":
+        assert got == want
+        return
+    game, canonical = got[1]
+    assert game == want[1] == oracle_parse_labelcover(text)
+    assert canonical == (formats.emit_labelcover(game) == text)
+
+
 def generated_games(seed):
     """One game of each generator and reduction, with shapes drawn from
     ``seed``, a grid with kA = 1, and an edgeless game with a huge kA."""

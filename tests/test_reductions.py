@@ -486,6 +486,14 @@ def test_gen_smooth_rejects_mu_target_outside_unit_interval_before_drawing():
             lc.gen_smooth(4, 4, 4, 2, 2, bad, seed=0, max_tries=10**9)
 
 
+def test_build_coloring_graph_rejects_a_negative_vertex_count():
+    for count in (-1, -2):
+        with pytest.raises(lc.IndexOutOfRange,
+                           match="^vertex count must be nonnegative$"):
+            lc.build_coloring_graph(count, [])
+    assert lc.build_coloring_graph(0, []).vertex_count == 0
+
+
 NOT_INTEGERS = (0.7, 1.9, 2.0, "2", None, Fraction(1), 1 + 0j)
 
 
