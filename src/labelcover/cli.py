@@ -4,12 +4,13 @@ Every command is deterministic byte for byte (per seed where seeded);
 wall-clock timings are only emitted under --timings so default output
 stays reproducible.  Exit codes: 0 success, 2 usage error, parse error or
 unreadable input, 3 budget exceeded, 1 other errors (an unwritable output
-included).
+and running out of memory included), 130 interrupted.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -29,10 +30,7 @@ from .core import (
     compute_stats,
     value,
 )
-from . import approx
-from . import exact
 from . import formats
-from . import planar as planar_mod
 from . import reductions
 from . import smooth as smooth_mod
 
@@ -181,6 +179,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import exact
+
     game, digest = _load_game(args.instance)
     t0 = perf_counter()
     if args.method == "exact":
@@ -199,6 +199,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from . import approx
+
     game, digest = _load_game(args.instance)
     st = None if args.algorithm == "one-neighbor" else compute_stats(game)
     if args.algorithm == "one-neighbor":
@@ -251,8 +253,10 @@ def _cmd_smooth(args) -> int:
 
 
 def _cmd_ptas(args) -> int:
+    from . import planar
+
     game, digest = _load_game(args.instance)
-    rep = planar_mod.ptas(
+    rep = planar.ptas(
         game,
         args.eps,
         force_nonplanar=args.force_nonplanar,
@@ -264,7 +268,11 @@ def _cmd_ptas(args) -> int:
 
 def _cmd_reduce(args) -> int:
     if args.json and not args.extract:
-        args.usage_error("argument --json: only allowed with argument --extract")
+        # a usage error, exiting 2 with the command's usage like argparse's own
+        words = ("reduce", args.kind)
+        _parser(words).leaves[words].error(
+            "argument --json: only allowed with argument --extract"
+        )
     if args.kind == "3col":
         graph = formats.parse_coloring_graph(_read_text(args.input))
         game, _ = reductions.from_planar_3col(graph)
@@ -323,6 +331,8 @@ BENCH_ALGOS = ("one-neighbor", "greedy", "kyn", "kynn", "dnc", "best")
 
 
 def _cmd_bench(args) -> int:
+    from . import approx
+
     corpus = Path(args.corpus)
     if not corpus.is_dir():
         raise _UnreadableInput(f"corpus {args.corpus} is not a directory")
@@ -499,11 +509,21 @@ def _add_rows(parser, rows):
         parser.add_argument(flag, **kwargs)
 
 
+# the words that name each runnable command, such as ("stats",) or
+# ("smooth", "exact"): the keys of _parser().leaves
+_WORDS = frozenset(
+    words
+    for name, _, dest, _, rows in _COMMANDS
+    for words in ([(name, sub[0]) for sub in rows] if dest else [(name,)])
+)
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser(words: tuple[str, ...] = ()) -> argparse.ArgumentParser:
     """The CLI parser, built from _COMMANDS on first use and reused.  Its
-    `leaves` map each runnable command's words, such as ("stats",) or
-    ("smooth", "exact"), to that command's own parser."""
+    `leaves` map each runnable command's words to that command's own
+    parser.  Given a command's words, it builds only that command's
+    branch, whose parsers are those of the whole tree."""
     parser = argparse.ArgumentParser(
         prog="labelcover",
         description="Projection-game (Label Cover) solvers and generators",
@@ -512,6 +532,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.leaves = {}
     commands = parser.add_subparsers(dest="cmd", required=True)
     for name, help_text, dest, handler, rows in _COMMANDS:
+        if words[:1] not in ((), (name,)):
+            continue
         command = commands.add_parser(name, help=help_text)
         # each leaf sets the values the routing levels above it set, so
         # that it parses its own argv to the same namespace
@@ -523,9 +545,10 @@ def _parser() -> argparse.ArgumentParser:
             continue
         subs = command.add_subparsers(dest=dest, required=True)
         for sub_name, sub_help, sub_rows in rows:
+            if words[1:] not in ((), (sub_name,)):
+                continue
             leaf = subs.add_parser(sub_name, help=sub_help)
-            # a usage error a handler finds exits 2 like argparse's own
-            leaf.set_defaults(**routing, **{dest: sub_name}, usage_error=leaf.error)
+            leaf.set_defaults(**routing, **{dest: sub_name})
             parser.leaves[name, sub_name] = leaf
             _add_rows(leaf, sub_rows)
     return parser
@@ -537,31 +560,42 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     The nested parse reads argv three times for a command such as `smooth
     exact`: each routing level classifies every remaining string before
     handing it on.  So argv that opens with a command's words goes straight
-    to that command's parser, whose namespace is the nested parse's.  The
-    nested parser runs when no command's words open argv (--help,
-    --version, a missing or unknown command), when the command leaves
-    arguments over (the top-level usage reports them), and when a string
-    opens with "--=", which the top level rejects as ambiguous before any
-    command sees it; so help, version and error text are its own.  The
-    command's own errors (a bad value, a missing positional, -h) come from
-    the same parser either way.
+    to that command's parser, whose namespace is the nested parse's, and
+    only that command's branch of the tree is built.  The whole tree parses
+    when no command's words open argv (--help, --version, a missing or
+    unknown command), when the command leaves arguments over (the top-level
+    usage reports them), and when a string opens with "--=", which the top
+    level rejects as ambiguous before any command sees it; so help, version
+    and error text are its own.  The command's own errors (a bad value, a
+    missing positional, -h) come from the same parser either way.
     """
-    parser = _parser()
-    words = 1 if tuple(argv[:1]) in parser.leaves else 2
-    leaf = parser.leaves.get(tuple(argv[:words]))
-    if leaf is not None and not any(arg.startswith("--=") for arg in argv):
-        args, rest = leaf.parse_known_args(argv[words:])
+    words = tuple(argv[:1]) if tuple(argv[:1]) in _WORDS else tuple(argv[:2])
+    if words in _WORDS and not any(arg.startswith("--=") for arg in argv):
+        leaf = _parser(words).leaves[words]
+        args, rest = leaf.parse_known_args(argv[len(words):])
         if not rest:
             return args
-    return parser.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parse_args(argv)
     args.argv = argv
+    # output files this command creates, removed if it is cut short
+    created = [
+        path for path in (getattr(args, "out", None), getattr(args, "plant_out", None))
+        if path and not os.path.lexists(path)
+    ]
     try:
         return args.handler(args)
+    except (MemoryError, KeyboardInterrupt) as exc:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        interrupted = isinstance(exc, KeyboardInterrupt)
+        print("interrupted" if interrupted else "error: out of memory", file=sys.stderr)
+        return 130 if interrupted else 1
     except formats.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -38,15 +38,18 @@ from __future__ import annotations
 
 import re
 from itertools import islice
+from typing import TYPE_CHECKING
 
 from .core import Assignment, LabelCoverError, ProjectionGame, build_game
-from .exact import TreeDecomposition
 from .reductions import (
     ColoringGraph,
     MatrixTiling,
     build_coloring_graph,
     build_matrix_tiling,
 )
+
+if TYPE_CHECKING:  # parse_td imports it when it runs
+    from .exact import TreeDecomposition
 
 
 class ParseError(LabelCoverError):
@@ -277,6 +280,8 @@ def emit_assignment(phi: Assignment) -> str:
 
 def parse_td(text: str) -> TreeDecomposition:
     """`td v1`: header; `B T` counts; B ``bag ...`` lines; T ``link i j``."""
+    from .exact import TreeDecomposition
+
     _, content, num, (nbags, nlinks) = _read(text, "td v1", 2)
     bags = []
     links = []

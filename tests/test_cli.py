@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import labelcover as lc
 from labelcover import formats
-from labelcover.cli import BENCH_ALGOS, _parse_args, _parser, main
+from labelcover.cli import BENCH_ALGOS, _WORDS, _parse_args, _parser, main
 
 from conftest import FIXTURES, SRC, fixture_text
 
@@ -598,6 +598,49 @@ def test_unwritable_output_exits_one(capsys, tmp_path):
         assert err.startswith("cannot write output: ") and err.count("\n") == 1
 
 
+_CUT_SHORT = [(MemoryError, 1, "error: out of memory\n"), (KeyboardInterrupt, 130, "interrupted\n")]
+
+
+@pytest.mark.parametrize("exc, code, err", _CUT_SHORT, ids=["memory", "interrupt"])
+def test_a_command_cut_short_exits_one_line_and_leaves_no_output(
+        capsys, monkeypatch, tmp_path, exc, code, err):
+    def cut_short(*args, **kwargs):
+        raise exc
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a.lc", "b.lc"):
+        (corpus / name).write_text(fixture_text("tiny1.lc"))
+    out, plant = tmp_path / "out", tmp_path / "plant"
+    best_of = lc.approx.best_of
+    calls = []
+
+    def second_call_cut_short(*args):
+        calls.append(args)
+        return cut_short() if len(calls) > 1 else best_of(*args)
+
+    # --out is written before --plant-out; bench writes --out record by record
+    for callee, argv in (
+        ((formats, "emit_assignment", cut_short),
+         ("gen", "grid", "--rows", "2", "--cols", "2", "--ka", "2", "--kb", "2",
+          "--out", str(out), "--plant-out", str(plant))),
+        ((lc.approx, "best_of", second_call_cut_short),
+         ("bench", str(corpus), "--out", str(out))),
+        ((lc.reductions, "gen_random_satisfiable", cut_short),
+         ("gen", "random", *_SIZES, "--out", str(out))),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(*callee)
+            assert run(capsys, *argv) == (code, "", err)
+        assert not out.exists() and not plant.exists()
+    assert len(calls) == 2
+    # an output file that was there before the command is not removed
+    out.write_text("kept")
+    monkeypatch.setattr(lc.reductions, "gen_random_satisfiable", cut_short)
+    assert run(capsys, "gen", "random", *_SIZES, "--out", str(out)) == (code, "", err)
+    assert out.read_text() == "kept"
+
+
 def test_smooth_parameters_out_of_range_exit_one_line(capsys):
     path = str(FIXTURES / "smooth1.lc")
     for argv in (("approx", path, "--mu", "-1"), ("exact", path, "--mu", "-1"),
@@ -860,6 +903,20 @@ def test_a_valid_command_is_parsed_once(capsys, monkeypatch):
         calls.clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0 and calls == [prog]
+
+
+def test_a_valid_command_builds_only_its_own_branch(capsys, monkeypatch):
+    """A valid argv builds the parsers on its command's path, which print
+    the same help as the whole tree's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _WORDS == set(_parser().leaves)
+    for words in _WORDS:
+        branch = _parser(words)
+        assert list(branch.leaves) == [words]
+        assert branch.leaves[words].format_help() == _parser().leaves[words].format_help()
+    _parser.cache_clear()
+    code, _, _ = run(capsys, "smooth", "exact", SMOOTH1, "--mu", "1/12")
+    assert code == 0 and _parser.cache_info().currsize == 1
 
 
 _TIMED = [
