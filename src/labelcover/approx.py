@@ -11,7 +11,7 @@ All tie-breaking is smallest-index-wins so runs are bit-reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,38 +47,43 @@ class UniformAssumptionViolated(LabelCoverError):
 
 @dataclass(frozen=True)
 class SigmaStarCache:
-    """Admissible anchor symbols and their good-edge neighborhoods.
+    """Admissible anchor symbols and the good-edge reads of their keys.
 
     A symbol s is admissible for vertex a when anchoring a at s and
     propagating to a's neighborhood leaves every two-hop vertex a
     consistent choice against every B vertex; on a satisfiable instance
-    the all-satisfying label of a is always admissible.  For each
-    admissible (a, s) the cache holds the neighbors reachable through at
-    least one good edge (preimage size at most ``threshold``, the exact
-    2 * p_bar_max), the good two-hop set, the number of edges touching it
-    (``h_star``), and the good-edge set itself (``e_star``, as edge
-    indices).  ``compute_sigma_star`` says how it evaluates them.
+    the all-satisfying label of a is always admissible.  An edge is good
+    under an anchor when its preimage of the propagated label has at most
+    2 * p_bar_max symbols.  ``compute_sigma_star`` says how the cache is
+    evaluated.
 
-    ``threshold``, the good-edge blocks, ``h_star_max`` and
-    ``h_star_argmax`` are computed up front.  Everything else is built on
-    read: ``sigma_star`` runs the admissibility test for an A vertex the
-    first time its entry is read and keeps the answer; it is ``==`` to the
-    tuple of the admissible tuples and hashes and pickles like it.
-    ``h_star``, ``n_star``, ``n2_star`` and ``e_star`` are read-only
-    ``Mapping`` views over the admissible keys in (a, s) order: reading a
-    key tests its vertex if it is not yet tested, builds the value from
-    the blocks, and raises KeyError for an inadmissible or out-of-range
-    key.  A view equals a dict with the same items, but is not a ``dict``.
+    ``h_star_max`` and ``h_star_argmax`` are computed up front.
+    ``sigma_star`` runs the admissibility test for an A vertex the first
+    time its entry is read and keeps the answer; it is ``==`` to the tuple
+    of the admissible tuples and hashes like it.  ``good(a, s)`` reads one
+    admissible key.
     """
 
-    threshold: Fraction
     sigma_star: Sequence[tuple[int, ...]]
-    n_star: Mapping[tuple[int, int], tuple[int, ...]]
-    n2_star: Mapping[tuple[int, int], tuple[int, ...]]
-    h_star: Mapping[tuple[int, int], int]
-    e_star: Mapping[tuple[int, int], frozenset[int]]
     h_star_max: int
     h_star_argmax: tuple[int, int] | None
+
+    def good(self, a: int, s: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """The good B neighbours of a, in ``a_neighbors`` order, the good
+        two-hop set (the A ends of the good edges), sorted, and ``h_star``,
+        the number of edges touching that set, for the admissible key
+        (a, s).  Tests vertex a if it is not yet tested, and no other.
+        Raises IndexOutOfRange unless 0 <= a < a_count, NotInSigmaStar if
+        s is not admissible for a, and TypeError if this cache is not the
+        result of ``compute_sigma_star``."""
+        anchors = _anchors(self)
+        _check_anchor(len(anchors), a)
+        if s not in anchors[a]:
+            raise NotInSigmaStar(f"symbol {s} is not admissible for a{a}")
+        ids, h = anchors.entries[(a, s)]
+        blocks = anchors.blocks
+        n_star = tuple(blocks[i][0] for i in ids if blocks[i][1])
+        return n_star, tuple(sorted(anchors.ends(ids))), h
 
 
 def compute_sigma_star(
@@ -96,18 +101,19 @@ def compute_sigma_star(
     Built here: the good-edge blocks and the largest ``h_star`` with its
     first key in (a, s) order.  Each block (b, t) keeps only the good edges
     at b under symbol t (popcount <= 2 * sum(p_max_e) // |E|, which is
-    ``<= threshold`` without Fractions).  An anchor's good edges are the
-    disjoint union of its deg(a) blocks (b, table_ab[s]), its good two-hop
-    set is the set of their A ends, and ``h_star`` sums degrees over that
-    set.  Since h_star(a, s) <= h(a) (``InstanceStats.h``), the maximum is
-    found by testing vertices in order of falling h(a), smallest index on
-    ties, until no untested vertex can reach or tie the best key.
+    ``<= 2 * p_bar_max`` without Fractions).  An anchor's good edges are
+    the disjoint union of its deg(a) blocks (b, table_ab[s]), its good
+    two-hop set is the set of their A ends, and ``h_star`` sums degrees
+    over that set.  Since h_star(a, s) <= h(a) (``InstanceStats.h``), the
+    maximum is found by testing vertices in order of falling h(a),
+    smallest index on ties, until no untested vertex can reach or tie the
+    best key.
 
     Built on read: every other vertex's admissible symbols, by the test in
-    ``_Admissibility``, with their keys' block positions and ``h_star``.
-    The test's memos are pure functions of the game, shared by every read
-    and dropped once every vertex is tested, so the order of reads changes
-    no value.
+    ``_Admissibility``, with their keys' block positions and ``h_star``;
+    ``good`` builds a key's sets from its blocks.  The test's memos are
+    pure functions of the game, shared by every read and dropped once
+    every vertex is tested, so the order of reads changes no value.
     """
     stats = stats if stats is not None else compute_stats(game)
     pre, kb = game.preimage_masks, game.sigma_b
@@ -126,25 +132,16 @@ def compute_sigma_star(
             h = anchors.entries[(a, sa)][1]
             if argmax is None or h > best or h == best and (a, sa) < argmax:
                 best, argmax = h, (a, sa)
-    return SigmaStarCache(
-        threshold=2 * stats.p_bar_max,
-        sigma_star=anchors,
-        n_star=_KeyView(anchors, _n_star),
-        n2_star=_KeyView(anchors, _n2_star),
-        h_star=_KeyView(anchors, _h_star),
-        e_star=_KeyView(anchors, _e_star),
-        h_star_max=best,
-        h_star_argmax=argmax,
-    )
+    return SigmaStarCache(sigma_star=anchors, h_star_max=best, h_star_argmax=argmax)
 
 
 class _SigmaStar(_TupleView):
     """``SigmaStarCache.sigma_star``: each A vertex's admissible symbols,
-    tested on first read and kept.  The views read ``blocks`` (B vertex,
-    good edges) and ``a_ends``, the A end of every edge.  A read also files
-    each admissible key's block positions and ``h_star`` in ``entries``;
-    once every vertex is read the test, its memos and the game are
-    dropped."""
+    tested on first read and kept.  ``SigmaStarCache.good`` reads
+    ``blocks`` (B vertex, good edges) and ``a_ends``, the A end of every
+    edge.  A read also files each admissible key's block positions and
+    ``h_star`` in ``entries``; once every vertex is read the test, its
+    memos and the game are dropped."""
 
     def __init__(self, game, blocks, a_degree):
         super().__init__(game.a_count)
@@ -167,24 +164,6 @@ class _SigmaStar(_TupleView):
             self._game = self._test = self._a_degree = None
         return symbols
 
-    def __getstate__(self):
-        for _ in self:  # read every vertex, which drops what cannot pickle
-            pass
-        return self.__dict__
-
-    def entry(self, key):
-        """The (block positions, h_star) of an admissible key, testing its
-        vertex first if needed; KeyError for any other key."""
-        got = self.entries.get(key)
-        if got is None:
-            a = key[0] if type(key) is tuple and len(key) == 2 else None
-            if type(a) is int and 0 <= a < len(self) and self._memo[a] is None:
-                self[a]
-                got = self.entries.get(key)
-            if got is None:
-                raise KeyError(key)
-        return got
-
     def ends(self, ids):
         """The set of A ends of the good edges in blocks ``ids``."""
         blocks = self.blocks
@@ -192,42 +171,13 @@ class _SigmaStar(_TupleView):
                        chain.from_iterable(blocks[i][1] for i in ids)))
 
 
-class _KeyView(Mapping):
-    """A read-only map over the admissible keys of a ``_SigmaStar``, in
-    (a, s) order; ``build(anchors, entry)`` makes a key's value from the
-    ``_SigmaStar`` and the key's (block positions, h_star)."""
-
-    def __init__(self, anchors, build):
-        self._anchors, self._build = anchors, build
-
-    def __getitem__(self, key):
-        return self._build(self._anchors, self._anchors.entry(key))
-
-    def __iter__(self):
-        for a, symbols in enumerate(self._anchors):
-            for sa in symbols:
-                yield a, sa
-
-    def __len__(self):
-        return sum(map(len, self._anchors))
-
-
-def _h_star(anchors, entry):
-    return entry[1]
-
-
-def _n_star(anchors, entry):
-    blocks = anchors.blocks
-    return tuple(blocks[i][0] for i in entry[0] if blocks[i][1])
-
-
-def _n2_star(anchors, entry):
-    return tuple(sorted(anchors.ends(entry[0])))
-
-
-def _e_star(anchors, entry):
-    blocks = anchors.blocks
-    return frozenset(chain.from_iterable(blocks[i][1] for i in entry[0]))
+def _anchors(cache: SigmaStarCache) -> _SigmaStar:
+    """The ``sigma_star`` of a cache that ``compute_sigma_star`` built,
+    whose blocks ``good`` and ``divide_and_conquer`` read; TypeError for any
+    other cache."""
+    if not isinstance(cache.sigma_star, _SigmaStar):
+        raise TypeError("cache must be the result of compute_sigma_star(game, stats)")
+    return cache.sigma_star
 
 
 class _Admissibility:
@@ -356,11 +306,9 @@ def _hood(game: ProjectionGame, b: int, hoods, every: int, singles):
     return hoods.setdefault(b, (summary, members, rows))
 
 
-def _check_anchor(game: ProjectionGame, a0: int) -> None:
-    if not 0 <= a0 < game.a_count:
-        raise IndexOutOfRange(
-            f"anchor a{a0} out of range for {game.a_count} A vertices"
-        )
+def _check_anchor(a_count: int, a0: int) -> None:
+    if not 0 <= a0 < a_count:
+        raise IndexOutOfRange(f"anchor a{a0} out of range for {a_count} A vertices")
 
 
 def satisfy_one_neighbor(game: ProjectionGame) -> SolveReport:
@@ -424,7 +372,7 @@ def know_your_neighbors(
     stats = stats if stats is not None else compute_stats(game)
     if a0 is None:
         a0 = max(range(game.a_count), key=lambda a: (stats.e_n[a], -a), default=0)
-    _check_anchor(game, a0)
+    _check_anchor(game.a_count, a0)
     if cache is not None:
         admissible = iter(cache.sigma_star[a0])
     else:  # test a0 alone, and only as far as the answer needs
@@ -498,7 +446,10 @@ def know_neighbors_neighbors(
     empty some candidate set, and certifies h(a0) / uniform_p.  ``a0=None``
     anchors the first vertex of ``h_star_argmax`` (0 when there is none),
     or in the uniform variant the vertex with the largest h, smallest
-    index on ties.  Raises IndexOutOfRange unless 0 <= a0 < a_count.
+    index on ties.  Raises IndexOutOfRange unless 0 <= a0 < a_count.  The
+    canonical variant reads each anchor through ``cache.good``, so a given
+    ``cache`` must be the result of ``compute_sigma_star(game, stats)``;
+    any other raises TypeError once a0 has an admissible symbol.
     """
     t0 = perf_counter()
     stats = stats if stats is not None else compute_stats(game)
@@ -507,7 +458,7 @@ def know_neighbors_neighbors(
     elif a0 is None:
         cache = cache if cache is not None else compute_sigma_star(game, stats)
         a0 = cache.h_star_argmax[0] if cache.h_star_argmax is not None else 0
-    _check_anchor(game, a0)
+    _check_anchor(game.a_count, a0)
 
     best, best_val = None, -1
     if uniform:
@@ -527,12 +478,13 @@ def know_neighbors_neighbors(
         cache = cache if cache is not None else compute_sigma_star(game, stats)
         guarantee = Fraction(0)
         for s0 in cache.sigma_star[a0]:
-            out = _kynn_single(game, stats, a0, s0, cache.n2_star[(a0, s0)], False)
+            _, n2_star, h_star = cache.good(a0, s0)
+            out = _kynn_single(game, stats, a0, s0, n2_star, False)
             val = value(game, out)
             if val > best_val:
                 best, best_val = out, val
             if stats.p_bar_max > 0:
-                bound = Fraction(cache.h_star[(a0, s0)]) / (2 * stats.p_bar_max)
+                bound = Fraction(h_star) / (2 * stats.p_bar_max)
                 guarantee = max(guarantee, bound)
 
     if best is None:
@@ -585,9 +537,7 @@ def divide_and_conquer(
         )
     else:
         cache = cache if cache is not None else compute_sigma_star(game, stats)
-        if not isinstance(cache.sigma_star, _SigmaStar):
-            raise TypeError("cache must be the result of compute_sigma_star(game, stats)")
-        block_edges, factor = [hit for _, hit in cache.sigma_star.blocks], 16
+        block_edges, factor = [hit for _, hit in _anchors(cache).blocks], 16
         denom = cache.h_star_max + stats.e_n_max
         guarantee = Fraction(m**3, 64 * n_a * n_b * denom) if denom else Fraction(0)
 
@@ -652,8 +602,9 @@ def divide_and_conquer(
                             a_labels[a] = try_sa
                         break
             else:
-                p_b = [b for b in cache.n_star[(a, sa)] if not in_vp[n_a + b]]
-                p_a = [ap for ap in cache.n2_star[(a, sa)] if not in_vp[ap]]
+                n_star, n2_star, _ = cache.good(a, sa)
+                p_b = [b for b in n_star if not in_vp[n_a + b]]
+                p_a = [ap for ap in n2_star if not in_vp[ap]]
                 propagated = _propagate(game, a, sa)
                 for b in p_b:
                     b_labels[b] = propagated[b]

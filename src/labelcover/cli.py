@@ -582,35 +582,39 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parse_args(argv)
     args.argv = argv
-    # output files this command creates, removed if it is cut short
+    # output files this command creates, removed if it exits with an error
     created = [
         path for path in (getattr(args, "out", None), getattr(args, "plant_out", None))
         if path and not os.path.lexists(path)
     ]
+    code = 1  # what an exception no clause below names exits with
     try:
-        return args.handler(args)
+        code = args.handler(args)
     except (MemoryError, KeyboardInterrupt) as exc:
-        for path in created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
         interrupted = isinstance(exc, KeyboardInterrupt)
         print("interrupted" if interrupted else "error: out of memory", file=sys.stderr)
-        return 130 if interrupted else 1
+        code = 130 if interrupted else 1
     except formats.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except _UnreadableInput as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except LabelCoverError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
+    finally:
+        if code:
+            for path in created:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+    return code
 
 
 if __name__ == "__main__":

@@ -641,6 +641,25 @@ def test_a_command_cut_short_exits_one_line_and_leaves_no_output(
     assert out.read_text() == "kept"
 
 
+def test_an_error_exit_removes_the_outputs_it_created(capsys, tmp_path):
+    # bench writes tiny1's six run records before it reads the malformed
+    # second file; the parse error takes them with it
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.lc").write_text(fixture_text("tiny1.lc"))
+    (corpus / "b.lc").write_text("labelcover v1\n1 1 2 2 1\n0 0 0\n")
+    out = tmp_path / "out"
+    argv = ("bench", str(corpus), "--out", str(out))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("parse error: line 3: ") and err.count("\n") == 1
+    assert not out.exists()
+    # an output file that was there before the command is not removed
+    out.write_text("kept")
+    assert run(capsys, *argv) == (code, stdout, err)
+    assert [json.loads(x)["record"] for x in out.read_text().splitlines()] == ["run"] * 6
+
+
 def test_smooth_parameters_out_of_range_exit_one_line(capsys):
     path = str(FIXTURES / "smooth1.lc")
     for argv in (("approx", path, "--mu", "-1"), ("exact", path, "--mu", "-1"),

@@ -51,11 +51,12 @@ def invariants(game):
     st = lc.compute_stats(game)
     cache = lc.compute_sigma_star(game, st)
     guarantee = lc.best_of(game, st, cache).guarantee
+    good = [cache.good(a, s) for a, symbols in enumerate(cache.sigma_star) for s in symbols]
     return {
         "h_star_max": cache.h_star_max,
         "admissible": sorted(map(len, cache.sigma_star)),
-        "h_star": sorted(cache.h_star.values()),
-        "n2_star": sorted(map(len, cache.n2_star.values())),
+        "h_star": sorted(h for _, _, h in good),
+        "n2_star": sorted(len(n2) for _, n2, _ in good),
         "guarantee": guarantee,
         "p_bar_max": st.p_bar_max,
         "h_max": st.h_max,

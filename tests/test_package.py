@@ -118,5 +118,11 @@ def test_star_import_binds_every_public_name():
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
 
 
+def test_a_sigma_star_cache_offers_its_three_fields_and_good():
+    cache = lc.compute_sigma_star(lc.build_game(1, 1, 2, 2, [(0, 0)], [(0, 1)]))
+    public = [name for name in dir(cache) if not name.startswith("_")]
+    assert public == ["good", "h_star_argmax", "h_star_max", "sigma_star"]
+
+
 def test_an_unknown_name_is_an_attribute_error():
     assert not hasattr(lc, "no_such_name")
