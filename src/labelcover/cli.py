@@ -118,7 +118,7 @@ def _emit_report(args, game, digest, rep):
         "guarantee": _frac_str(rep.guarantee),
         "guarantee_ratio_of_opt": _frac_str(rep.guarantee_ratio_of_opt),
         "breakdown": dict(rep.breakdown) if rep.breakdown else None,
-        "seed": rep.seed,
+        "seed": None,
         "assignment": _labels(rep.assignment),
         **({"elapsed": rep.elapsed} if args.timings else {}),
     }, lines)
@@ -395,14 +395,21 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _rational(text: str) -> Fraction:
-    """argparse type for a Fraction flag; a zero denominator is a usage error."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"invalid Fraction value: {text!r}"
-        ) from None
+def _typed(kind, low=None):
+    """argparse type for a flag that kind (int or Fraction) reads; a value it
+    refuses (such as 1/0) or one below low is a usage error."""
+    def read(text: str):
+        try:
+            value = kind(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return read
+
+
+_rational, _cap = _typed(Fraction), _typed(int, low=0)
 
 
 def _required_ints(*flags):
@@ -423,7 +430,7 @@ _JSON = ("--json", {**_FLAG, "help": "machine readable output"})
 _QUIET = ("--json", {**_FLAG, "help": "omit the stderr '# measured smoothness' line"})
 _SEED = ("--seed", {"type": int, "default": 0, "help": "generator/solver seed"})
 _ENUM_CAP = ("--enum-cap", {
-    "type": int,
+    "type": _cap,
     "default": smooth_mod.DEFAULT_ENUM_CAP,
     "help": "cap on enumerated assignments for exponential phases",
 })
@@ -451,7 +458,7 @@ _COMMANDS = (
     ("stats", "instance statistics", None, _cmd_stats, (_INSTANCE, _JSON)),
     ("solve", "exact solvers", "method", _cmd_solve, (
         ("exact", "brute force oracle",
-         (_INSTANCE, ("--budget", {"type": int, "default": None}),
+         (_INSTANCE, ("--budget", {"type": _cap, "default": None}),
           _JSON, _TIMINGS)),
         ("dp", "tree-decomposition dynamic program",
          (_INSTANCE, ("--td", {

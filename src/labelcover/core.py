@@ -466,9 +466,6 @@ class InstanceStats:
     """
 
     a_degree: tuple[int, ...]
-    b_degree: tuple[int, ...]
-    a_neighbors: tuple[tuple[int, ...], ...]
-    b_neighbors: tuple[tuple[int, ...], ...]
     n2: Sequence[tuple[int, ...]]
     sigma_b_max: tuple[int, ...]
     p_max_e: tuple[int, ...]
@@ -523,9 +520,6 @@ def compute_stats(game: ProjectionGame) -> InstanceStats:
 
     return InstanceStats(
         a_degree=a_deg,
-        b_degree=b_deg,
-        a_neighbors=game.a_neighbors,
-        b_neighbors=game.b_neighbors,
         n2=_TwoHop(a_nbrs, b_nbrs),
         sigma_b_max=sigma_b_max,
         p_max_e=p_max_e,
@@ -632,7 +626,6 @@ class SolveReport:
     algorithm: str
     guarantee: Fraction
     elapsed: float
-    seed: int | None = None
     guarantee_ratio_of_opt: Fraction | None = None
     breakdown: tuple[tuple[str, int], ...] | None = None
     parts: tuple[SolveReport, ...] = ()

@@ -58,15 +58,12 @@ class BakerPartition:
     ``classes[i]`` holds the edge indices of class i + 1; the classes are
     disjoint and cover the edge set.  ``residuals[i]`` is the game with
     class i + 1 removed (``residual_game``), and ``decompositions[i]`` is a
-    decomposition of it.  ``levels`` records the BFS level used for every
-    global vertex.
+    decomposition of it.
     """
 
-    h: int
     classes: tuple[frozenset[int], ...]
     residuals: tuple[ProjectionGame, ...]
     decompositions: tuple[TreeDecomposition, ...]
-    levels: tuple[int, ...]
 
 
 def _bfs_levels(game: ProjectionGame) -> list[int]:
@@ -102,11 +99,7 @@ def baker_partition(game: ProjectionGame, h: int) -> BakerPartition:
     small = game.vertex_count <= EXACT_DECOMPOSITION_LIMIT
     decompose = exact_decomposition if small else heuristic_decomposition
     return BakerPartition(
-        h=h,
-        classes=frozen,
-        residuals=residuals,
-        decompositions=tuple(decompose(res) for res in residuals),
-        levels=tuple(levels),
+        frozen, residuals, tuple(decompose(res) for res in residuals)
     )
 
 

@@ -225,17 +225,15 @@ def validate_tiling_solution(t: MatrixTiling, sol: TilingSolution) -> list[str]:
 
 @dataclass(frozen=True)
 class TilingMaps:
-    """Dense index maps for the tiling reduction.
+    """The tiling reduction's symbol code.
 
-    Cells and connectors keep doubled coordinates so everything stays an
-    integer: cell (i, j) sits at (2i, 2j), the connector between two
-    cells at their midpoint.  A symbols are coordinate pairs in row-major
-    order; B symbols are coordinates 0..coord_max-1 followed by the two
-    conflict markers.
+    Cell (i, j) (1-based) is A vertex (i-1) grid_size + (j-1).  Connectors
+    are numbered cell by cell in row-major order, each cell's right
+    connector before its down one.  A symbol (x-1) coord_max + (y-1) is the
+    pair (x, y); B symbols are the coordinates 0..coord_max-1, then the
+    square marker coord_max and the diamond marker coord_max + 1.
     """
 
-    cell_vertex: dict[tuple[int, int], int]
-    connector_vertex: dict[tuple[int, int], int]
     coord_max: int
 
     def pair_symbol(self, x: int, y: int) -> int:
@@ -253,42 +251,34 @@ class TilingMaps:
         return self.coord_max + 1
 
 
-def _tiling_layout(t: MatrixTiling) -> tuple[TilingMaps, list[tuple[int, int]]]:
-    """Vertex numbering and the canonical edge list (as doubled coords)."""
-    k = t.grid_size
-    cell_vertex = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            cell_vertex[(2 * i, 2 * j)] = (i - 1) * k + (j - 1)
-    connector_vertex = {}
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if j < k:
-                connector_vertex[(2 * i, 2 * j + 1)] = len(connector_vertex)
-            if i < k:
-                connector_vertex[(2 * i + 1, 2 * j)] = len(connector_vertex)
-    edges = []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            cell = (2 * i, 2 * j)
-            for conn in (
-                (2 * i - 1, 2 * j),  # up
-                (2 * i, 2 * j - 1),  # left
-                (2 * i, 2 * j + 1),  # right
-                (2 * i + 1, 2 * j),  # down
-            ):
-                if conn in connector_vertex:
-                    edges.append((cell, conn))
-    return TilingMaps(cell_vertex, connector_vertex, t.coord_max), edges
+def _tiling_edges(k: int):
+    """Each game edge as (cell, connector, same row, connector above or
+    left of the cell), cell by cell in row-major order and, per cell, to
+    the up, left, right and down connector."""
+    down = [0] * k  # the down connector of the cell above, by column
+    count = 0
+    for i in range(k):
+        for j in range(k):
+            cell = i * k + j
+            if i:
+                yield cell, down[j], False, True
+            if j:
+                yield cell, right, True, True
+            if j < k - 1:
+                right, count = count, count + 1
+                yield cell, right, True, False
+            if i < k - 1:
+                down[j], count = count, count + 1
+                yield cell, down[j], False, False
 
 
 def from_matrix_tiling(t: MatrixTiling) -> tuple[ProjectionGame, TilingMaps]:
     """Planar game encoding the tiling constraints.
 
-    For an edge between cell (x, y) and an adjacent connector (z, t): a
-    pair inside the cell's set projects to its first coordinate on the
-    same-row connector and to its second on the same-column connector; a
-    pair outside the set projects to one of two conflict markers chosen by
+    For an edge between a cell and an adjacent connector: a pair inside
+    the cell's set projects to its first coordinate on the same-row
+    connector and to its second on the same-column connector; a pair
+    outside the set projects to one of two conflict markers chosen by
     which side of the connector the cell lies on, so two adjacent cells
     cannot both escape their sets through a shared connector.
 
@@ -297,34 +287,20 @@ def from_matrix_tiling(t: MatrixTiling) -> tuple[ProjectionGame, TilingMaps]:
     """
     if t.grid_size < 2:
         raise InfeasibleParams("tiling reduction needs a grid of size at least 2")
-    maps, layout_edges = _tiling_layout(t)
-    k = t.grid_size
-    nn = t.coord_max
+    k, nn = t.grid_size, t.coord_max
+    maps = TilingMaps(nn)
+    pairs = [maps.symbol_pair(s) for s in range(nn * nn)]
     game_edges = []
     tables = []
-    for (cx, cy), (zx, zy) in layout_edges:
-        cell_idx = maps.cell_vertex[(cx, cy)]
-        table = []
-        cell_set = t.cells[cell_idx]
-        for s in range(nn * nn):
-            x, y = maps.symbol_pair(s)
-            if (x, y) in cell_set:
-                table.append(x - 1 if cx == zx else y - 1)
-            elif cx >= zx and cy >= zy:
-                table.append(maps.square_symbol)
-            else:
-                table.append(maps.diamond_symbol)
-        game_edges.append((cell_idx, maps.connector_vertex[(zx, zy)]))
-        tables.append(tuple(table))
-    game = build_game(
-        k * k,
-        2 * k * (k - 1),
-        nn * nn,
-        nn + 2,
-        game_edges,
-        tables,
-    )
-    return game, maps
+    for cell, conn, same_row, low in _tiling_edges(k):
+        cell_set = t.cells[cell]
+        marker = maps.square_symbol if low else maps.diamond_symbol
+        tables.append(tuple(
+            (x - 1 if same_row else y - 1) if (x, y) in cell_set else marker
+            for x, y in pairs
+        ))
+        game_edges.append((cell, conn))
+    return build_game(k * k, 2 * k * (k - 1), nn * nn, nn + 2, game_edges, tables), maps
 
 
 def extract_tiling(
@@ -338,7 +314,7 @@ def extract_tiling(
     the wildcard count is at most twice the number of unsatisfied edges.
     """
     check_assignment(game, phi)
-    maps, _ = _tiling_layout(t)
+    maps = TilingMaps(t.coord_max)
     bad_connectors = {
         b
         for (a, b), table in zip(game.edges, game.projections)

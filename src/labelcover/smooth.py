@@ -73,15 +73,14 @@ def _check_enum_cap(game: ProjectionGame, n: int, what: str, enum_cap: int) -> N
         raise BudgetExceeded(f"{game.sigma_b}^{n} {what} exceed cap {enum_cap}")
 
 
-def default_mu(game: ProjectionGame, report: SmoothnessReport | None = None) -> Fraction:
+def default_mu(game: ProjectionGame) -> Fraction:
     """Measured smoothness, floored at one over the minimum A degree.
 
     The floor keeps the sampling probability positive on unique games.
     """
-    report = report if report is not None else measure_smoothness(game)
     degs = [len(e) for e in game.a_edges if e]
     floor = Fraction(1, min(degs)) if degs else Fraction(1)
-    return max(report.mu, floor)
+    return max(measure_smoothness(game).mu, floor)
 
 
 def _mu(game: ProjectionGame, mu: Fraction | None) -> Fraction:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import labelcover as lc
 from labelcover import formats
-from labelcover.cli import BENCH_ALGOS, _WORDS, _parse_args, _parser, main
+from labelcover.cli import BENCH_ALGOS, _WORDS, _cap, _parse_args, _parser, main
 
 from conftest import FIXTURES, SRC, fixture_text
 
@@ -314,6 +314,29 @@ def test_reduce_json_without_extract_is_a_usage_error(capsys, tmp_path, kind, te
             f"labelcover reduce {kind}: error: "
             "argument --json: only allowed with argument --extract\n"
         )
+
+
+@pytest.mark.parametrize("words, flag", [
+    (("solve", "exact", TINY1), "--budget"),
+    (("smooth", "exact", SMOOTH1), "--enum-cap"),
+    (("smooth", "approx", SMOOTH1), "--enum-cap"),
+], ids=["solve-exact", "smooth-exact", "smooth-approx"])
+def test_a_negative_cap_is_a_usage_error(capsys, words, flag):
+    command = f"labelcover {words[0]} {words[1]}"
+    for argv in ([flag, "-1"], [f"{flag}=-12"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*words, *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: {command} [-h] ")
+        value = argv[-1].rpartition("=")[2]
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"{command}: error: argument {flag}: must be at least 0, got {value}"
+        ]
+    # a cap of 0 is valid: the command runs and exceeds it
+    code, out, err = run(capsys, *words, flag, "0")
+    assert (code, out) == (3, "") and err.startswith("budget exceeded: ")
 
 
 def _variants(text):
@@ -842,7 +865,7 @@ def _every_flag(path, leaf):
         elif action.nargs == 0:
             argv.append(action.option_strings[0])
         else:
-            value = {int: "1", None: "y.lc"}.get(action.type, "1/2")
+            value = {int: "1", _cap: "1", None: "y.lc"}.get(action.type, "1/2")
             argv += [action.option_strings[0], value]
     return argv
 

@@ -10,17 +10,22 @@ current code's ``getrandbits`` draws (``reductions._draws``) to the stdlib
 stream.  ``oracle_bipartite_graph`` is ``_bipartite_graph`` before its
 isolated-B repair became one draw per isolated B vertex, and
 ``oracle_gen_matrix_tiling`` is ``gen_matrix_tiling`` before it drew
-through ``_draws``.  On seeded sweeps the current code must return an
-``==`` result or raise the same error (class and message).
+through ``_draws``.  ``OracleTilingMaps``, ``oracle_tiling_layout``,
+``oracle_from_matrix_tiling`` and ``oracle_layout_extract_tiling`` are the
+tiling reduction as it stood when it numbered cells and connectors through
+two dictionaries keyed by doubled coordinates.  On seeded sweeps the
+current code must return an ``==`` result or raise the same error (class
+and message).
 """
 
 import random
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import labelcover as lc
-from labelcover import planar, reductions
+from labelcover import formats, planar, reductions
 from labelcover.core import (
     Assignment,
     Component,
@@ -35,7 +40,6 @@ from labelcover.reductions import (
     GenerationFailed,
     TilingSolution,
     _bipartite_graph,
-    _tiling_layout,
 )
 from labelcover.smooth import measure_smoothness
 
@@ -251,10 +255,109 @@ def oracle_gen_planar_grid(rows, cols, k_a, k_b, seed):
     return game, Assignment(tuple(a_opt), tuple(b_opt))
 
 
+@dataclass(frozen=True)
+class OracleTilingMaps:
+    cell_vertex: dict[tuple[int, int], int]
+    connector_vertex: dict[tuple[int, int], int]
+    coord_max: int
+
+    def pair_symbol(self, x: int, y: int) -> int:
+        return (x - 1) * self.coord_max + (y - 1)
+
+    def symbol_pair(self, s: int) -> tuple[int, int]:
+        return s // self.coord_max + 1, s % self.coord_max + 1
+
+    @property
+    def square_symbol(self) -> int:  # conflict marker for the high side
+        return self.coord_max
+
+    @property
+    def diamond_symbol(self) -> int:  # conflict marker for the low side
+        return self.coord_max + 1
+
+
+def oracle_tiling_layout(t):
+    """Vertex numbering and the canonical edge list (as doubled coords)."""
+    k = t.grid_size
+    cell_vertex = {}
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            cell_vertex[(2 * i, 2 * j)] = (i - 1) * k + (j - 1)
+    connector_vertex = {}
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            if j < k:
+                connector_vertex[(2 * i, 2 * j + 1)] = len(connector_vertex)
+            if i < k:
+                connector_vertex[(2 * i + 1, 2 * j)] = len(connector_vertex)
+    edges = []
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            cell = (2 * i, 2 * j)
+            for conn in (
+                (2 * i - 1, 2 * j),  # up
+                (2 * i, 2 * j - 1),  # left
+                (2 * i, 2 * j + 1),  # right
+                (2 * i + 1, 2 * j),  # down
+            ):
+                if conn in connector_vertex:
+                    edges.append((cell, conn))
+    return OracleTilingMaps(cell_vertex, connector_vertex, t.coord_max), edges
+
+
+def oracle_from_matrix_tiling(t):
+    if t.grid_size < 2:
+        raise InfeasibleParams("tiling reduction needs a grid of size at least 2")
+    maps, layout_edges = oracle_tiling_layout(t)
+    k = t.grid_size
+    nn = t.coord_max
+    game_edges = []
+    tables = []
+    for (cx, cy), (zx, zy) in layout_edges:
+        cell_idx = maps.cell_vertex[(cx, cy)]
+        table = []
+        cell_set = t.cells[cell_idx]
+        for s in range(nn * nn):
+            x, y = maps.symbol_pair(s)
+            if (x, y) in cell_set:
+                table.append(x - 1 if cx == zx else y - 1)
+            elif cx >= zx and cy >= zy:
+                table.append(maps.square_symbol)
+            else:
+                table.append(maps.diamond_symbol)
+        game_edges.append((cell_idx, maps.connector_vertex[(zx, zy)]))
+        tables.append(tuple(table))
+    game = build_game(
+        k * k,
+        2 * k * (k - 1),
+        nn * nn,
+        nn + 2,
+        game_edges,
+        tables,
+    )
+    return game, maps
+
+
+def oracle_layout_extract_tiling(t, game, phi):
+    check_assignment(game, phi)
+    maps, _ = oracle_tiling_layout(t)
+    bad_connectors = {
+        b
+        for (a, b), table in zip(game.edges, game.projections)
+        if table[phi.a_labels[a]] != phi.b_labels[b]
+    }
+    # cell i (row-major) is A vertex i
+    return TilingSolution(tuple(
+        None
+        if any(game.edges[e][1] in bad_connectors for e in eids)
+        else maps.symbol_pair(sa)
+        for eids, sa in zip(game.a_edges, phi.a_labels)
+    ))
+
+
 def oracle_extract_tiling(t, game, phi):
     check_assignment(game, phi)
-    maps, _ = _tiling_layout(t)
-    k = t.grid_size
+    k, n = t.grid_size, t.coord_max
     sat = [
         table[phi.a_labels[a]] == phi.b_labels[b]
         for (a, b), table in zip(game.edges, game.projections)
@@ -265,14 +368,15 @@ def oracle_extract_tiling(t, game, phi):
     cells = []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            cell_idx = maps.cell_vertex[(2 * i, 2 * j)]
+            cell_idx = (i - 1) * k + (j - 1)
             nbr_connectors = {
                 game.edges[e][1] for e in game.a_edges[cell_idx]
             }
             if nbr_connectors & bad_connectors:
                 cells.append(None)
             else:
-                cells.append(maps.symbol_pair(phi.a_labels[cell_idx]))
+                sa = phi.a_labels[cell_idx]
+                cells.append((sa // n + 1, sa % n + 1))
     return TilingSolution(tuple(cells))
 
 
@@ -480,6 +584,67 @@ def test_extract_tiling_matches_oracle():
             assert sol == oracle_extract_tiling(t, game, phi)
             kinds.update(c is None for c in sol.cells)
     assert kinds == {True, False}
+
+
+def planted_tiling_assignment(t, game, seed):
+    """The satisfying assignment of a solvable ``gen_matrix_tiling(...,
+    seed, solvable=True)``: its plant is the first 2 grid_size draws of
+    ``random.Random(seed)`` (see ``oracle_gen_matrix_tiling``)."""
+    rng = random.Random(seed)
+    k, n = t.grid_size, t.coord_max
+    rows = [rng.randrange(1, n + 1) for _ in range(k)]
+    cols = [rng.randrange(1, n + 1) for _ in range(k)]
+    a_labels = tuple((x - 1) * n + (y - 1) for x in rows for y in cols)
+    b_labels = tuple(
+        game.projections[eids[0]][a_labels[game.edges[eids[0]][0]]]
+        for eids in game.b_edges
+    )
+    return Assignment(a_labels, b_labels)
+
+
+def test_tiling_reduction_matches_layout_oracle_on_sweep():
+    """Game bytes, the symbol code and extraction against the doubled-
+    coordinate layout, over k 2-6, coordinates 1-4, densities 0, 1/2 and
+    1, solvable or not, on the planted, all-zero and random assignments."""
+    rng = random.Random(33)
+    seed = 0
+    wildcards = set()
+    for k, n, density, solvable in product(
+        range(2, 7), range(1, 5), (0, Fraction(1, 2), 1), (False, True)
+    ):
+        seed += 1
+        t = lc.gen_matrix_tiling(k, n, density, seed, solvable=solvable)
+        game, maps = lc.from_matrix_tiling(t)
+        ref_game, ref_maps = oracle_from_matrix_tiling(t)
+        assert formats.emit_labelcover(game) == formats.emit_labelcover(ref_game)
+        assert game == ref_game
+        for s in range(n * n):
+            assert maps.symbol_pair(s) == ref_maps.symbol_pair(s)
+            assert maps.pair_symbol(*maps.symbol_pair(s)) == s
+        for x, y in product(range(1, n + 1), repeat=2):
+            assert maps.pair_symbol(x, y) == ref_maps.pair_symbol(x, y)
+        assert (maps.square_symbol, maps.diamond_symbol) == (
+            ref_maps.square_symbol, ref_maps.diamond_symbol
+        )
+        phis = [
+            Assignment((0,) * game.a_count, (0,) * game.b_count),
+            Assignment(
+                tuple(rng.randrange(game.sigma_a) for _ in range(game.a_count)),
+                tuple(rng.randrange(game.sigma_b) for _ in range(game.b_count)),
+            ),
+        ]
+        if solvable:
+            phis.append(planted_tiling_assignment(t, game, seed))
+            assert lc.value(game, phis[-1]) == game.edge_count
+        for phi in phis:
+            sol = reductions.extract_tiling(t, game, phi)
+            assert sol == oracle_layout_extract_tiling(t, ref_game, phi)
+            assert sol == oracle_extract_tiling(t, ref_game, phi)
+            assert lc.validate_tiling_solution(t, sol) == []
+            wildcards.add(sol.chosen_count() == k * k)
+    assert wildcards == {True, False}
+    t = lc.build_matrix_tiling(1, 2, [{(1, 1)}])
+    assert outcome(lc.from_matrix_tiling, t) == outcome(oracle_from_matrix_tiling, t)
 
 
 def test_components_linear_on_perfect_matching():

@@ -85,7 +85,7 @@ def test_baker_partition_property_sweep():
             assert sorted(e for cls in part.classes for e in cls) == list(
                 range(g.edge_count)
             )
-            assert len(part.residuals) == len(part.decompositions) == h
+            assert len(part.classes) == len(part.residuals) == len(part.decompositions) == h
             for cls, res, td in zip(
                 part.classes, part.residuals, part.decompositions
             ):
@@ -97,12 +97,12 @@ def test_baker_residual_components_span_few_levels():
     # deleting a class leaves components whose BFS levels differ by < h
     g, _ = lc.gen_planar_grid(4, 5, 2, 2, seed=6)
     for h in (2, 3):
-        part = lc.baker_partition(g, h)
+        part, level = lc.baker_partition(g, h), _bfs_levels(g)
         for cls in part.classes:
             res = lc.residual_game(g, cls)
             for comp in lc.connected_components(res):
-                levels = [part.levels[a] for a in comp.a_vertices]
-                levels += [part.levels[g.a_count + b] for b in comp.b_vertices]
+                levels = [level[a] for a in comp.a_vertices]
+                levels += [level[g.a_count + b] for b in comp.b_vertices]
                 assert max(levels) - min(levels) < h
 
 
