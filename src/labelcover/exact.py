@@ -14,19 +14,21 @@ bag tree, ``_rooted_walk``, that finds each vertex's top bag;
 ``tree_dp_solve`` reuses it and the edge owners read off the tops.
 The DP counts each edge once, at the bag nearest the root that holds both
 endpoints.  It codes a bag state as an integer, its mixed-radix index,
-and builds a bag's values as sums of factors, lists read at the codes of
-the digits at fixed positions; bounded per-call memos keep the code lists
-of each (radix, positions) shape and each bag's summed owned-edge list.
+and sums a bag's values from lists read by an ``itemgetter`` at the codes
+of the digits at fixed positions.  One bounded per-call memo keeps those
+readers per (radix, positions) and each childless bag's result per
+(radix, restriction positions, owned edges).
 The exact search caps its subset costs at the min-fill width.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, repeat
 from math import prod
-from operator import add
+from operator import add, itemgetter
 
 from .core import (
     Assignment,
@@ -444,7 +446,36 @@ def is_satisfiable(game: ProjectionGame, budget: int | None = None) -> bool:
     return next(_extensions(game, bs, budget=budget), None) is not None
 
 
-_GATHER_CODES = 1 << 16  # most list entries tree_dp_solve's per-call memos hold
+_GATHER_CODES = 1 << 16  # most entries a _Memo holds
+
+
+class _Memo(dict):
+    """``tree_dp_solve``'s per-call memo; an entry that would take it past
+    ``_GATHER_CODES`` entries empties it first.  A missing (radix,
+    positions) key gets every state's mixed-radix code of its digits at
+    positions and an ``itemgetter`` reading a sequence at those codes."""
+
+    held = 0
+
+    def keep(self, key: tuple, value, entries: int):
+        if self.held + entries > _GATHER_CODES:
+            self.clear()
+            self.held = 0
+        self[key] = value
+        self.held += entries
+        return value
+
+    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]):
+        radix, positions = key
+        weight, m, codes = [0] * len(radix), 1, [0]
+        for p in reversed(positions):
+            weight[p], m = m, m * radix[p]
+        # prepend digits last to first; one outside positions repeats the block
+        for r, w in zip(reversed(radix), reversed(weight)):
+            codes = [d * w + c for d in range(r) for c in codes] if w else codes * r
+        codes = tuple(codes)  # the itemgetter holds this tuple, not a copy
+        read = itemgetter(*codes) if len(codes) > 1 else lambda seq: (seq[0],)
+        return self.keep(key, (codes, read), len(codes))
 
 
 def tree_dp_solve(
@@ -462,18 +493,18 @@ def tree_dp_solve(
     in that order of the two endpoints' top bags, one lookup per edge.  The
     value of a state is the owned edges it satisfies plus, for every
     child, the best child value over the child states that agree with it
-    on their shared vertices.  Every term is read at the code of the
-    state's digits at fixed positions: a 0/1 list over an owned edge's
-    two digits, or a child's best-value list over its restriction code,
-    summed into a fresh list per term.  Two memos live for the call: the
-    codes of every state for one (radix, positions) shape, and a bag's
-    summed owned-edge list per (radix, owned edges), together at most
-    ``_GATHER_CODES`` entries.  Each bag keeps its first-best value and
-    state index per restriction code to its parent, the root its
-    first-best state; the assignment decodes those indices in the walk's
-    order, each bag's at the labels its parent gave their shared vertices.
+    on their shared vertices.  Each term reads a list at every state's
+    code of its digits at fixed positions: a table's 0/1 list over an
+    owned edge's two digits, or a child's best-value list over its
+    restriction code.  Each bag keeps its first-best value and state index
+    per restriction code to its parent, the root its first-best state;
+    the assignment decodes those indices in the walk's order, each bag's
+    at the labels its parent gave their shared vertices.
 
-    ``state_cap`` bounds the states enumerated over all bags.
+    A ``_Memo`` keeps the readers of those codes, and a childless bag's
+    best values and indices per (radix, restriction positions, owned
+    edges), all they depend on.  A bag read from it still counts its
+    states toward ``state_cap``, the bound on states over all bags.
     """
     violations, walk, owner = _validated(game, td)
     if violations:
@@ -486,78 +517,47 @@ def tree_dp_solve(
     a, ka, kb = game.a_count, game.sigma_a, game.sigma_b
     kind = [ka] * a + [kb] * game.b_count
     verts = [sorted(bag) for bag in td.bags]
-    pos = [{v: p for p, v in enumerate(vs)} for vs in verts]
-    # per bag: the positions of the vertices it shares with its parent,
-    # (child, the same vertices' positions in this bag) per child, and its
-    # owned edges as (position, position, table)
+    # per bag: the positions of the vertices it shares with its parent, and
+    # per child and owned edge a term (j, positions) reading peak[j], a
+    # child's best values or, at nbags + its id, an edge table's 0/1 list
     up: list[tuple[int, ...]] = [()] * nbags
-    links: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nbags)]
+    terms: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(nbags)]
     for w in order[1:]:
-        p = parent[w]
-        shared = [v for v in verts[w] if v in td.bags[p]]
-        up[w] = tuple(map(pos[w].__getitem__, shared))
-        links[p].append((w, tuple(map(pos[p].__getitem__, shared))))
-    owned: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nbags)]
-    for (va, b), t, i in zip(game.edges, game.projections, owner):
-        owned[i].append((pos[i][va], pos[i][a + b], t))
-    checks = {t: [int(t[x] == y) for x in range(ka) for y in range(kb)]
-              for t in set(game.projections)}
-
-    memo: dict[tuple, list[int]] = {}
-    sums: dict[tuple, list[int]] = {}
-    held = 0
-
-    def keep(store: dict, key: tuple, values: list[int]) -> None:
-        """Memoise values, first emptying both memos if they would pass
-        _GATHER_CODES entries; one longer list alone is kept until the
-        next is stored."""
-        nonlocal held
-        if held + len(values) > _GATHER_CODES:
-            memo.clear()
-            sums.clear()
-            held = 0
-        store[key] = values
-        held += len(values)
-
-    def gather(radix: tuple[int, ...], positions: tuple[int, ...]) -> list[int]:
-        """For every state, the mixed-radix code of its digits at positions."""
-        codes = memo.get((radix, positions))
-        if codes is None:
-            weight, m, codes = [0] * len(radix), 1, [0]
-            for p in reversed(positions):
-                weight[p], m = m, m * radix[p]
-            # prepend digits last to first; one outside positions repeats the block
-            for r, w in zip(reversed(radix), reversed(weight)):
-                codes = [d * w + c for d in range(r) for c in codes] if w else codes * r
-            keep(memo, (radix, positions), codes)
-        return codes
+        p, pb = parent[w], td.bags[parent[w]]
+        up[w] = tuple([k for k, v in enumerate(verts[w]) if v in pb])
+        terms[p].append((w, tuple([bisect_left(verts[p], v) for v in verts[w] if v in pb])))
+    ids = {t: nbags + k for k, t in enumerate(dict.fromkeys(game.projections))}
+    for (va, b), j, i in zip(game.edges, map(ids.__getitem__, game.projections), owner):
+        terms[i].append((j, (bisect_left(verts[i], va), bisect_left(verts[i], a + b))))
+    inner = {parent[w] for w in order[1:]}  # the bags with a child
 
     # per bag: the first-best value and state index per restriction code
-    peak, arg = [[]] * nbags, [[]] * nbags
+    peak = [[]] * nbags + [[int(t[x] == y) for x in range(ka) for y in range(kb)] for t in ids]
+    arg = [[]] * nbags
+    memo = _Memo()
     states = 0
     for i in reversed(order):
-        radix = tuple(map(kind.__getitem__, verts[i]))
-        size = prod(radix)
-        states += size
+        radix = tuple([kind[v] for v in verts[i]])
+        states += prod(radix)
         if state_cap is not None and states > state_cap:
             raise BudgetExceeded(f"DP state count exceeded {state_cap}")
-        # each term is summed into a fresh list, so no iterator nests
-        key = (radix, *owned[i])
-        vals = sums.get(key)
-        if vals is None:
-            vals = [0] * size
-            for p, q, t in owned[i]:
-                vals = list(map(add, vals, map(checks[t].__getitem__, gather(radix, (p, q)))))
-            keep(sums, key, vals)
-        for w, link in links[i]:
-            vals = list(map(add, vals, map(peak[w].__getitem__, gather(radix, link))))
-        codes = gather(radix, up[i])
-        best = [-1] * (codes[-1] + 1)
-        at = [0] * len(best)
-        for s, val, c in zip(count(), vals, codes):
+        # "leaf" sets these keys apart from the (radix, positions) keys
+        key = None if i in inner else ("leaf", radix, up[i], *terms[i])
+        if key in memo:
+            peak[i], arg[i] = memo[key]
+            continue
+        vals = ()  # a fresh list per summed term, so no iterator nests
+        for j, positions in terms[i]:
+            got = memo[radix, positions][1](peak[j])
+            vals = list(map(add, vals, got)) if vals else got
+        codes = memo[radix, up[i]][0]
+        best, at = [-1] * (codes[-1] + 1), [0] * (codes[-1] + 1)
+        for s, val, c in zip(count(), vals or repeat(0), codes):
             if val > best[c]:
                 best[c], at[c] = val, s
         peak[i], arg[i] = best, at
+        if key:
+            memo.keep(key, (best, at), 2 * len(best))
 
     labels = [0] * game.vertex_count
     for i in order:

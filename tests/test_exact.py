@@ -6,6 +6,7 @@ from math import prod
 import pytest
 
 import labelcover as lc
+from labelcover import exact
 from labelcover.core import Assignment, BudgetExceeded, ProjectionGame, _adjacency
 from labelcover.exact import (
     EXACT_DECOMPOSITION_LIMIT,
@@ -968,6 +969,68 @@ def test_dp_matches_oracle_sweep():
         assert lc.value(g, got[0]) == got[1]
         count += 1
     assert count > 1000
+
+
+def test_dp_matches_oracle_when_the_memo_empties_mid_call(monkeypatch):
+    # a budget of 8 entries empties the memo at nearly every store, so
+    # readers and leaf results are rebuilt within a call
+    cleared = 0
+
+    def counting_clear(memo):
+        nonlocal cleared
+        cleared += 1
+        dict.clear(memo)
+
+    monkeypatch.setattr(exact, "_GATHER_CODES", 8)
+    monkeypatch.setattr(exact._Memo, "clear", counting_clear)
+    for g, td in dp_oracle_cases():
+        assert lc.tree_dp_solve(g, td) == oracle_tree_dp_solve(g, td)
+    assert cleared > 1000
+
+
+def star_of_stars():
+    """Three A centres, each with B leaves under constant tables, in a
+    decomposition whose leaf bags {a, b} hang under a centre's bag, under
+    the root or under a bag {a0, b9} that holds their B end: leaf bags
+    share a memo key under different parents, or differ only in the
+    position of the vertex they share."""
+    ones, zeros = (1, 1, 1), (0, 0, 0)
+    edges = [(0, b) for b in range(4)] + [(1, b) for b in range(4, 8)] + [(2, 8), (0, 9), (3, 9)]
+    tables = [ones, zeros, ones, ones, zeros, ones, ones, zeros, ones, zeros, ones]
+    g = lc.build_game(4, 10, 3, 2, edges, tables)
+    bags = [frozenset({0, 1, 2}), frozenset({0}), frozenset({1}), frozenset({0, 4 + 9})]
+    tree = [(0, 1), (0, 2), (1, 3)]
+    for a, b in edges[:9] + [(3, 9)]:
+        tree.append(({0: 1, 1: 2, 2: 0, 3: 3}[a], len(bags)))
+        bags.append(frozenset({a, 4 + b}))
+    return g, TreeDecomposition(tuple(bags), tuple(tree))
+
+
+def test_dp_leaf_memo_on_a_star_of_stars(monkeypatch):
+    g, td = star_of_stars()
+    assert validate_decomposition(g, td) == []
+    stored = []
+    keep = exact._Memo.keep
+
+    def recording_keep(memo, key, *rest):
+        stored.append(key[0] == "leaf")
+        return keep(memo, key, *rest)
+
+    monkeypatch.setattr(exact._Memo, "keep", recording_keep)
+    phi, val = lc.tree_dp_solve(g, td)
+    # every A label ties, so each takes the first best, 0; each B label is
+    # its table's constant, but b9's two tables tie and it takes 0
+    assert phi == Assignment((0, 0, 0, 0), (1, 0, 1, 1, 0, 1, 1, 0, 1, 0))
+    assert val == g.edge_count - 1 == lc.value(g, phi)
+    assert (phi, val) == oracle_tree_dp_solve(g, td)
+    # ten leaf bags, three keys (two tables at the shared A end, and one at
+    # the shared B end): the other seven are memo hits
+    assert sum(stored) == 3
+    # memo hits still count their states toward the cap
+    states = sum(prod(3 if v < g.a_count else 2 for v in bag) for bag in td.bags)
+    assert lc.tree_dp_solve(g, td, state_cap=states) == (phi, val)
+    with pytest.raises(lc.BudgetExceeded):
+        lc.tree_dp_solve(g, td, state_cap=states - 1)
 
 
 def test_dp_star_with_many_leaf_bags():
